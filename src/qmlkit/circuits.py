@@ -218,15 +218,9 @@ class Circuit:
 
     def bind(self, values: Sequence[float]) -> "Circuit":
         """Collapse every angle to a constant; the result has zero parameters."""
-        if len(values) != len(self.parameters):
-            raise CircuitError(
-                f"expected {len(self.parameters)} values, got {len(values)}"
-            )
-        env = {p: float(v) for p, v in zip(self.parameters, values)}
         gates = tuple(
-            g if g.angle is None or g.angle.is_constant
-            else replace(g, angle=AngleExpr.constant(g.angle.evaluate(env)))
-            for g in self.gates
+            g if g.angle is None or g.angle.is_constant else replace(g, angle=AngleExpr.constant(a))
+            for g, a in zip(self.gates, bound_angles(self, values))
         )
         return Circuit(self.num_qubits, gates, ())
 
@@ -289,6 +283,17 @@ class Circuit:
             names.add(p.name)
             known.add(id(p))
         return Circuit(self.num_qubits, self.gates + other.gates, tuple(params))
+
+
+def bound_angles(circuit: Circuit, values: Sequence[float]) -> list[float]:
+    """Each gate's rotation angle at ``values`` (ordered like ``circuit.parameters``).
+
+    The one place angles are evaluated: gates without an angle get 0.0.
+    """
+    if len(values) != len(circuit.parameters):
+        raise CircuitError(f"expected {len(circuit.parameters)} values, got {len(values)}")
+    env = {p: float(v) for p, v in zip(circuit.parameters, values)}
+    return [g.angle.evaluate(env) if g.angle is not None else 0.0 for g in circuit.gates]
 
 
 def zz_feature_map(num_qubits: int, reps: int = 1) -> Circuit:

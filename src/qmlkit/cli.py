@@ -98,9 +98,12 @@ def read_dataset(path: str, require_label: bool):
         if len(row) != len(header):
             raise CliError(f"{path}:{line_no}: expected {len(header)} fields, got {len(row)}")
         try:
-            features.append([float(v) for v in row[: len(feature_names)]])
+            values = [float(v) for v in row[: len(feature_names)]]
         except ValueError as exc:
             raise CliError(f"{path}:{line_no}: {exc}") from exc
+        if not all(math.isfinite(v) for v in values):
+            raise CliError(f"{path}:{line_no}: feature values must be finite")
+        features.append(values)
         if has_label:
             labels.append(row[-1])
     if not features:

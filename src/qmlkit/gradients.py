@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .circuits import Circuit, Parameter
+from .circuits import Circuit, Parameter, bound_angles
 from .errors import CircuitError, UnsupportedParameterError
 from .simulator import (
     PauliObservable,
@@ -64,8 +64,9 @@ def _occurrence_map(circuit: Circuit, wrt: Sequence[Parameter]) -> dict[Paramete
     """Gate indices where each requested parameter occurs as a pure rotation.
 
     A supported occurrence is a single-factor angle with |coefficient*scale|
-    equal to 1; scaled or product-form occurrences of a requested parameter
-    are rejected by name.
+    equal to 1 on an RX, RY or RZ gate; scaled, product-form or CRY
+    occurrences of a requested parameter are rejected by name (the CRY
+    generator has three eigenvalues, so the two-term rule does not hold).
     """
     requested = set(map(id, wrt))
     occurrences: dict[Parameter, list[int]] = {p: [] for p in wrt}
@@ -76,6 +77,8 @@ def _occurrence_map(circuit: Circuit, wrt: Sequence[Parameter]) -> dict[Paramete
         for p in gate.angle.parameters:
             if id(p) not in requested:
                 continue
+            if gate.kind == "CRY":
+                raise UnsupportedParameterError(p.name, "parameter occurs in a CRY angle")
             if len(gate.angle.factors) != 1:
                 raise UnsupportedParameterError(p.name, "parameter occurs in a product-form angle")
             _, scale, _ = gate.angle.factors[0]
@@ -102,12 +105,10 @@ def shift_rule_jacobian(
     differences summed, which realizes the product rule when one parameter
     feeds several gates. Returns shape (len(wrt), output_dim).
     """
-    if len(values) != circuit.num_parameters:
-        raise CircuitError(f"expected {circuit.num_parameters} values, got {len(values)}")
+    base_angles = bound_angles(circuit, values)
     params = list(circuit.parameters if wrt is None else wrt)
     env = {p: float(v) for p, v in zip(circuit.parameters, values)}
     occurrences = _occurrence_map(circuit, params)
-    base_angles = [g.angle.evaluate(env) if g.angle is not None else 0.0 for g in circuit.gates]
     denom = 2.0 * math.sin(shift)
 
     def state_with_shift(gate_index: int, param: Parameter, delta: float) -> Statevector:

@@ -92,9 +92,9 @@ def kernel_matrix(
 
     With ``Y`` absent the matrix is symmetric: only the upper triangle is
     evaluated and mirrored, and the diagonal is pinned to 1 in exact mode
-    (shot mode samples it like any other entry). Entry (i, j) uses the RNG
-    stream derived from (seed, i*cols + j), so results do not depend on
-    evaluation order.
+    (shot mode samples it like any other entry). In shot mode entry (i, j)
+    uses the RNG stream derived from (seed, i*cols + j), so results do not
+    depend on evaluation order; exact mode derives no seeds.
     """
     rows = _as_dataset(X, feature_map, "X")
     if Y is None:
@@ -105,7 +105,8 @@ def kernel_matrix(
                 if i == j and shots is None:
                     continue
                 value = kernel_entry(
-                    feature_map, rows[i], rows[j], shots=shots, seed=derive_seed(seed, i * m + j)
+                    feature_map, rows[i], rows[j], shots=shots,
+                    seed=derive_seed(seed, i * m + j) if shots is not None else None,
                 )
                 entries[i, j] = value
                 entries[j, i] = value
@@ -119,7 +120,7 @@ def kernel_matrix(
                 rows[i],
                 cols[j],
                 shots=shots,
-                seed=derive_seed(seed, i * cols.shape[0] + j),
+                seed=derive_seed(seed, i * cols.shape[0] + j) if shots is not None else None,
             )
     return KernelMatrix(entries, rows, cols)
 

@@ -116,6 +116,11 @@ def _build_sampler_qnn(feature_map: Circuit, ansatz: Circuit) -> SamplerQnn:
     )
 
 
+def _row_seed(shots: int | None, seed: int | None, *task: int) -> int | None:
+    """Child seed for one row in shot mode; exact mode draws nothing and gets None."""
+    return derive_seed(seed, *task) if shots is not None else None
+
+
 def _class_indices(labels: np.ndarray) -> np.ndarray:
     """Map -1/+1 labels onto parity buckets 0/1."""
     return ((labels + 1.0) / 2.0).astype(int)
@@ -151,7 +156,7 @@ def vqc_fit(
 
     def forward_all(weights: np.ndarray, eval_id: int) -> np.ndarray:
         rows = [
-            qnn.forward(x, weights, shots=shots, seed=derive_seed(seed, 2, eval_id, i))
+            qnn.forward(x, weights, shots=shots, seed=_row_seed(shots, seed, 2, eval_id, i))
             for i, x in enumerate(data.features)
         ]
         return np.vstack(rows)
@@ -166,7 +171,7 @@ def vqc_fit(
         eval_counter[0] += 1
         total = np.zeros_like(weights)
         for i, x in enumerate(data.features):
-            child = derive_seed(seed, 3, eval_counter[0], i)
+            child = _row_seed(shots, seed, 3, eval_counter[0], i)
             probs = qnn.forward(x, weights, shots=shots, seed=child)
             _, weight_jac = qnn.backward(x, weights, shots=shots, seed=child)
             c = classes[i]
@@ -197,7 +202,7 @@ def vqc_predict(
         )
     probs = np.vstack(
         [
-            qnn.forward(x, model.trained_weights, shots=shots, seed=derive_seed(seed, i))
+            qnn.forward(x, model.trained_weights, shots=shots, seed=_row_seed(shots, seed, i))
             for i, x in enumerate(features)
         ]
     )

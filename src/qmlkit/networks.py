@@ -13,12 +13,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .circuits import Circuit
+from .circuits import Circuit, bound_angles
 from .errors import CircuitError
 from .gradients import shift_rule_jacobian
 from .simulator import (
     PauliObservable,
     Statevector,
+    bitstring_to_index,
     derive_seed,
     expectation,
     expectation_sampled,
@@ -35,7 +36,7 @@ def parity_interpret(bitstring: str) -> int:
 
 def identity_interpret(bitstring: str) -> int:
     """Outcome index itself (little-endian), for output_dim = 2^n."""
-    return sum((1 << q) for q, ch in enumerate(bitstring) if ch == "1")
+    return bitstring_to_index(bitstring)
 
 
 def _merge_values(
@@ -69,7 +70,7 @@ def _check_partition(circuit: Circuit, input_params, weight_params) -> tuple[tup
 
 
 class _QnnBase:
-    """Shared partition plumbing and the prepared-state fast path."""
+    """Shared partition plumbing and the shift-rule Jacobian."""
 
     circuit: Circuit
     input_params: tuple[int, ...]
@@ -80,13 +81,6 @@ class _QnnBase:
         return _merge_values(
             self.circuit.num_parameters, self.input_params, self.weight_params, inputs, weights
         )
-
-    def _state(self, values: np.ndarray) -> Statevector:
-        env = dict(zip(self.circuit.parameters, values))
-        angles = [
-            g.angle.evaluate(env) if g.angle is not None else 0.0 for g in self.circuit.gates
-        ]
-        return run_ops(self.circuit.num_qubits, self.circuit.gates, angles)
 
     def _jacobian(self, values, evaluate, indices: tuple[int, ...], output_dim: int) -> np.ndarray:
         if not indices:
@@ -137,7 +131,9 @@ class EstimatorQnn(_QnnBase):
 
     def forward(self, inputs, weights, shots: int | None = None, seed: int | None = None) -> np.ndarray:
         """One expectation value per observable."""
-        return self._measure(self._state(self._merged(inputs, weights)), shots, seed)
+        values = self._merged(inputs, weights)
+        state = run_ops(self.circuit.num_qubits, self.circuit.gates, bound_angles(self.circuit, values))
+        return self._measure(state, shots, seed)
 
     def backward(
         self, inputs, weights, shots: int | None = None, seed: int | None = None
@@ -151,7 +147,7 @@ class EstimatorQnn(_QnnBase):
         values = self._merged(inputs, weights)
 
         def evaluate(state: Statevector, task: int) -> np.ndarray:
-            return self._measure(state, shots, derive_seed(seed, task) if seed is not None else None)
+            return self._measure(state, shots, derive_seed(seed, task) if shots is not None else None)
 
         weight_jac = self._jacobian(values, evaluate, self.weight_params, self.output_dim)
         input_jac = (
@@ -213,7 +209,9 @@ class SamplerQnn(_QnnBase):
 
     def forward(self, inputs, weights, shots: int | None = None, seed: int | None = None) -> np.ndarray:
         """Probability mass per output bucket; sums to 1."""
-        return self._bucketed(self._state(self._merged(inputs, weights)), shots, seed)
+        values = self._merged(inputs, weights)
+        state = run_ops(self.circuit.num_qubits, self.circuit.gates, bound_angles(self.circuit, values))
+        return self._bucketed(state, shots, seed)
 
     def backward(
         self, inputs, weights, shots: int | None = None, seed: int | None = None
@@ -227,7 +225,7 @@ class SamplerQnn(_QnnBase):
 
         def evaluate(state: Statevector, task: int) -> np.ndarray:
             return self._bucketed(
-                state, shots, derive_seed(seed, task) if seed is not None else None
+                state, shots, derive_seed(seed, task) if shots is not None else None
             )
 
         weight_jac = self._jacobian(values, evaluate, self.weight_params, self.output_dim)

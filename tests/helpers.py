@@ -208,3 +208,58 @@ def enumerate_joint(bn: BayesianNetwork) -> np.ndarray:
             p *= p_one if bits[q] else 1.0 - p_one
         joint[index] = p
     return joint
+
+
+# --- Dense unitary oracle --------------------------------------------------
+
+_PROJECTORS = (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
+
+
+def _dense_target_matrix(kind: str, angle: float) -> np.ndarray:
+    c, s = np.cos(angle / 2.0), np.sin(angle / 2.0)
+    x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    ry = np.array([[c, -s], [s, c]], dtype=complex)
+    return {
+        "H": np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0),
+        "X": x,
+        "CX": x,
+        "CZ": np.diag([1.0, -1.0]).astype(complex),
+        "RX": np.array([[c, -1j * s], [-1j * s, c]]),
+        "RY": ry,
+        "CRY": ry,
+        "RZ": np.diag([np.exp(-0.5j * angle), np.exp(0.5j * angle)]),
+    }[kind]
+
+
+def _kron_qubits(factors: list[np.ndarray]) -> np.ndarray:
+    """Kronecker product with qubit 0 as the least significant factor."""
+    out = np.ones((1, 1), dtype=complex)
+    for factor in reversed(factors):
+        out = np.kron(out, factor)
+    return out
+
+
+def dense_gate_unitary(gate: Gate, num_qubits: int) -> np.ndarray:
+    """Full 2^n x 2^n matrix of a constant-angle gate, built from projectors.
+
+    With P the projector of the control qubits onto their required bits,
+    the gate is P (x) U_target + (1 - P): it acts only where every control
+    matches, for required bits 0 and 1 and any number of controls.
+    """
+    assert gate.angle is None or gate.angle.is_constant
+    angle = 0.0 if gate.angle is None else gate.angle.coefficient
+    active = [np.eye(2, dtype=complex) for _ in range(num_qubits)]
+    projector = [np.eye(2, dtype=complex) for _ in range(num_qubits)]
+    for q, bit in gate.controls:
+        active[q] = projector[q] = _PROJECTORS[bit]
+    active[gate.targets[0]] = _dense_target_matrix(gate.kind, angle)
+    return _kron_qubits(active) + np.eye(2**num_qubits) - _kron_qubits(projector)
+
+
+def dense_state(circuit: Circuit) -> np.ndarray:
+    """Output amplitudes of a bound circuit by dense matrix-vector products."""
+    state = np.zeros(2**circuit.num_qubits, dtype=complex)
+    state[0] = 1.0
+    for gate in circuit.gates:
+        state = dense_gate_unitary(gate, circuit.num_qubits) @ state
+    return state

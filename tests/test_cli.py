@@ -164,6 +164,34 @@ def test_train_bad_cell_reports_line_number(tmp_path, capsys):
     assert ":3:" in err
 
 
+@pytest.mark.parametrize("cell", ["inf", "NaN"])
+def test_train_non_finite_feature_exits_2(tmp_path, capsys, cell):
+    data = tmp_path / "bad.csv"
+    data.write_text(f"f0,f1,label\n0.0,0.1,1\n{cell},0.3,-1\n")
+    code, _, err = run_cli(
+        capsys, "train", "--model", "qsvc", "--data", str(data), "--out", str(tmp_path / "m.json")
+    )
+    assert code == 2
+    assert ":3:" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("cell", ["inf", "NaN"])
+def test_predict_non_finite_feature_exits_2(tmp_path, capsys, cell):
+    data = tmp_path / "blobs.csv"
+    model = tmp_path / "model.json"
+    predictions = tmp_path / "p.csv"
+    run_cli(capsys, "gen-data", "blobs", "--samples", "4", "--seed", "1", "--out", str(data))
+    run_cli(capsys, "train", "--model", "qsvc", "--data", str(data), "--out", str(model))
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"f0,f1\n0.5,0.5\n0.1,{cell}\n")
+    code, _, err = run_cli(
+        capsys, "predict", "--model", str(model), "--data", str(bad), "--out", str(predictions)
+    )
+    assert code == 2
+    assert ":3:" in json.loads(err)["error"]
+    assert not predictions.exists()
+
+
 def test_train_vqc_on_xor_reaches_full_accuracy(tmp_path, capsys):
     data = tmp_path / "xor.csv"
     model = tmp_path / "vqc.json"

@@ -73,6 +73,18 @@ def test_scaled_parameter_rejected():
         param_shift_gradient(GradientRequest(circuit, Z, [0.1]))
 
 
+def test_cry_parameter_rejected():
+    # The CRY generator has eigenvalues 0 and +-1/2, so the two-term rule is
+    # wrong here: it gives -0.2425 where finite differences give -0.1714.
+    theta = Parameter("t")
+    circuit = (
+        Circuit(2).append(Gate.h(0)).append(Gate.ry(0.4, 1)).append(Gate.cry(theta, [(0, 1)], 1))
+    )
+    with pytest.raises(UnsupportedParameterError) as info:
+        param_shift_gradient(GradientRequest(circuit, PauliObservable(((1.0, "XI"),)), [0.7]))
+    assert info.value.parameter_name == "t"
+
+
 def test_affine_offset_is_differentiable():
     theta = Parameter("t")
     circuit = Circuit(1).append(Gate.ry(AngleExpr(1.0, ((0.4, 1.0, theta),)), 0))

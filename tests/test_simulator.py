@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmlkit import (
     Circuit,
@@ -17,7 +19,7 @@ from qmlkit import (
     sampler,
 )
 
-from .helpers import random_bound_circuit, random_observable, random_supported_circuit
+from .helpers import dense_state, random_bound_circuit, random_observable, random_supported_circuit
 
 Z = PauliObservable(((1.0, "Z"),))
 X = PauliObservable(((1.0, "X"),))
@@ -196,3 +198,23 @@ def test_observable_validation():
 def test_z_on_builder():
     obs = PauliObservable.z_on(0, 3)
     assert obs.terms == ((1.0, "ZII"),)
+
+
+def test_run_matches_dense_oracle():
+    rng = np.random.default_rng(31)
+    for num_qubits in range(1, 6):
+        for _ in range(25):
+            circuit = random_bound_circuit(rng, num_qubits)
+            diff = np.max(np.abs(run(circuit).amplitudes - dense_state(circuit)))
+            assert diff <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(num_qubits=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_run_preserves_norm_and_inverse_undoes(num_qubits, seed):
+    circuit = random_bound_circuit(np.random.default_rng(seed), num_qubits)
+    assert np.linalg.norm(run(circuit).amplitudes) == pytest.approx(1.0, abs=1e-12)
+    identity = np.zeros(2**num_qubits, dtype=complex)
+    identity[0] = 1.0
+    round_trip = run(circuit.compose(circuit.inverse())).amplitudes
+    assert np.max(np.abs(round_trip - identity)) <= 1e-12
