@@ -101,18 +101,18 @@ def compile_network(bn: BayesianNetwork) -> Circuit:
     n = len(bn.nodes)
     if n > MAX_QUBITS:
         raise CircuitError(f"{n} nodes exceeds the simulator limit of {MAX_QUBITS} qubits")
-    circuit = Circuit(n)
     indices = {node.name: q for q, node in enumerate(bn.nodes)}
+    gates = []
     for q, node in enumerate(bn.nodes):
         for bits in itertools.product("01", repeat=len(node.parents)):
             key = "".join(bits)
             angle = 2.0 * math.asin(math.sqrt(node.cpt[key]))
             if not node.parents:
-                circuit = circuit.append(Gate.ry(angle, q))
+                gates.append(Gate.ry(angle, q))
             else:
                 controls = [(indices[p], int(b)) for p, b in zip(node.parents, bits)]
-                circuit = circuit.append(Gate.cry(angle, controls, q))
-    return circuit
+                gates.append(Gate.cry(angle, controls, q))
+    return Circuit(n).extend(gates)
 
 
 def _joint_probability(bn: BayesianNetwork, assignment: Sequence[int]) -> float:

@@ -196,25 +196,18 @@ class Circuit:
 
     def append(self, gate: Gate) -> "Circuit":
         """New circuit with ``gate`` at the end; unseen parameters register in order."""
-        params = list(self.parameters)
-        names = {p.name for p in params}
-        known = {id(p) for p in params}
-        if gate.angle is not None:
-            for p in gate.angle.parameters:
-                if id(p) in known:
-                    continue
-                if p.name in names:
-                    raise CircuitError(f"parameter name {p.name!r} already used by another object")
-                params.append(p)
-                names.add(p.name)
-                known.add(id(p))
-        return Circuit(self.num_qubits, self.gates + (gate,), tuple(params))
+        return self.extend((gate,))
 
     def extend(self, gates: Iterable[Gate]) -> "Circuit":
-        circuit = self
-        for gate in gates:
-            circuit = circuit.append(gate)
-        return circuit
+        """New circuit with ``gates`` at the end, built and validated once.
+
+        Equal to appending the gates one by one, parameter order included.
+        """
+        gates = tuple(gates)
+        params = _registered(
+            self.parameters, (p for g in gates if g.angle for p in g.angle.parameters)
+        )
+        return Circuit(self.num_qubits, self.gates + gates, params)
 
     def bind(self, values: Sequence[float]) -> "Circuit":
         """Collapse every angle to a constant; the result has zero parameters."""
@@ -271,18 +264,27 @@ class Circuit:
             raise CircuitError(
                 f"cannot compose widths {self.num_qubits} and {other.num_qubits}"
             )
-        params = list(self.parameters)
-        names = {p.name for p in params}
-        known = {id(p) for p in params}
-        for p in other.parameters:
-            if id(p) in known:
-                continue
-            if p.name in names:
-                raise CircuitError(f"parameter name collision on {p.name!r}")
-            params.append(p)
-            names.add(p.name)
-            known.add(id(p))
-        return Circuit(self.num_qubits, self.gates + other.gates, tuple(params))
+        params = _registered(self.parameters, other.parameters)
+        return Circuit(self.num_qubits, self.gates + other.gates, params)
+
+
+def _registered(known: tuple[Parameter, ...], new: Iterable[Parameter]) -> tuple[Parameter, ...]:
+    """``known`` followed by each parameter object of ``new`` not yet in it, in order.
+
+    A new object whose name is already taken by another object is rejected.
+    """
+    params = list(known)
+    names = {p.name for p in params}
+    ids = {id(p) for p in params}
+    for p in new:
+        if id(p) in ids:
+            continue
+        if p.name in names:
+            raise CircuitError(f"parameter name {p.name!r} already used by another object")
+        params.append(p)
+        names.add(p.name)
+        ids.add(id(p))
+    return tuple(params)
 
 
 def bound_angles(circuit: Circuit, values: Sequence[float]) -> list[float]:
@@ -307,20 +309,12 @@ def zz_feature_map(num_qubits: int, reps: int = 1) -> Circuit:
     if num_qubits < 1 or reps < 1:
         raise CircuitError("zz_feature_map requires num_qubits >= 1 and reps >= 1")
     xs = [Parameter(f"x{i}") for i in range(num_qubits)]
-    circuit = Circuit(num_qubits)
-    for _ in range(reps):
-        for q in range(num_qubits):
-            circuit = circuit.append(Gate.h(q))
-        for q in range(num_qubits):
-            circuit = circuit.append(Gate.rz(AngleExpr(2.0, ((0.0, 1.0, xs[q]),)), q))
-        for q in range(num_qubits - 1):
-            pair_angle = AngleExpr(
-                2.0, ((math.pi, -1.0, xs[q]), (math.pi, -1.0, xs[q + 1]))
-            )
-            circuit = circuit.append(Gate.cx(q, q + 1))
-            circuit = circuit.append(Gate.rz(pair_angle, q + 1))
-            circuit = circuit.append(Gate.cx(q, q + 1))
-    return circuit
+    layer = [Gate.h(q) for q in range(num_qubits)]
+    layer += [Gate.rz(AngleExpr(2.0, ((0.0, 1.0, xs[q]),)), q) for q in range(num_qubits)]
+    for q in range(num_qubits - 1):
+        pair_angle = AngleExpr(2.0, ((math.pi, -1.0, xs[q]), (math.pi, -1.0, xs[q + 1])))
+        layer += [Gate.cx(q, q + 1), Gate.rz(pair_angle, q + 1), Gate.cx(q, q + 1)]
+    return Circuit(num_qubits).extend(layer * reps)
 
 
 def real_amplitudes_ansatz(num_qubits: int, reps: int = 1) -> Circuit:
@@ -332,18 +326,12 @@ def real_amplitudes_ansatz(num_qubits: int, reps: int = 1) -> Circuit:
     """
     if num_qubits < 1 or reps < 1:
         raise CircuitError("real_amplitudes_ansatz requires num_qubits >= 1 and reps >= 1")
-    circuit = Circuit(num_qubits)
-    index = 0
-    for q in range(num_qubits):
-        circuit = circuit.append(Gate.ry(Parameter(f"w{index}"), q))
-        index += 1
+    weights = iter(Parameter(f"w{i}") for i in range(num_qubits * (reps + 1)))
+    gates = [Gate.ry(next(weights), q) for q in range(num_qubits)]
     for _ in range(reps):
-        for q in range(num_qubits - 1):
-            circuit = circuit.append(Gate.cx(q, q + 1))
-        for q in range(num_qubits):
-            circuit = circuit.append(Gate.ry(Parameter(f"w{index}"), q))
-            index += 1
-    return circuit
+        gates += [Gate.cx(q, q + 1) for q in range(num_qubits - 1)]
+        gates += [Gate.ry(next(weights), q) for q in range(num_qubits)]
+    return Circuit(num_qubits).extend(gates)
 
 
 def circuit_to_dict(circuit: Circuit) -> dict:

@@ -148,7 +148,9 @@ def cmd_gen_data(args) -> int:
     rng = derive_rng(args.seed)
     rows = []
     if args.kind == "blobs":
-        centers = {1: (math.pi / 4, math.pi / 4), -1: (-math.pi / 4, -math.pi / 4)}
+        # Under the default zz_feature_map(2, 2), (+-pi/4, +-pi/4) map to one
+        # state up to a global phase; (+-pi/2, +-pi/2) overlap with fidelity 0.396.
+        centers = {1: (math.pi / 2, math.pi / 2), -1: (-math.pi / 2, -math.pi / 2)}
         for i in range(args.samples):
             label = 1 if i % 2 == 0 else -1
             cx, cy = centers[label]

@@ -3,7 +3,9 @@
 The first circuit runs forward, the inverse of the second runs after it, and
 the probability of the all-zeros outcome is the squared overlap of the two
 prepared states. Both circuits are bound before composing, so parameter
-names never collide.
+names never collide. This is the paper's fidelity primitive for any two
+circuits; kernel matrices over one feature map do not build these composed
+circuits but take the overlaps of prepared states directly (``kernels``).
 """
 
 from __future__ import annotations

@@ -1,9 +1,11 @@
 """Fidelity quantum kernels and alignment-based kernel training.
 
 A kernel entry is the squared overlap between the feature-map states of two
-samples. Entries are pure functions of (data, shots, per-entry seed), so a
-Gram matrix can be filled in any order; the symmetric case evaluates only
-the upper triangle and mirrors it.
+samples. Each sample's state is prepared once, and a whole Gram matrix is
+one matrix product of those states; no per-entry circuit is built. In shot
+mode an entry is the all-zeros frequency that compute-uncompute sampling
+would give, drawn as Binomial(shots, F); entries are pure functions of
+(data, shots, per-entry seed), so a Gram matrix can be filled in any order.
 """
 
 from __future__ import annotations
@@ -12,11 +14,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .circuits import Circuit, Parameter
+from .circuits import Circuit, Parameter, bound_angles
 from .errors import CircuitError, DataError
-from .fidelity import FidelityJob, compute_uncompute
 from .optimizers import OptimizeResult, OptimizerConfig, minimize
-from .simulator import derive_rng, derive_seed
+from .simulator import derive_rng, derive_seed, run_ops
 
 
 @dataclass(frozen=True)
@@ -68,6 +69,23 @@ def _as_dataset(X, feature_map: Circuit, name: str) -> np.ndarray:
     return data
 
 
+def _states(feature_map: Circuit, data: np.ndarray) -> np.ndarray:
+    """Feature-map state of each row, one row of amplitudes per sample."""
+    states = np.empty((data.shape[0], 1 << feature_map.num_qubits), dtype=complex)
+    for row, x in zip(states, data):
+        row[:] = run_ops(
+            feature_map.num_qubits, feature_map.gates, bound_angles(feature_map, x)
+        ).amplitudes
+    return states
+
+
+def _sampled(fidelity: float, shots: int, seed: int | None) -> float:
+    """All-zeros frequency of ``shots`` compute-uncompute draws: Binomial(shots, F) / shots."""
+    if shots < 1:
+        raise CircuitError("shots must be a positive integer")
+    return float(derive_rng(seed).binomial(shots, fidelity)) / shots
+
+
 def kernel_entry(
     feature_map: Circuit,
     x,
@@ -75,10 +93,10 @@ def kernel_entry(
     shots: int | None = None,
     seed: int | None = None,
 ) -> float:
-    """Fidelity between the feature-map states of two samples."""
-    return compute_uncompute(
-        FidelityJob(feature_map, feature_map, tuple(x), tuple(y), shots=shots, seed=seed)
-    )
+    """Fidelity between the feature-map states of two samples; in shot mode a
+    ``Binomial(shots, F) / shots`` draw from ``seed``'s stream."""
+    K = kernel_matrix(feature_map, [x], [y]).entries
+    return float(K[0, 0]) if shots is None else _sampled(K[0, 0], shots, seed)
 
 
 def kernel_matrix(
@@ -90,38 +108,30 @@ def kernel_matrix(
 ) -> KernelMatrix:
     """Gram matrix of fidelities between feature-map states.
 
-    With ``Y`` absent the matrix is symmetric: only the upper triangle is
-    evaluated and mirrored, and the diagonal is pinned to 1 in exact mode
-    (shot mode samples it like any other entry). In shot mode entry (i, j)
-    uses the RNG stream derived from (seed, i*cols + j), so results do not
+    Every sample's state is prepared once and the fidelities come from one
+    product, ``|A* B^T|^2`` clipped to [0, 1]; the states take
+    ``rows * 2^n`` complex amplitudes (``rows + cols`` with ``Y``). With
+    ``Y`` absent the matrix is symmetric: the upper triangle is mirrored and
+    the diagonal is exactly 1 in exact mode. Shot mode draws entry (i, j),
+    upper triangle only when symmetric, as ``Binomial(shots, F_ij) / shots``
+    from the RNG stream derived from (seed, i*cols + j), so results do not
     depend on evaluation order; exact mode derives no seeds.
     """
     rows = _as_dataset(X, feature_map, "X")
+    cols = rows if Y is None else _as_dataset(Y, feature_map, "Y")
+    states = _states(feature_map, rows)
+    other = states if Y is None else _states(feature_map, cols)
+    entries = np.clip(np.abs(states.conj() @ other.T) ** 2, 0.0, 1.0)
     if Y is None:
-        m = rows.shape[0]
-        entries = np.eye(m)
-        for i in range(m):
-            for j in range(i, m):
-                if i == j and shots is None:
-                    continue
-                value = kernel_entry(
-                    feature_map, rows[i], rows[j], shots=shots,
-                    seed=derive_seed(seed, i * m + j) if shots is not None else None,
-                )
-                entries[i, j] = value
-                entries[j, i] = value
-        return KernelMatrix(entries, rows, rows)
-    cols = _as_dataset(Y, feature_map, "Y")
-    entries = np.zeros((rows.shape[0], cols.shape[0]))
-    for i in range(rows.shape[0]):
-        for j in range(cols.shape[0]):
-            entries[i, j] = kernel_entry(
-                feature_map,
-                rows[i],
-                cols[j],
-                shots=shots,
-                seed=derive_seed(seed, i * cols.shape[0] + j) if shots is not None else None,
-            )
+        entries = np.triu(entries, 1)
+        entries += entries.T + np.eye(rows.shape[0])
+    if shots is not None:
+        width = cols.shape[0]
+        pairs = zip(*np.triu_indices(width)) if Y is None else np.ndindex(entries.shape)
+        for i, j in pairs:
+            entries[i, j] = _sampled(entries[i, j], shots, derive_seed(seed, i * width + j))
+            if Y is None:
+                entries[j, i] = entries[i, j]
     return KernelMatrix(entries, rows, cols)
 
 

@@ -1,10 +1,10 @@
 """End-user estimators: variational classifier/regressor and kernel SVMs.
 
 The variational models train a quantum neural network with a classical
-optimizer; the SVMs precompute (or lazily evaluate) a fidelity kernel and
-solve the classification problem classically, either as the soft-margin
-dual or with the Pegasos sub-gradient scheme. Trained models are immutable
-and persist to JSON.
+optimizer; the SVMs precompute a fidelity kernel and solve the
+classification problem classically, either as the soft-margin dual or with
+the Pegasos sub-gradient scheme. Trained models are immutable and persist
+to JSON.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from .circuits import Circuit, circuit_from_dict, circuit_to_dict
 from .errors import DataError, ModelFormatError
-from .kernels import kernel_entry, kernel_matrix
+from .kernels import kernel_matrix
 from .networks import EstimatorQnn, SamplerQnn, parity_interpret
 from .optimizers import OptimizerConfig, minimize
 from .simulator import PauliObservable, derive_rng, derive_seed
@@ -376,8 +376,8 @@ def pegasos_fit(
     """Kernelized Pegasos: count margin violations under a decaying step.
 
     At step t a uniformly drawn sample's margin is scored with weight
-    1/(lam*t); a margin below 1 increments that sample's count. Kernel
-    entries are evaluated lazily and memoized per index pair.
+    1/(lam*t); a margin below 1 increments that sample's count. The
+    training set's Gram matrix is computed once, up front.
     """
     _require_binary(data.labels)
     if lam <= 0.0:
@@ -387,20 +387,11 @@ def pegasos_fit(
     m = data.size
     y = data.labels
     alpha = np.zeros(m, dtype=int)
-    cache: dict[tuple[int, int], float] = {}
-
-    def entry(i: int, j: int) -> float:
-        key = (min(i, j), max(i, j))
-        if key not in cache:
-            cache[key] = kernel_entry(feature_map, data.features[key[0]], data.features[key[1]])
-        return cache[key]
-
+    K = kernel_matrix(feature_map, data.features).entries
     rng = derive_rng(seed)
     for t in range(1, steps + 1):
         i = int(rng.integers(m))
-        margin = y[i] / (lam * t) * sum(
-            alpha[j] * y[j] * entry(j, i) for j in range(m) if alpha[j] > 0
-        )
+        margin = y[i] / (lam * t) * float((alpha * y) @ K[:, i])
         if margin < 1.0:
             alpha[i] += 1
     support = alpha > 0

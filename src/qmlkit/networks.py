@@ -25,7 +25,7 @@ from .simulator import (
     expectation_sampled,
     index_to_bitstring,
     run_ops,
-    sample_state,
+    sample_indices,
 )
 
 
@@ -201,11 +201,8 @@ class SamplerQnn(_QnnBase):
     def _bucketed(self, state: Statevector, shots: int | None, seed: int | None) -> np.ndarray:
         if shots is None:
             return np.bincount(self._bins, weights=state.probabilities(), minlength=self.output_dim)
-        distribution = sample_state(state, shots, seed)
-        out = np.zeros(self.output_dim)
-        for bits, p in distribution.probabilities.items():
-            out[self.interpret(bits)] += p
-        return out
+        outcomes = sample_indices(state, shots, seed)
+        return np.bincount(self._bins[outcomes], minlength=self.output_dim) / shots
 
     def forward(self, inputs, weights, shots: int | None = None, seed: int | None = None) -> np.ndarray:
         """Probability mass per output bucket; sums to 1."""

@@ -300,13 +300,17 @@ def expectation_sampled(
     return total
 
 
-def sample_state(state: Statevector, shots: int, seed: int | None = None) -> QuasiDistribution:
-    """Empirical outcome frequencies from a seeded draw against |amp|^2."""
+def sample_indices(state: Statevector, shots: int, seed: int | None = None) -> np.ndarray:
+    """Basis indices of ``shots`` seeded draws against |amp|^2."""
     if shots < 1:
         raise CircuitError("shots must be a positive integer")
     probs = state.probabilities()
-    rng = derive_rng(seed)
-    outcomes = rng.choice(probs.shape[0], size=shots, p=probs / probs.sum())
+    return derive_rng(seed).choice(probs.shape[0], size=shots, p=probs / probs.sum())
+
+
+def sample_state(state: Statevector, shots: int, seed: int | None = None) -> QuasiDistribution:
+    """Empirical outcome frequencies from a seeded draw against |amp|^2."""
+    outcomes = sample_indices(state, shots, seed)
     values, counts = np.unique(outcomes, return_counts=True)
     freqs = {
         index_to_bitstring(int(i), state.num_qubits): float(c) / shots

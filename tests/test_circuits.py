@@ -235,3 +235,28 @@ def test_circuit_from_dict_rejects_garbage():
         circuit_from_dict(
             {"num_qubits": 1, "gates": [], "parameters": ["orphan"]}
         )
+
+
+def test_extend_equals_chained_appends():
+    rng = np.random.default_rng(89)
+    params = [Parameter(f"p{i}") for i in range(40)]
+    gates = []
+    for k in range(1600):
+        q = int(rng.integers(4))
+        a, b = (params[int(i)] for i in rng.integers(40, size=2))
+        if k % 4 == 0:
+            gates.append(Gate.cx(q, (q + 1) % 4))
+        elif k % 4 == 1:
+            gates.append(Gate.rz(AngleExpr(2.0, ((0.5, 1.0, a), (0.0, -1.0, b))), q))
+        else:
+            gates.append(Gate.ry(a, q))
+    chained = Circuit(4)
+    for gate in gates:
+        chained = chained.append(gate)
+    extended = Circuit(4).extend(gates)
+    assert extended == chained
+    assert extended.parameters == chained.parameters
+    with pytest.raises(CircuitError):
+        extended.extend([Gate.h(0), Gate.rx(Parameter("p7"), 1)])
+    with pytest.raises(CircuitError):
+        Circuit(1).extend([Gate.ry(Parameter("a"), 0), Gate.ry(Parameter("a"), 0)])

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qmlkit import circuit_to_dict, real_amplitudes_ansatz, zz_feature_map
+from qmlkit import circuit_to_dict, kernel_entry, real_amplitudes_ansatz, zz_feature_map
 from qmlkit.cli import main
 
 
@@ -40,6 +40,16 @@ def test_gen_data_blobs_noise_zero_repeats_centers(tmp_path, capsys):
     positives = {tuple(r[:2]) for r in rows if r[2] == "1"}
     negatives = {tuple(r[:2]) for r in rows if r[2] == "-1"}
     assert len(positives) == 1 and len(negatives) == 1
+
+
+def test_gen_data_blob_centres_are_distinct_states(tmp_path, capsys):
+    # Under the default zz_feature_map(2, 2) the two centres must encode
+    # states a kernel can tell apart, not one state up to a global phase.
+    out = tmp_path / "blobs.csv"
+    run_cli(capsys, "gen-data", "blobs", "--samples", "2", "--out", str(out))
+    rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+    a, b = ([float(v) for v in row[:2]] for row in rows)
+    assert kernel_entry(zz_feature_map(2, 2), a, b) < 0.5
 
 
 def test_gen_data_xor_corners(tmp_path, capsys):

@@ -6,10 +6,12 @@ import pytest
 from qmlkit import (
     Circuit,
     DataError,
+    FidelityJob,
     Gate,
     OptimizerConfig,
     Parameter,
     TrainableKernelSpec,
+    compute_uncompute,
     derive_seed,
     kernel_alignment,
     kernel_entry,
@@ -20,6 +22,7 @@ from qmlkit import (
     zz_feature_map,
 )
 
+from .helpers import random_supported_circuit
 
 
 def ry_map() -> Circuit:
@@ -197,3 +200,46 @@ def test_shot_mode_symmetry_is_exact():
 def test_spec_split_validation():
     with pytest.raises(Exception):
         TrainableKernelSpec(ry_map(), data_count=5)
+
+
+def test_gram_matches_compute_uncompute_per_entry():
+    rng = np.random.default_rng(97)
+    for _ in range(20):
+        feature_map, _ = random_supported_circuit(rng)
+        d = feature_map.num_parameters
+        X = rng.uniform(-math.pi, math.pi, (int(rng.integers(1, 5)), d))
+        Y = rng.uniform(-math.pi, math.pi, (int(rng.integers(1, 5)), d))
+        for rows, cols, K in (
+            (X, X, kernel_matrix(feature_map, X).entries),
+            (X, Y, kernel_matrix(feature_map, X, Y).entries),
+        ):
+            assert K.shape == (rows.shape[0], cols.shape[0])
+            for i, j in np.ndindex(K.shape):
+                oracle = compute_uncompute(FidelityJob(feature_map, feature_map, rows[i], cols[j]))
+                assert abs(K[i, j] - oracle) < 1e-12
+
+
+def test_exact_gram_is_bit_symmetric_with_unit_diagonal():
+    rng = np.random.default_rng(101)
+    for _ in range(30):
+        n = int(rng.integers(1, 5))
+        X = rng.uniform(-math.pi, math.pi, (int(rng.integers(1, 12)), n))
+        K = kernel_matrix(zz_feature_map(n, int(rng.integers(1, 3))), X).entries
+        assert np.array_equal(K, K.T)
+        assert np.all(np.diag(K) == 1.0)
+
+
+@pytest.mark.parametrize("rectangular", [False, True])
+def test_shot_entries_are_binomial_frequencies(rectangular):
+    feature_map = zz_feature_map(2, 1)
+    X = np.array([[0.3, -1.1], [1.4, 0.6]])
+    exact = kernel_matrix(feature_map, X).entries[0, 1]
+    shots, seeds = 100, 200
+    draws = np.array([
+        kernel_matrix(feature_map, X, X if rectangular else None, shots=shots, seed=s).entries[0, 1]
+        for s in range(seeds)
+    ])
+    counts = draws * shots
+    assert np.all(np.abs(counts - np.round(counts)) < 1e-9)
+    sigma = math.sqrt(exact * (1.0 - exact) / shots / seeds)
+    assert abs(draws.mean() - exact) < 5.0 * sigma

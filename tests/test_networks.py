@@ -15,8 +15,10 @@ from qmlkit import (
     identity_interpret,
     parity_interpret,
     real_amplitudes_ansatz,
+    run,
     zz_feature_map,
 )
+from qmlkit.simulator import sample_state
 
 from .helpers import random_observable, random_supported_circuit
 
@@ -180,3 +182,19 @@ def test_estimator_forward_shot_mode_deterministic():
     a = qnn.forward([0.3], [0.4], shots=256, seed=8)
     b = qnn.forward([0.3], [0.4], shots=256, seed=8)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("interpret, output_dim", [(parity_interpret, 2), (lambda bits: bits.count("1"), 4)])
+def test_shot_forward_equals_bucketed_sample_state(interpret, output_dim):
+    circuit = zz_feature_map(3, 1).compose(real_amplitudes_ansatz(3, 1))
+    qnn = SamplerQnn(circuit, range(3), range(3, circuit.num_parameters), interpret, output_dim)
+    rng = np.random.default_rng(71)
+    for seed in range(6):
+        inputs = rng.uniform(-1.0, 1.0, 3)
+        weights = rng.uniform(-math.pi, math.pi, len(qnn.weight_params))
+        state = run(circuit.bind(np.concatenate([inputs, weights])))
+        expected = np.zeros(output_dim)
+        for bits, p in sample_state(state, 300, seed).probabilities.items():
+            expected[interpret(bits)] += p
+        forward = qnn.forward(inputs, weights, shots=300, seed=seed)
+        assert np.max(np.abs(forward - expected)) <= 1e-15
