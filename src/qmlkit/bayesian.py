@@ -4,8 +4,9 @@ Each node becomes one qubit; every conditional probability row becomes one
 controlled RY whose controls pin the parent assignment and whose angle
 2*arcsin(sqrt(p)) puts amplitude sqrt(p) on the node's |1>. The circuit's
 exact outcome distribution is then the network's joint distribution.
-Conditional queries run either by enumeration or by rejection sampling of
-the compiled circuit.
+Queries read basis indices (node q is bit q) through one evidence/target
+predicate: exactly from a CPT-product table of all 2^n joint
+probabilities, or by rejection sampling of the compiled circuit.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple
+
+import numpy as np
 
 from .circuits import Circuit, Gate
 from .errors import CircuitError, ModelFormatError, NoSupportError
@@ -34,6 +37,8 @@ class BayesNode:
     cpt: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if len(set(self.parents)) != len(self.parents):
+            raise CircuitError(f"node {self.name!r} lists a parent more than once")
         expected = {"".join(bits) for bits in itertools.product("01", repeat=len(self.parents))}
         if set(self.cpt) != expected:
             raise CircuitError(
@@ -86,9 +91,13 @@ class Query:
     def __post_init__(self) -> None:
         if self.target in self.evidence:
             raise CircuitError(f"target {self.target!r} cannot also be evidence")
-        for name, bit in {**{self.target: self.target_value}, **self.evidence}.items():
+        for name, bit in self.assignment.items():
             if bit not in (0, 1):
                 raise CircuitError(f"{name!r} must be queried as 0 or 1, got {bit}")
+
+    @property
+    def assignment(self) -> dict[str, int]:
+        return {self.target: self.target_value, **self.evidence}
 
 
 class RejectionResult(NamedTuple):
@@ -115,39 +124,59 @@ def compile_network(bn: BayesianNetwork) -> Circuit:
     return Circuit(n).extend(gates)
 
 
-def _joint_probability(bn: BayesianNetwork, assignment: Sequence[int]) -> float:
-    joint = 1.0
-    indices = {name: q for q, name in enumerate(bn.names)}
-    for q, node in enumerate(bn.nodes):
-        key = "".join(str(assignment[indices[p]]) for p in node.parents)
-        p_one = node.cpt[key]
-        joint *= p_one if assignment[q] else 1.0 - p_one
-    return joint
-
-
 _ENUMERATION_LIMIT = 20
 
 
+def _joint_table(bn: BayesianNetwork) -> np.ndarray:
+    """P(assignment) at every basis index, node q on bit q as in the compiled circuit.
+
+    Ones times each node's (1-p, p) table, broadcast over its own and its
+    parents' axes: one 2^n array, O(n*2^n). Node q is axis n-1-q.
+    """
+    n = len(bn.nodes)
+    table = np.ones((2,) * n)
+    for q, node in enumerate(bn.nodes):
+        keys = ("".join(bits) for bits in itertools.product("01", repeat=len(node.parents)))
+        p_one = np.array([node.cpt[key] for key in keys])
+        cpt = np.stack([1.0 - p_one, p_one], axis=-1).reshape((2,) * (len(node.parents) + 1))
+        axes = [n - 1 - bn.index_of(parent) for parent in node.parents] + [n - 1 - q]
+        shape = [2 if axis in axes else 1 for axis in range(n)]
+        table *= cpt.transpose(np.argsort(axes)).reshape(shape)
+    return table.reshape(-1)
+
+
+def _matcher(bn: BayesianNetwork, assignment: Mapping[str, int]) -> Callable[[np.ndarray], np.ndarray]:
+    """Predicate: which basis indices (node q on bit q) agree with ``assignment``."""
+    mask = bits = 0
+    for name, bit in assignment.items():
+        q = bn.index_of(name)
+        mask, bits = mask | 1 << q, bits | bit << q
+    return lambda indices: (indices & mask) == bits
+
+
 def exact_inference(bn: BayesianNetwork, query: Query) -> float:
-    """P(target = v | evidence) by summing CPT products over all assignments."""
+    """P(target = v | evidence) from the CPT-product table, without the simulator.
+
+    The reference for rejection sampling, selecting basis indices with the
+    same predicate. Entries are added one by one, node 0's bit slowest: a
+    fixed order, so the result is reproducible to the last bit.
+    """
     if len(bn.nodes) > _ENUMERATION_LIMIT:
         raise CircuitError(
             f"{len(bn.nodes)} nodes exceeds the enumeration limit of {_ENUMERATION_LIMIT}"
         )
-    target = bn.index_of(query.target)
-    evidence = {bn.index_of(name): bit for name, bit in query.evidence.items()}
-    numerator = 0.0
-    denominator = 0.0
-    for assignment in itertools.product((0, 1), repeat=len(bn.nodes)):
-        if any(assignment[q] != bit for q, bit in evidence.items()):
-            continue
-        joint = _joint_probability(bn, assignment)
-        denominator += joint
-        if assignment[target] == query.target_value:
-            numerator += joint
+    consistent, hit = _matcher(bn, query.evidence), _matcher(bn, query.assignment)
+    table = _joint_table(bn)
+    indices = np.arange(table.size)
+
+    def total(matches: Callable[[np.ndarray], np.ndarray]) -> float:
+        kept = np.where(matches(indices), table, 0.0)
+        return float(np.cumsum(kept.reshape((2,) * len(bn.nodes)).T)[-1])
+
+    denominator = total(consistent)
     if denominator <= 0.0:
         raise NoSupportError(f"evidence {dict(query.evidence)!r} has zero probability")
-    return numerator / denominator
+    return total(hit) / denominator
 
 
 def rejection_inference(
@@ -164,24 +193,17 @@ def rejection_inference(
     """
     if shots < 1:
         raise CircuitError("shots must be a positive integer")
-    target = bn.index_of(query.target)
-    evidence = {bn.index_of(name): bit for name, bit in query.evidence.items()}
+    consistent, hit = _matcher(bn, query.evidence), _matcher(bn, query.assignment)
     probs = run(compile_network(bn)).probabilities()
     probs = probs / probs.sum()
-    evidence_mask = 0
-    evidence_bits = 0
-    for q, bit in evidence.items():
-        evidence_mask |= 1 << q
-        evidence_bits |= bit << q
     accepted = 0
     hits = 0
     for batch_index, start in enumerate(range(0, shots, _SAMPLE_BATCH)):
         batch = min(_SAMPLE_BATCH, shots - start)
         rng = derive_rng(seed, batch_index)
         outcomes = rng.choice(probs.shape[0], size=batch, p=probs)
-        keep = (outcomes & evidence_mask) == evidence_bits
-        accepted += int(keep.sum())
-        hits += int((keep & (((outcomes >> target) & 1) == query.target_value)).sum())
+        accepted += int(consistent(outcomes).sum())
+        hits += int(hit(outcomes).sum())
     if accepted == 0:
         raise NoSupportError(
             f"no samples out of {shots} were consistent with evidence {dict(query.evidence)!r}"
@@ -211,6 +233,10 @@ def network_from_dict(data: dict) -> BayesianNetwork:
         where = f"nodes[{i}]"
         if not isinstance(entry, dict):
             raise ModelFormatError(where, "expected an object")
+        if not isinstance(entry.get("parents", []), list):
+            raise ModelFormatError(f"{where}.parents", "expected a list of names")
+        if not isinstance(entry.get("cpt"), dict):
+            raise ModelFormatError(f"{where}.cpt", "expected an object")
         try:
             nodes.append(
                 BayesNode(

@@ -375,6 +375,7 @@ def circuit_from_dict(data: dict, path: str = "circuit") -> Circuit:
         raise ModelFormatError(f"{path}.num_qubits", str(exc)) from exc
     if not isinstance(data["gates"], list):
         raise ModelFormatError(f"{path}.gates", "expected a list")
+    gates = []
     for i, entry in enumerate(data["gates"]):
         where = f"{path}.gates[{i}]"
         if not isinstance(entry, dict):
@@ -397,11 +398,13 @@ def circuit_from_dict(data: dict, path: str = "circuit") -> Circuit:
                 tuple((int(q), int(v)) for q, v in entry.get("controls", [])),
                 angle,
             )
-            circuit = circuit.append(gate)
+            circuit.append(gate)  # validates this gate alone, against the width
         except ModelFormatError:
             raise
         except (CircuitError, KeyError, TypeError, ValueError) as exc:
             raise ModelFormatError(where, str(exc)) from exc
+        gates.append(gate)
+    circuit = circuit.extend(gates)  # one build, so loading stays linear
     if [p.name for p in circuit.parameters] != names:
         raise ModelFormatError(
             f"{path}.parameters",

@@ -3,9 +3,9 @@ gradient checks, and Bayesian queries.
 
 Every run takes a seed (default 0) and is reproducible: the same flags give
 byte-identical output files. Exact simulation is the default everywhere;
-``--shots`` opts into sampling. Exit codes: 0 success, 2 usage or input
-validation, 3 domain failure (non-convergence, unsupported evidence or
-parameters), 1 internal error.
+``--shots`` opts into sampling. Exit codes: 0 success, 2 usage, input
+validation or a file that cannot be read or written, 3 domain failure
+(non-convergence, unsupported evidence or parameters), 1 internal error.
 """
 
 from __future__ import annotations
@@ -75,16 +75,13 @@ def _fail(message: str, code: int) -> int:
 
 def read_dataset(path: str, require_label: bool):
     """CSV with header f0..f{d-1}[,label] -> (features, label strings or None)."""
-    try:
-        with open(path, newline="", encoding="utf-8") as handle:
-            reader = csv.reader(handle)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise CliError(f"{path}: empty file") from None
-            rows = list(reader)
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from exc
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise CliError(f"{path}: empty file") from None
+        rows = list(reader)
     has_label = header and header[-1] == "label"
     feature_names = header[:-1] if has_label else header
     expected = [f"f{i}" for i in range(len(feature_names))]
@@ -128,13 +125,10 @@ def _float_cell(value: float) -> str:
 
 
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(header)
-            writer.writerows(rows)
-    except OSError as exc:
-        raise CliError(f"cannot write {path}: {exc}") from exc
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 # --- subcommands ----------------------------------------------------------
@@ -207,19 +201,17 @@ def _fit_once(args, data: Dataset, label_map, seed: int):
         return model, loss, iterations
     if args.model == "qsvc":
         model = qsvc_fit(data, feature_map, C=args.svm_c, shots=args.shots, seed=seed)
-        model.label_map = label_map
         if not model.converged:
             raise DomainFailure("dual solver did not reach the KKT tolerance")
-        labels, decisions = svm_predict(model, data.features)
-        hinge = np.maximum(0.0, 1.0 - data.labels * decisions)
-        return model, float(np.mean(hinge)), 0
-    if args.model == "pegasos":
+        iterations = 0
+    elif args.model == "pegasos":
         model = pegasos_fit(data, feature_map, lam=args.pegasos_lambda, steps=args.pegasos_steps, seed=seed)
-        model.label_map = label_map
-        _, decisions = svm_predict(model, data.features)
-        hinge = np.maximum(0.0, 1.0 - data.labels * decisions)
-        return model, float(np.mean(hinge)), args.pegasos_steps
-    raise CliError(f"unknown model {args.model!r}")
+        iterations = args.pegasos_steps
+    else:
+        raise CliError(f"unknown model {args.model!r}")
+    model.label_map = label_map
+    _, decisions = svm_predict(model, data.features)
+    return model, float(np.mean(np.maximum(0.0, 1.0 - data.labels * decisions))), iterations
 
 
 def cmd_train(args) -> int:
@@ -235,10 +227,7 @@ def cmd_train(args) -> int:
         labels, label_map = _map_labels(raw_labels)
         if len(set(raw_labels)) != 2:
             raise CliError("classification needs exactly 2 label values")
-    try:
-        data = Dataset(features, labels)
-    except DataError as exc:
-        raise CliError(str(exc)) from exc
+    data = Dataset(features, labels)
 
     best = None
     for attempt in range(max(1, args.best_of)):
@@ -315,16 +304,21 @@ def cmd_kernel(args) -> int:
     return EXIT_OK
 
 
+def _read_json(path: str):
+    with open(path, encoding="utf-8") as handle:
+        try:
+            return json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise CliError(f"{path}: not valid JSON: {exc}") from exc
+
+
 def cmd_gradcheck(args) -> int:
-    try:
-        with open(args.circuit, encoding="utf-8") as handle:
-            circuit = circuit_from_dict(json.load(handle))
-    except OSError as exc:
-        raise CliError(f"cannot read {args.circuit}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CliError(f"{args.circuit}: not valid JSON: {exc}") from exc
+    circuit = circuit_from_dict(_read_json(args.circuit))
     if args.values is not None:
-        values = [float(v) for v in args.values.split(",") if v.strip()]
+        try:
+            values = [float(v) for v in args.values.split(",") if v.strip()]
+        except ValueError as exc:
+            raise CliError(f"--values: {exc}") from exc
     else:
         values = [0.0] * circuit.num_parameters
     if len(values) != circuit.num_parameters:
@@ -353,21 +347,12 @@ def _parse_assignment(text: str) -> tuple[str, int]:
 
 
 def cmd_bayes(args) -> int:
-    try:
-        with open(args.network, encoding="utf-8") as handle:
-            network = network_from_dict(json.load(handle))
-    except OSError as exc:
-        raise CliError(f"cannot read {args.network}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CliError(f"{args.network}: not valid JSON: {exc}") from exc
+    network = network_from_dict(_read_json(args.network))
     target, target_value = _parse_assignment(args.query)
     evidence = dict(_parse_assignment(item) for item in args.evidence)
-    try:
-        query = Query(target, target_value, evidence)
-        exact = exact_inference(network, query)
-        estimate, accepted = rejection_inference(network, query, shots=args.shots, seed=args.seed)
-    except CircuitError as exc:
-        raise CliError(str(exc)) from exc
+    query = Query(target, target_value, evidence)
+    exact = exact_inference(network, query)
+    estimate, accepted = rejection_inference(network, query, shots=args.shots, seed=args.seed)
     _emit({"estimate": estimate, "exact": exact, "accepted": accepted, "shots": args.shots})
     return EXIT_OK
 
@@ -430,7 +415,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--observable", default=None, help="Pauli string, default Z on qubit 0")
     p.set_defaults(func=cmd_gradcheck)
 
-    p = sub.add_parser("bayes", help="query a Bayesian network by rejection sampling")
+    p = sub.add_parser(
+        "bayes", help="query a Bayesian network exactly and by rejection sampling of its circuit"
+    )
     p.add_argument("--network", required=True, help="network JSON file")
     p.add_argument("--query", required=True, help="NAME=BIT")
     p.add_argument("--evidence", action="append", default=[], help="NAME=BIT, repeatable")
@@ -446,9 +433,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        return _fail(str(exc), EXIT_USAGE)
-    except (DataError, ModelFormatError, CircuitError, UnsupportedParameterError) as exc:
+    except (CliError, DataError, ModelFormatError, CircuitError, UnsupportedParameterError, OSError) as exc:
         return _fail(str(exc), EXIT_USAGE)
     except (DomainFailure, NoSupportError) as exc:
         return _fail(str(exc), EXIT_DOMAIN)

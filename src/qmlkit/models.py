@@ -116,6 +116,20 @@ def _build_sampler_qnn(feature_map: Circuit, ansatz: Circuit) -> SamplerQnn:
     )
 
 
+def _build_estimator_qnn(
+    feature_map: Circuit, ansatz: Circuit, observable: PauliObservable
+) -> EstimatorQnn:
+    circuit = feature_map.compose(ansatz)
+    d = feature_map.num_parameters
+    return EstimatorQnn(
+        circuit,
+        [observable],
+        input_params=range(d),
+        weight_params=range(d, circuit.num_parameters),
+        input_gradients=False,
+    )
+
+
 def _row_seed(shots: int | None, seed: int | None, *task: int) -> int | None:
     """Child seed for one row in shot mode; exact mode draws nothing and gets None."""
     return derive_seed(seed, *task) if shots is not None else None
@@ -224,22 +238,14 @@ def vqr_fit(
             f"data has {data.dimension} features but the feature map takes "
             f"{feature_map.num_parameters}"
         )
-    circuit = feature_map.compose(ansatz)
     if observable is None:
-        observable = PauliObservable.z_on(0, circuit.num_qubits)
+        observable = PauliObservable.z_on(0, feature_map.num_qubits)
     bound = observable.coefficient_bound
     if np.any(np.abs(data.labels) > bound):
         raise DataError(
             f"labels must lie within [-{bound}, {bound}] for this observable"
         )
-    d = feature_map.num_parameters
-    qnn = EstimatorQnn(
-        circuit,
-        [observable],
-        input_params=range(d),
-        weight_params=range(d, circuit.num_parameters),
-        input_gradients=False,
-    )
+    qnn = _build_estimator_qnn(feature_map, ansatz, observable)
     if optimizer_config is None:
         optimizer_config = OptimizerConfig(kind="adam", seed=seed)
     elif optimizer_config.seed is None:
@@ -270,14 +276,7 @@ def vqr_predict(model: VqrModel, features) -> np.ndarray:
     d = model.feature_map.num_parameters
     if features.shape[1] != d:
         raise DataError(f"expected {d} features, got {features.shape[1]}")
-    circuit = model.feature_map.compose(model.ansatz)
-    qnn = EstimatorQnn(
-        circuit,
-        [model.observable],
-        input_params=range(d),
-        weight_params=range(d, circuit.num_parameters),
-        input_gradients=False,
-    )
+    qnn = _build_estimator_qnn(model.feature_map, model.ansatz, model.observable)
     return np.array([qnn.forward(x, model.trained_weights)[0] for x in features])
 
 
@@ -448,24 +447,18 @@ def _observable_from_dict(data, path: str) -> PauliObservable:
 
 def model_to_dict(model) -> dict:
     """JSON-ready form of any trained model."""
-    if isinstance(model, VqcModel):
+    if isinstance(model, (VqcModel, VqrModel)):
         payload = {
-            "type": "vqc",
+            "type": "vqc" if isinstance(model, VqcModel) else "vqr",
             "feature_map": circuit_to_dict(model.feature_map),
             "ansatz": circuit_to_dict(model.ansatz),
             "weights": [float(w) for w in model.trained_weights],
             "loss_history": [float(v) for v in model.loss_history],
-            "label_map": model.label_map,
         }
-    elif isinstance(model, VqrModel):
-        payload = {
-            "type": "vqr",
-            "feature_map": circuit_to_dict(model.feature_map),
-            "ansatz": circuit_to_dict(model.ansatz),
-            "weights": [float(w) for w in model.trained_weights],
-            "observable": _observable_to_dict(model.observable),
-            "loss_history": [float(v) for v in model.loss_history],
-        }
+        if isinstance(model, VqcModel):
+            payload["label_map"] = model.label_map
+        else:
+            payload["observable"] = _observable_to_dict(model.observable)
     elif isinstance(model, SvmModel):
         payload = {
             "type": model.kind,
@@ -502,27 +495,14 @@ def model_from_dict(data: dict):
         raise ModelFormatError("format_version", f"unsupported version {version!r}")
     kind = _require(data, "type", str, "$")
     feature_map = circuit_from_dict(_require(data, "feature_map", dict, "$"), "feature_map")
-    if kind == "vqc":
+    if kind in ("vqc", "vqr"):
         ansatz = circuit_from_dict(_require(data, "ansatz", dict, "$"), "ansatz")
         weights = np.asarray(_require(data, "weights", list, "$"), dtype=float)
-        return VqcModel(
-            feature_map,
-            ansatz,
-            weights,
-            [float(v) for v in data.get("loss_history", [])],
-            data.get("label_map"),
-        )
-    if kind == "vqr":
-        ansatz = circuit_from_dict(_require(data, "ansatz", dict, "$"), "ansatz")
-        weights = np.asarray(_require(data, "weights", list, "$"), dtype=float)
+        history = [float(v) for v in data.get("loss_history", [])]
+        if kind == "vqc":
+            return VqcModel(feature_map, ansatz, weights, history, data.get("label_map"))
         observable = _observable_from_dict(_require(data, "observable", list, "$"), "observable")
-        return VqrModel(
-            feature_map,
-            ansatz,
-            weights,
-            observable,
-            [float(v) for v in data.get("loss_history", [])],
-        )
+        return VqrModel(feature_map, ansatz, weights, observable, history)
     if kind in ("qsvc", "pegasos"):
         alphas = np.asarray(_require(data, "alphas", list, "$"), dtype=float)
         labels = np.asarray(_require(data, "support_labels", list, "$"), dtype=float)

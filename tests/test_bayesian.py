@@ -196,3 +196,63 @@ def test_network_from_dict_errors():
         network_from_dict({})
     with pytest.raises(ModelFormatError):
         network_from_dict({"nodes": [{"name": "A", "cpt": {"": 2.0}}]})
+
+
+def test_network_from_dict_rejects_non_list_parents_and_cpt():
+    node = {"name": "B", "parents": "AB", "cpt": {"00": 0.1, "01": 0.2, "10": 0.3, "11": 0.4}}
+    with pytest.raises(ModelFormatError) as info:
+        network_from_dict({"nodes": [{"name": "A", "cpt": {"": 0.5}}, node]})
+    assert info.value.field_path == "nodes[1].parents"
+    with pytest.raises(ModelFormatError) as info:
+        network_from_dict({"nodes": [{"name": "A", "cpt": [0.5]}]})
+    assert info.value.field_path == "nodes[0].cpt"
+
+
+def test_node_rejects_repeated_parent():
+    with pytest.raises(CircuitError):
+        BayesNode("B", ("A", "A"), {"00": 0.1, "01": 0.2, "10": 0.3, "11": 0.4})
+
+
+def _with_deterministic_entries(rng: np.random.Generator, bn: BayesianNetwork) -> BayesianNetwork:
+    """Set about a third of the CPT entries to 0 or 1, so some evidence has zero mass."""
+    nodes = []
+    for node in bn.nodes:
+        cpt = {
+            key: float(rng.integers(2)) if rng.uniform() < 0.35 else p for key, p in node.cpt.items()
+        }
+        nodes.append(BayesNode(node.name, node.parents, cpt))
+    return BayesianNetwork(tuple(nodes))
+
+
+def test_exact_inference_matches_enumeration_oracle():
+    rng = np.random.default_rng(211)
+    unsupported = 0
+    for _ in range(300):
+        bn = _with_deterministic_entries(rng, random_network(rng, max_nodes=7))
+        n = len(bn.nodes)
+        target = int(rng.integers(n))
+        value = int(rng.integers(2))
+        others = [q for q in range(n) if q != target]
+        chosen = rng.permutation(others)[: int(rng.integers(len(others) + 1))]
+        evidence = {int(q): int(rng.integers(2)) for q in chosen}
+        query = Query(bn.names[target], value, {bn.names[q]: bit for q, bit in evidence.items()})
+        joint = enumerate_joint(bn)
+        index = np.arange(2**n)
+        consistent = np.ones(2**n, dtype=bool)
+        for q, bit in evidence.items():
+            consistent &= ((index >> q) & 1) == bit
+        hit = consistent & (((index >> target) & 1) == value)
+        if joint[consistent].sum() == 0.0:
+            unsupported += 1
+            with pytest.raises(NoSupportError):
+                exact_inference(bn, query)
+            continue
+        expected = joint[hit].sum() / joint[consistent].sum()
+        assert abs(exact_inference(bn, query) - expected) < 1e-12
+    assert unsupported > 0
+
+
+def test_exact_inference_refuses_more_than_twenty_nodes():
+    bn = BayesianNetwork(tuple(BayesNode(f"n{i}", (), {"": 0.5}) for i in range(21)))
+    with pytest.raises(CircuitError, match="enumeration limit"):
+        exact_inference(bn, Query("n0", 1))

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -235,6 +236,24 @@ def test_circuit_from_dict_rejects_garbage():
         circuit_from_dict(
             {"num_qubits": 1, "gates": [], "parameters": ["orphan"]}
         )
+
+
+def test_circuit_from_dict_names_gate_with_qubit_outside_width():
+    data = circuit_to_dict(real_amplitudes_ansatz(2, 1))
+    data["gates"][3]["targets"] = [5]
+    with pytest.raises(ModelFormatError) as info:
+        circuit_from_dict(data)
+    assert info.value.field_path == "circuit.gates[3]"
+    assert "outside width 2" in str(info.value)
+
+
+def test_circuit_from_dict_equals_saved_circuit():
+    circuit = real_amplitudes_ansatz(8, 160)
+    assert len(circuit.gates) == 2408
+    rebuilt = circuit_from_dict(json.loads(json.dumps(circuit_to_dict(circuit))))
+    assert [p.name for p in rebuilt.parameters] == [p.name for p in circuit.parameters]
+    values = np.random.default_rng(11).uniform(-np.pi, np.pi, circuit.num_parameters)
+    assert rebuilt.bind(values) == circuit.bind(values)
 
 
 def test_extend_equals_chained_appends():

@@ -154,6 +154,28 @@ def test_predict_feature_mismatch_exits_2(tmp_path, capsys):
     assert err
 
 
+def test_predict_missing_model_file_exits_2(tmp_path, capsys):
+    data = tmp_path / "blobs.csv"
+    run_cli(capsys, "gen-data", "blobs", "--samples", "4", "--seed", "1", "--out", str(data))
+    code, _, err = run_cli(
+        capsys, "predict", "--model", str(tmp_path / "absent.json"), "--data", str(data),
+        "--out", str(tmp_path / "p.csv"),
+    )
+    assert code == 2
+    assert "absent.json" in json.loads(err)["error"]
+
+
+def test_train_out_in_missing_directory_exits_2(tmp_path, capsys):
+    data = tmp_path / "blobs.csv"
+    run_cli(capsys, "gen-data", "blobs", "--samples", "4", "--seed", "1", "--out", str(data))
+    code, _, err = run_cli(
+        capsys, "train", "--model", "qsvc", "--data", str(data),
+        "--out", str(tmp_path / "no-such-dir" / "model.json"),
+    )
+    assert code == 2
+    assert "no-such-dir" in json.loads(err)["error"]
+
+
 def test_train_missing_label_column(tmp_path, capsys):
     data = tmp_path / "nolabel.csv"
     data.write_text("f0,f1\n0.0,0.1\n0.2,0.3\n")
@@ -301,6 +323,14 @@ def test_gradcheck_product_angle_exits_2(tmp_path, capsys):
     assert "x0" in err or "x1" in err
 
 
+def test_gradcheck_non_numeric_value_exits_2(tmp_path, capsys):
+    path = tmp_path / "circuit.json"
+    path.write_text(json.dumps(circuit_to_dict(real_amplitudes_ansatz(1, 1))))
+    code, _, err = run_cli(capsys, "gradcheck", "--circuit", str(path), "--values", "1,abc")
+    assert code == 2
+    assert "abc" in json.loads(err)["error"]
+
+
 def test_gradcheck_zero_parameters(tmp_path, capsys):
     from qmlkit import Circuit, Gate
 
@@ -364,3 +394,11 @@ def test_bayes_malformed_query(tmp_path, capsys):
     write_chain_network(path)
     code, _, _ = run_cli(capsys, "bayes", "--network", str(path), "--query", "B=7")
     assert code == 2
+
+
+def test_bayes_cpt_list_exits_2(tmp_path, capsys):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps({"nodes": [{"name": "A", "parents": [], "cpt": [0.5]}]}))
+    code, _, err = run_cli(capsys, "bayes", "--network", str(path), "--query", "A=1")
+    assert code == 2
+    assert "nodes[0].cpt" in json.loads(err)["error"]
