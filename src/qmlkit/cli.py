@@ -32,7 +32,6 @@ from .gradients import GradientRequest, finite_difference, param_shift_gradient
 from .kernels import kernel_matrix
 from .models import (
     Dataset,
-    SvmModel,
     VqcModel,
     VqrModel,
     load_model,
@@ -204,18 +203,23 @@ def _fit_once(args, data: Dataset, label_map, seed: int):
         if not model.converged:
             raise DomainFailure("dual solver did not reach the KKT tolerance")
         iterations = 0
-    elif args.model == "pegasos":
+    else:  # pegasos
         model = pegasos_fit(data, feature_map, lam=args.pegasos_lambda, steps=args.pegasos_steps, seed=seed)
         iterations = args.pegasos_steps
-    else:
-        raise CliError(f"unknown model {args.model!r}")
     model.label_map = label_map
     _, decisions = svm_predict(model, data.features)
     return model, float(np.mean(np.maximum(0.0, 1.0 - data.labels * decisions))), iterations
 
 
+def _no_shots(args, what: str) -> None:
+    if args.shots is not None:
+        raise CliError(f"--shots is not supported for {what}, which runs in exact mode only")
+
+
 def cmd_train(args) -> int:
     started = time.monotonic()
+    if args.model in ("vqr", "pegasos"):
+        _no_shots(args, f"--model {args.model}")
     features, raw_labels = read_dataset(args.data, require_label=True)
     if args.model == "vqr":
         try:
@@ -259,13 +263,12 @@ def cmd_predict(args) -> int:
         predicted, probs = vqc_predict(model, features, shots=args.shots, seed=args.seed)
         score_name, scores = "probability", probs[:, 1]
     elif isinstance(model, VqrModel):
+        _no_shots(args, "a vqr model")
         predicted = vqr_predict(model, features)
         score_name, scores = "prediction", predicted
-    elif isinstance(model, SvmModel):
+    else:
         predicted, scores = svm_predict(model, features, shots=args.shots, seed=args.seed)
         score_name = "decision"
-    else:
-        raise CliError("unrecognized model file")
 
     inverse_map = None
     if getattr(model, "label_map", None):

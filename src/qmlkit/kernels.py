@@ -10,13 +10,13 @@ would give, drawn as Binomial(shots, F); entries are pure functions of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .circuits import Circuit, Parameter, bound_angles
 from .errors import CircuitError, DataError
-from .optimizers import OptimizeResult, OptimizerConfig, minimize
+from .optimizers import OptimizeResult, OptimizerConfig, _seeded_config, minimize
 from .simulator import derive_rng, derive_seed, run_ops
 
 
@@ -194,10 +194,7 @@ def train_kernel(
     data = _as_dataset(X, spec.feature_map.bind_partial(
         {p: 0.0 for p in spec.trainable_parameters}
     ), "X")
-    if optimizer_config is None:
-        optimizer_config = OptimizerConfig(kind="spsa", max_iterations=100, seed=seed)
-    elif optimizer_config.seed is None:
-        optimizer_config = replace(optimizer_config, seed=seed)
+    optimizer_config = _seeded_config(optimizer_config, seed, kind="spsa", max_iterations=100)
 
     def objective(values: np.ndarray) -> float:
         K = trainable_kernel_matrix(spec, values, data)

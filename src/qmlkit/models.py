@@ -1,25 +1,29 @@
 """End-user estimators: variational classifier/regressor and kernel SVMs.
 
 The variational models train a quantum neural network with a classical
-optimizer; the SVMs precompute a fidelity kernel and solve the
-classification problem classically, either as the soft-margin dual or with
-the Pegasos sub-gradient scheme. Trained models are immutable and persist
-to JSON.
+optimizer through one loop, ``_fit_qnn``: the classifier hands it a parity
+cross-entropy, the regressor a squared error, and nothing else differs. The
+SVMs precompute a fidelity kernel and solve the classification problem
+classically, either as the soft-margin dual or with the Pegasos sub-gradient
+scheme. Trained models persist to JSON; loading checks every field and
+raises ``ModelFormatError`` naming the first bad one.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+
 import numpy as np
 
 from .circuits import Circuit, circuit_from_dict, circuit_to_dict
 from .errors import DataError, ModelFormatError
-from .kernels import kernel_matrix
+from .kernels import _as_dataset, kernel_matrix
 from .networks import EstimatorQnn, SamplerQnn, parity_interpret
-from .optimizers import OptimizerConfig, minimize
+from .optimizers import OptimizeResult, OptimizerConfig, _seeded_config, minimize
 from .simulator import PauliObservable, derive_rng, derive_seed
 
 _PROB_FLOOR = 1e-12
@@ -103,31 +107,18 @@ class SvmModel:
     label_map: dict[str, int] | None = None
 
 
-def _build_sampler_qnn(feature_map: Circuit, ansatz: Circuit) -> SamplerQnn:
+def _qnn(feature_map: Circuit, ansatz: Circuit, observable: PauliObservable | None = None):
+    """Feature map + ansatz as a network: a parity sampler, or an estimator of ``observable``."""
     circuit = feature_map.compose(ansatz)
     d = feature_map.num_parameters
-    return SamplerQnn(
-        circuit,
-        input_params=range(d),
-        weight_params=range(d, circuit.num_parameters),
-        interpret=parity_interpret,
-        output_dim=2,
-        input_gradients=False,
-    )
-
-
-def _build_estimator_qnn(
-    feature_map: Circuit, ansatz: Circuit, observable: PauliObservable
-) -> EstimatorQnn:
-    circuit = feature_map.compose(ansatz)
-    d = feature_map.num_parameters
-    return EstimatorQnn(
-        circuit,
-        [observable],
+    split = dict(
         input_params=range(d),
         weight_params=range(d, circuit.num_parameters),
         input_gradients=False,
     )
+    if observable is None:
+        return SamplerQnn(circuit, interpret=parity_interpret, output_dim=2, **split)
+    return EstimatorQnn(circuit, [observable], **split)
 
 
 def _row_seed(shots: int | None, seed: int | None, *task: int) -> int | None:
@@ -135,9 +126,43 @@ def _row_seed(shots: int | None, seed: int | None, *task: int) -> int | None:
     return derive_seed(seed, *task) if shots is not None else None
 
 
-def _class_indices(labels: np.ndarray) -> np.ndarray:
-    """Map -1/+1 labels onto parity buckets 0/1."""
-    return ((labels + 1.0) / 2.0).astype(int)
+def _forward_rows(qnn, features, weights, shots: int | None, seed: int | None, *task: int) -> np.ndarray:
+    """Network outputs, one row per sample; in shot mode row i reads from (seed, *task, i)."""
+    return np.vstack(
+        [
+            qnn.forward(x, weights, shots=shots, seed=_row_seed(shots, seed, *task, i))
+            for i, x in enumerate(features)
+        ]
+    )
+
+
+def _fit_qnn(qnn, data: Dataset, mean_loss, row_gradient, config, shots, seed) -> OptimizeResult:
+    """Minimize a per-row loss of the network outputs over its weights.
+
+    ``mean_loss`` maps the (rows, outputs) matrix to the loss;
+    ``row_gradient(i, outputs_i, weight_jacobian_i)`` is row i's term of the
+    loss gradient, which is averaged over the rows. Objective evaluation k
+    reads row i from (seed, 2, k, i), gradient evaluation k from
+    (seed, 3, k, i); the start is uniform in [-pi, pi) from (seed, 1).
+    """
+    evaluation = itertools.count(1)
+
+    def objective(weights: np.ndarray) -> float:
+        outputs = _forward_rows(qnn, data.features, weights, shots, seed, 2, next(evaluation))
+        return float(mean_loss(outputs))
+
+    def gradient(weights: np.ndarray) -> np.ndarray:
+        k = next(evaluation)
+        total = np.zeros_like(weights)
+        for i, x in enumerate(data.features):
+            child = _row_seed(shots, seed, 3, k, i)
+            outputs = qnn.forward(x, weights, shots=shots, seed=child)
+            _, weight_jac = qnn.backward(x, weights, shots=shots, seed=child)
+            total += row_gradient(i, outputs, weight_jac)
+        return total / data.size
+
+    initial = derive_rng(seed, 1).uniform(-math.pi, math.pi, len(qnn.weight_params))
+    return minimize(objective, gradient, initial, _seeded_config(config, seed, kind="adam"))
 
 
 def vqc_fit(
@@ -155,45 +180,18 @@ def vqc_fit(
     shift-rule gradient of the loss. Runs are deterministic given the seed.
     """
     _require_binary(data.labels)
-    if data.dimension != feature_map.num_parameters:
-        raise DataError(
-            f"data has {data.dimension} features but the feature map takes "
-            f"{feature_map.num_parameters}"
-        )
-    qnn = _build_sampler_qnn(feature_map, ansatz)
-    classes = _class_indices(data.labels)
-    if optimizer_config is None:
-        optimizer_config = OptimizerConfig(kind="adam", seed=seed)
-    elif optimizer_config.seed is None:
-        optimizer_config = replace(optimizer_config, seed=seed)
-    eval_counter = [0]
+    _as_dataset(data.features, feature_map, "data")
+    classes = ((data.labels + 1.0) / 2.0).astype(int)  # -1/+1 -> parity bucket 0/1
 
-    def forward_all(weights: np.ndarray, eval_id: int) -> np.ndarray:
-        rows = [
-            qnn.forward(x, weights, shots=shots, seed=_row_seed(shots, seed, 2, eval_id, i))
-            for i, x in enumerate(data.features)
-        ]
-        return np.vstack(rows)
-
-    def objective(weights: np.ndarray) -> float:
-        eval_counter[0] += 1
-        probs = forward_all(weights, eval_counter[0])
+    def mean_loss(probs: np.ndarray) -> float:
         picked = probs[np.arange(data.size), classes]
-        return float(np.mean(-np.log(np.maximum(picked, _PROB_FLOOR))))
+        return np.mean(-np.log(np.maximum(picked, _PROB_FLOOR)))
 
-    def gradient(weights: np.ndarray) -> np.ndarray:
-        eval_counter[0] += 1
-        total = np.zeros_like(weights)
-        for i, x in enumerate(data.features):
-            child = _row_seed(shots, seed, 3, eval_counter[0], i)
-            probs = qnn.forward(x, weights, shots=shots, seed=child)
-            _, weight_jac = qnn.backward(x, weights, shots=shots, seed=child)
-            c = classes[i]
-            total += -weight_jac[c] / max(probs[c], _PROB_FLOOR)
-        return total / data.size
+    def row_gradient(i: int, probs: np.ndarray, weight_jac: np.ndarray) -> np.ndarray:
+        return -weight_jac[classes[i]] / max(probs[classes[i]], _PROB_FLOOR)
 
-    initial = derive_rng(seed, 1).uniform(-math.pi, math.pi, len(qnn.weight_params))
-    result = minimize(objective, gradient, initial, optimizer_config)
+    qnn = _qnn(feature_map, ansatz)
+    result = _fit_qnn(qnn, data, mean_loss, row_gradient, optimizer_config, shots, seed)
     return VqcModel(feature_map, ansatz, result.best_point, result.history)
 
 
@@ -206,22 +204,12 @@ def vqc_predict(
     """Labels in {-1, +1} and per-class probabilities [P(-1), P(+1)] per row.
 
     A sample sits on the +1 side only when P(+1) strictly exceeds 0.5; an
-    exact tie goes to -1.
+    exact tie goes to -1. In shot mode row i samples from (seed, i).
     """
-    features = np.atleast_2d(np.asarray(features, dtype=float))
-    qnn = _build_sampler_qnn(model.feature_map, model.ansatz)
-    if features.shape[1] != len(qnn.input_params):
-        raise DataError(
-            f"expected {len(qnn.input_params)} features, got {features.shape[1]}"
-        )
-    probs = np.vstack(
-        [
-            qnn.forward(x, model.trained_weights, shots=shots, seed=_row_seed(shots, seed, i))
-            for i, x in enumerate(features)
-        ]
-    )
-    labels = np.where(probs[:, 1] > 0.5, 1.0, -1.0)
-    return labels, probs
+    features = _as_dataset(features, model.feature_map, "features")
+    qnn = _qnn(model.feature_map, model.ansatz)
+    probs = _forward_rows(qnn, features, model.trained_weights, shots, seed)
+    return np.where(probs[:, 1] > 0.5, 1.0, -1.0), probs
 
 
 def vqr_fit(
@@ -233,51 +221,29 @@ def vqr_fit(
     seed: int | None = None,
 ) -> VqrModel:
     """Fit observable expectations to real labels under mean squared error."""
-    if data.dimension != feature_map.num_parameters:
-        raise DataError(
-            f"data has {data.dimension} features but the feature map takes "
-            f"{feature_map.num_parameters}"
-        )
+    _as_dataset(data.features, feature_map, "data")
     if observable is None:
         observable = PauliObservable.z_on(0, feature_map.num_qubits)
     bound = observable.coefficient_bound
     if np.any(np.abs(data.labels) > bound):
-        raise DataError(
-            f"labels must lie within [-{bound}, {bound}] for this observable"
-        )
-    qnn = _build_estimator_qnn(feature_map, ansatz, observable)
-    if optimizer_config is None:
-        optimizer_config = OptimizerConfig(kind="adam", seed=seed)
-    elif optimizer_config.seed is None:
-        optimizer_config = replace(optimizer_config, seed=seed)
+        raise DataError(f"labels must lie within [-{bound}, {bound}] for this observable")
 
-    def predictions(weights: np.ndarray) -> np.ndarray:
-        return np.array([qnn.forward(x, weights)[0] for x in data.features])
+    def mean_loss(values: np.ndarray) -> float:
+        return np.mean((values[:, 0] - data.labels) ** 2)
 
-    def objective(weights: np.ndarray) -> float:
-        return float(np.mean((predictions(weights) - data.labels) ** 2))
+    def row_gradient(i: int, values: np.ndarray, weight_jac: np.ndarray) -> np.ndarray:
+        return 2.0 * (values[0] - data.labels[i]) * weight_jac[0]
 
-    def gradient(weights: np.ndarray) -> np.ndarray:
-        total = np.zeros_like(weights)
-        for x, y in zip(data.features, data.labels):
-            value = qnn.forward(x, weights)[0]
-            _, weight_jac = qnn.backward(x, weights)
-            total += 2.0 * (value - y) * weight_jac[0]
-        return total / data.size
-
-    initial = derive_rng(seed, 1).uniform(-math.pi, math.pi, len(qnn.weight_params))
-    result = minimize(objective, gradient, initial, optimizer_config)
+    qnn = _qnn(feature_map, ansatz, observable)
+    result = _fit_qnn(qnn, data, mean_loss, row_gradient, optimizer_config, None, seed)
     return VqrModel(feature_map, ansatz, result.best_point, observable, result.history)
 
 
 def vqr_predict(model: VqrModel, features) -> np.ndarray:
     """Expectation value of the model observable per input row."""
-    features = np.atleast_2d(np.asarray(features, dtype=float))
-    d = model.feature_map.num_parameters
-    if features.shape[1] != d:
-        raise DataError(f"expected {d} features, got {features.shape[1]}")
-    qnn = _build_estimator_qnn(model.feature_map, model.ansatz, model.observable)
-    return np.array([qnn.forward(x, model.trained_weights)[0] for x in features])
+    features = _as_dataset(features, model.feature_map, "features")
+    qnn = _qnn(model.feature_map, model.ansatz, model.observable)
+    return _forward_rows(qnn, features, model.trained_weights, None, None)[:, 0]
 
 
 def _smo_solve(
@@ -486,6 +452,28 @@ def _require(data: dict, key: str, kind, path: str):
     return value
 
 
+def _numbers(value, path: str, ndim: int = 1) -> np.ndarray:
+    """Float array of rank ``ndim`` read from finite JSON numbers, else ModelFormatError."""
+    try:
+        array = np.asarray(value)
+    except ValueError:  # ragged nesting
+        array = np.asarray(None)
+    if array.dtype.kind not in "iuf" or array.ndim != ndim or not np.all(np.isfinite(array)):
+        what = "a finite number" if ndim == 0 else f"a {ndim}-d list of finite numbers"
+        raise ModelFormatError(path, f"expected {what}")
+    return array.astype(float)
+
+
+def _label_map(data: dict) -> dict[str, int] | None:
+    label_map = data.get("label_map")
+    if label_map is not None and not (
+        isinstance(label_map, dict)
+        and all(isinstance(k, str) and type(v) is int and v in (-1, 1) for k, v in label_map.items())
+    ):
+        raise ModelFormatError("label_map", "expected an object mapping label strings to -1 or +1")
+    return label_map
+
+
 def model_from_dict(data: dict):
     """Rebuild a model from ``model_to_dict`` output."""
     if not isinstance(data, dict):
@@ -497,33 +485,37 @@ def model_from_dict(data: dict):
     feature_map = circuit_from_dict(_require(data, "feature_map", dict, "$"), "feature_map")
     if kind in ("vqc", "vqr"):
         ansatz = circuit_from_dict(_require(data, "ansatz", dict, "$"), "ansatz")
-        weights = np.asarray(_require(data, "weights", list, "$"), dtype=float)
-        history = [float(v) for v in data.get("loss_history", [])]
+        weights = _numbers(_require(data, "weights", list, "$"), "weights")
+        history = [float(v) for v in _numbers(data.get("loss_history", []), "loss_history")]
         if kind == "vqc":
-            return VqcModel(feature_map, ansatz, weights, history, data.get("label_map"))
+            return VqcModel(feature_map, ansatz, weights, history, _label_map(data))
         observable = _observable_from_dict(_require(data, "observable", list, "$"), "observable")
         return VqrModel(feature_map, ansatz, weights, observable, history)
     if kind in ("qsvc", "pegasos"):
-        alphas = np.asarray(_require(data, "alphas", list, "$"), dtype=float)
-        labels = np.asarray(_require(data, "support_labels", list, "$"), dtype=float)
+        alphas = _numbers(_require(data, "alphas", list, "$"), "alphas")
+        labels = _numbers(_require(data, "support_labels", list, "$"), "support_labels")
         rows = _require(data, "support_data", list, "$")
-        support = (
-            np.asarray(rows, dtype=float)
-            if rows
-            else np.zeros((0, feature_map.num_parameters))
-        )
+        support = _numbers(rows, "support_data", 2) if rows else np.zeros((0, feature_map.num_parameters))
         if not (len(alphas) == len(labels) == len(support)):
             raise ModelFormatError("support_data", "alphas, labels, and rows disagree in length")
+        lam = steps = None
+        if kind == "pegasos":
+            lam = float(_numbers(data.get("lambda"), "lambda", ndim=0))
+            steps = data.get("steps")
+            if lam <= 0.0:
+                raise ModelFormatError("lambda", "Pegasos lambda must be positive")
+            if type(steps) is not int or steps < 1:
+                raise ModelFormatError("steps", "Pegasos steps must be an integer of at least 1")
         return SvmModel(
             kind=kind,
             feature_map=feature_map,
             support_values=alphas,
             support_labels=labels,
-            support_data=np.atleast_2d(support),
-            bias=float(data.get("bias", 0.0)),
-            lam=data.get("lambda"),
-            steps=data.get("steps"),
-            label_map=data.get("label_map"),
+            support_data=support,
+            bias=float(_numbers(data.get("bias", 0.0), "bias", ndim=0)),
+            lam=lam,
+            steps=steps,
+            label_map=_label_map(data),
         )
     raise ModelFormatError("type", f"unknown model type {kind!r}")
 

@@ -1,16 +1,16 @@
 """Classical optimizers behind one ``minimize`` interface.
 
-Gradient descent and ADAM consume a gradient callable (or fall back to
-finite differences); SPSA needs only function evaluations and decaying
-gain sequences. All three share the stopping rule: run until the iteration
-cap, or until the best value improves by less than ``tolerance`` for five
-consecutive iterations.
+Gradient descent and ADAM run one descent loop over a gradient callable (or
+finite differences) and differ only in the step they take; SPSA needs only
+function evaluations and decaying gain sequences. All three share the
+stopping rule: run until the iteration cap, or until the best value improves
+by less than ``tolerance`` for five consecutive iterations.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -58,6 +58,13 @@ class OptimizerConfig:
             raise ValueError("tolerance must be nonnegative")
 
 
+def _seeded_config(config: OptimizerConfig | None, seed: int | None, **default) -> OptimizerConfig:
+    """``config`` with a missing seed taken from ``seed``; ``OptimizerConfig(**default)`` if absent."""
+    if config is None:
+        return OptimizerConfig(seed=seed, **default)
+    return config if config.seed is not None else replace(config, seed=seed)
+
+
 @dataclass
 class OptimizeResult:
     """Outcome of a run: best iterate, per-iteration values, and bookkeeping.
@@ -92,6 +99,11 @@ class _Tracker:
         if not math.isfinite(value):
             self.aborted = True
         return value
+
+    def advance(self, point: np.ndarray) -> bool:
+        """Evaluate and record a new iterate; True when the run stops (non-finite or plateau)."""
+        value = self(point)
+        return self.aborted or self.record(point, value)
 
     def record(self, point: np.ndarray, value: float) -> bool:
         """Append one iterate; True when the plateau rule says stop."""
@@ -133,10 +145,8 @@ def minimize(
 
     if config.kind == "spsa":
         converged = _spsa_loop(tracker, point, config)
-    elif config.kind == "adam":
-        converged = _adam_loop(tracker, gradient, point, config)
     else:
-        converged = _gd_loop(tracker, gradient, point, config)
+        converged = _descent_loop(tracker, gradient, point, config)
 
     assert tracker.best_point is not None
     return OptimizeResult(
@@ -148,37 +158,24 @@ def minimize(
     )
 
 
-def _gd_loop(tracker: _Tracker, gradient, point: np.ndarray, config: OptimizerConfig) -> bool:
-    for _ in range(config.max_iterations):
-        step = np.asarray(gradient(point), dtype=float)
-        if tracker.aborted or not np.all(np.isfinite(step)):
-            return False
-        point = point - config.learning_rate * step
-        value = tracker(point)
-        if tracker.aborted:
-            return False
-        if tracker.record(point, value):
-            return True
-    return False
-
-
-def _adam_loop(tracker: _Tracker, gradient, point: np.ndarray, config: OptimizerConfig) -> bool:
+def _descent_loop(tracker: _Tracker, gradient, point: np.ndarray, config: OptimizerConfig) -> bool:
+    """Step against the gradient; ADAM scales each step by bias-corrected moment estimates."""
     m = np.zeros_like(point)
     v = np.zeros_like(point)
     for t in range(1, config.max_iterations + 1):
         g = np.asarray(gradient(point), dtype=float)
         if tracker.aborted or not np.all(np.isfinite(g)):
             return False
-        m = config.adam_beta1 * m + (1.0 - config.adam_beta1) * g
-        v = config.adam_beta2 * v + (1.0 - config.adam_beta2) * g * g
-        m_hat = m / (1.0 - config.adam_beta1**t)
-        v_hat = v / (1.0 - config.adam_beta2**t)
-        point = point - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_epsilon)
-        value = tracker(point)
-        if tracker.aborted:
-            return False
-        if tracker.record(point, value):
-            return True
+        if config.kind == "adam":
+            m = config.adam_beta1 * m + (1.0 - config.adam_beta1) * g
+            v = config.adam_beta2 * v + (1.0 - config.adam_beta2) * g * g
+            m_hat = m / (1.0 - config.adam_beta1**t)
+            v_hat = v / (1.0 - config.adam_beta2**t)
+            point = point - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_epsilon)
+        else:
+            point = point - config.learning_rate * g
+        if tracker.advance(point):
+            return not tracker.aborted
     return False
 
 
@@ -200,9 +197,6 @@ def _spsa_loop(tracker: _Tracker, point: np.ndarray, config: OptimizerConfig) ->
             gain_a = 0.1 if magnitude < 1e-12 else 0.1 * (1.0 + stability) ** config.spsa_alpha / magnitude
         a_k = gain_a / (k + 1.0 + stability) ** config.spsa_alpha
         point = point - a_k * g
-        value = tracker(point)
-        if tracker.aborted:
-            return False
-        if tracker.record(point, value):
-            return True
+        if tracker.advance(point):
+            return not tracker.aborted
     return False

@@ -275,6 +275,48 @@ def test_train_vqr_reports_mse(tmp_path, capsys):
     assert "train_mse" in metrics
 
 
+@pytest.mark.parametrize("model", ["vqr", "pegasos"])
+def test_train_exact_only_model_rejects_shots(tmp_path, capsys, model):
+    data = tmp_path / "blobs.csv"
+    run_cli(capsys, "gen-data", "blobs", "--samples", "4", "--seed", "1", "--out", str(data))
+    out = tmp_path / "m.json"
+    code, _, err = run_cli(
+        capsys, "train", "--model", model, "--data", str(data), "--out", str(out), "--shots", "10"
+    )
+    assert code == 2
+    assert "--shots" in json.loads(err)["error"]
+    assert not out.exists()
+
+
+def test_predict_vqr_rejects_shots(tmp_path, capsys):
+    data = tmp_path / "reg.csv"
+    data.write_text("f0,label\n0.1,0.5\n1.2,-0.3\n")
+    model = tmp_path / "m.json"
+    run_cli(capsys, "train", "--model", "vqr", "--data", str(data), "--out", str(model), "--max-iter", "2")
+    out = tmp_path / "p.csv"
+    code, _, err = run_cli(
+        capsys, "predict", "--model", str(model), "--data", str(data), "--out", str(out), "--shots", "5"
+    )
+    assert code == 2
+    assert "--shots" in json.loads(err)["error"]
+    assert not out.exists()
+
+
+def test_predict_malformed_model_exits_2(tmp_path, capsys):
+    data = tmp_path / "blobs.csv"
+    model = tmp_path / "model.json"
+    run_cli(capsys, "gen-data", "blobs", "--samples", "4", "--seed", "1", "--out", str(data))
+    run_cli(capsys, "train", "--model", "pegasos", "--data", str(data), "--out", str(model))
+    payload = json.loads(model.read_text())
+    payload["lambda"] = 0
+    model.write_text(json.dumps(payload))
+    code, _, err = run_cli(
+        capsys, "predict", "--model", str(model), "--data", str(data), "--out", str(tmp_path / "p.csv")
+    )
+    assert code == 2
+    assert json.loads(err)["error"].startswith("lambda:")
+
+
 # --- kernel ------------------------------------------------------------------
 
 

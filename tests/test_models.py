@@ -15,6 +15,7 @@ from qmlkit import (
     derive_rng,
     kernel_matrix,
     load_model,
+    model_to_dict,
     pegasos_fit,
     qsvc_fit,
     save_model,
@@ -92,6 +93,18 @@ def test_vqc_predict_probability_tie_goes_negative():
     labels, probs = vqc_predict(model, [[0.0]])
     assert probs[0, 1] == pytest.approx(0.5, abs=1e-12)
     assert labels[0] == -1.0
+
+
+def test_vqc_shot_training_repeats_per_seed():
+    feature_map = zz_feature_map(2, 1)
+    ansatz = real_amplitudes_ansatz(2, 1)
+    data = Dataset([[0.3, 0.8], [1.0, -0.6], [-1.2, 0.4]], [1.0, -1.0, 1.0])
+    config = OptimizerConfig(kind="adam", max_iterations=4, learning_rate=0.1)
+    a, b, c = (vqc_fit(data, feature_map, ansatz, config, shots=64, seed=s) for s in (11, 11, 12))
+    assert a.loss_history == b.loss_history
+    assert np.array_equal(a.trained_weights, b.trained_weights)
+    assert a.loss_history != c.loss_history
+    assert not np.array_equal(a.trained_weights, c.trained_weights)
 
 
 # --- VQR -------------------------------------------------------------------
@@ -320,6 +333,45 @@ def test_missing_field_names_path(tmp_path):
     path.write_text(json.dumps({"type": "vqc", "format_version": 1}))
     with pytest.raises(ModelFormatError, match="feature_map"):
         load_model(path)
+
+
+def _saved(kind: str) -> dict:
+    data = Dataset([[0.0], [math.pi]], [1.0, -1.0])
+    if kind == "vqc":
+        feature_map, ansatz = ry_model_pair()
+        model = vqc_fit(data, feature_map, ansatz, OptimizerConfig(max_iterations=2), seed=0)
+        model.label_map = {"a": -1, "b": 1}
+    elif kind == "qsvc":
+        model = qsvc_fit(data, ry_map())
+    else:
+        model = pegasos_fit(data, ry_map(), lam=1.0, steps=10, seed=0)
+    return json.loads(json.dumps(model_to_dict(model)))
+
+
+@pytest.mark.parametrize(
+    "kind, field, value",
+    [
+        ("vqc", "weights", ["a"]),
+        ("vqc", "loss_history", ["a"]),
+        ("vqc", "label_map", ["a", "b"]),
+        ("vqc", "label_map", {"a": 2, "b": 1}),
+        ("qsvc", "alphas", ["a"]),
+        ("qsvc", "bias", "a"),
+        ("qsvc", "support_data", [[0.0], ["a"]]),
+        ("pegasos", "lambda", None),
+        ("pegasos", "lambda", 0),
+        ("pegasos", "steps", "a"),
+        ("pegasos", "steps", 0),
+    ],
+)
+def test_malformed_model_field_raises_named_format_error(tmp_path, kind, field, value):
+    payload = _saved(kind)
+    payload[field] = value
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ModelFormatError) as info:
+        load_model(path)
+    assert info.value.field_path == field
 
 
 def test_pegasos_round_trip_keeps_counts(tmp_path):

@@ -125,3 +125,37 @@ def test_adam_uses_supplied_gradient():
     config = OptimizerConfig(kind="adam", max_iterations=50, tolerance=0.0)
     minimize(quadratic, gradient, [0.0], config)
     assert calls[0] == 50
+
+
+def _reference_descent(kind: str, config: OptimizerConfig, start: np.ndarray, steps: int) -> list[float]:
+    """Objective after each of ``steps`` hand-written GD or ADAM updates on a 2-d quadratic."""
+    target = np.array([3.0, -1.0])
+    point = start.copy()
+    m = np.zeros(2)
+    v = np.zeros(2)
+    values = [float(np.sum((point - target) ** 2))]
+    for t in range(1, steps + 1):
+        g = 2.0 * (point - target)
+        if kind == "gd":
+            point = point - config.learning_rate * g
+        else:
+            m = config.adam_beta1 * m + (1.0 - config.adam_beta1) * g
+            v = config.adam_beta2 * v + (1.0 - config.adam_beta2) * g * g
+            m_hat = m / (1.0 - config.adam_beta1**t)
+            v_hat = v / (1.0 - config.adam_beta2**t)
+            point = point - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_epsilon)
+        values.append(float(np.sum((point - target) ** 2)))
+    return values
+
+
+@pytest.mark.parametrize("kind", ["gd", "adam"])
+def test_descent_history_matches_reference_updates(kind):
+    target = np.array([3.0, -1.0])
+    # At this rate and start, lr * (m_hat / denom) differs from lr * m_hat / denom
+    # in the last bit, so the history also pins the ADAM step's order of operations.
+    config = OptimizerConfig(kind=kind, learning_rate=0.2, max_iterations=3, tolerance=0.0)
+    start = np.array([1.1, -0.2])
+    result = minimize(
+        lambda p: float(np.sum((p - target) ** 2)), lambda p: 2.0 * (p - target), start, config
+    )
+    assert result.history == _reference_descent(kind, config, start, 3)
