@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .errors import CircuitError, ModelFormatError
 
 ROTATION_KINDS = frozenset({"RX", "RY", "RZ", "CRY"})
@@ -66,6 +68,7 @@ class AngleExpr:
         return not self.factors
 
     def evaluate(self, values: Mapping[Parameter, float]) -> float:
+        """The angle at ``values``; element-wise when they map to arrays of one shape."""
         angle = self.coefficient
         for offset, scale, param in self.factors:
             angle *= offset + scale * values[param]
@@ -273,29 +276,28 @@ def _registered(known: tuple[Parameter, ...], new: Iterable[Parameter]) -> tuple
 
     A new object whose name is already taken by another object is rejected.
     """
-    params = list(known)
-    names = {p.name for p in params}
-    ids = {id(p) for p in params}
+    params = {p.name: p for p in known}
     for p in new:
-        if id(p) in ids:
-            continue
-        if p.name in names:
+        if params.setdefault(p.name, p) is not p:
             raise CircuitError(f"parameter name {p.name!r} already used by another object")
-        params.append(p)
-        names.add(p.name)
-        ids.add(id(p))
-    return tuple(params)
+    return tuple(params.values())
 
 
-def bound_angles(circuit: Circuit, values: Sequence[float]) -> list[float]:
-    """Each gate's rotation angle at ``values`` (ordered like ``circuit.parameters``).
+def bound_angles(circuit: Circuit, values) -> np.ndarray:
+    """Each gate's rotation angle: ``(..., P)`` values, last axis ordered like
+    ``circuit.parameters``, give ``(..., G)`` angles, one per gate.
 
     The one place angles are evaluated: gates without an angle get 0.0.
     """
-    if len(values) != len(circuit.parameters):
-        raise CircuitError(f"expected {len(circuit.parameters)} values, got {len(values)}")
-    env = {p: float(v) for p, v in zip(circuit.parameters, values)}
-    return [g.angle.evaluate(env) if g.angle is not None else 0.0 for g in circuit.gates]
+    values = np.asarray(values, dtype=float)
+    if values.shape[-1:] != (len(circuit.parameters),):
+        raise CircuitError(f"expected {len(circuit.parameters)} values per row, got shape {values.shape}")
+    env = dict(zip(circuit.parameters, np.moveaxis(values, -1, 0)))
+    angles = np.zeros(values.shape[:-1] + (len(circuit.gates),))
+    for k, g in enumerate(circuit.gates):
+        if g.angle is not None:
+            angles[..., k] = g.angle.evaluate(env)
+    return angles
 
 
 def zz_feature_map(num_qubits: int, reps: int = 1) -> Circuit:

@@ -23,6 +23,7 @@ from .simulator import (
     derive_seed,
     expectation,
     expectation_sampled,
+    _row_blocks,
     run_ops,
 )
 
@@ -68,14 +69,12 @@ def _occurrence_map(circuit: Circuit, wrt: Sequence[Parameter]) -> dict[Paramete
     occurrences of a requested parameter are rejected by name (the CRY
     generator has three eigenvalues, so the two-term rule does not hold).
     """
-    requested = set(map(id, wrt))
-    occurrences: dict[Parameter, list[int]] = {p: [] for p in wrt}
-    by_id = {id(p): p for p in wrt}
+    occurrences: dict[Parameter, list[int]] = {p: [] for p in wrt}  # keyed by identity
     for index, gate in enumerate(circuit.gates):
         if gate.angle is None:
             continue
         for p in gate.angle.parameters:
-            if id(p) not in requested:
+            if p not in occurrences:
                 continue
             if gate.kind == "CRY":
                 raise UnsupportedParameterError(p.name, "parameter occurs in a CRY angle")
@@ -86,7 +85,7 @@ def _occurrence_map(circuit: Circuit, wrt: Sequence[Parameter]) -> dict[Paramete
                 raise UnsupportedParameterError(
                     p.name, "angle coefficient magnitude differs from 1"
                 )
-            occurrences[by_id[id(p)]].append(index)
+            occurrences[p].append(index)
     return occurrences
 
 
@@ -103,37 +102,41 @@ def shift_rule_jacobian(
     is unique per evaluation so callers can derive independent RNG streams.
     Each occurrence of a parameter is shifted separately and the two-point
     differences summed, which realizes the product rule when one parameter
-    feeds several gates. Returns shape (len(wrt), output_dim).
+    feeds several gates. Tasks run over the parameters, then each one's
+    gates, +shift before -shift; a task's state moves only that gate's
+    angle. Returns shape (len(wrt), output_dim).
     """
-    base_angles = bound_angles(circuit, values)
     params = list(circuit.parameters if wrt is None else wrt)
-    env = {p: float(v) for p, v in zip(circuit.parameters, values)}
     occurrences = _occurrence_map(circuit, params)
-    denom = 2.0 * math.sin(shift)
-
-    def state_with_shift(gate_index: int, param: Parameter, delta: float) -> Statevector:
-        gate = circuit.gates[gate_index]
-        shifted_env = dict(env)
-        shifted_env[param] = env[param] + delta
-        angles = list(base_angles)
-        angles[gate_index] = gate.angle.evaluate(shifted_env)
-        return run_ops(circuit.num_qubits, circuit.gates, angles)
-
-    rows: list[np.ndarray] = []
-    task = 0
     for p in params:
-        row: np.ndarray | None = None
-        for gate_index in occurrences[p]:
-            plus = evaluate(state_with_shift(gate_index, p, shift), task)
-            minus = evaluate(state_with_shift(gate_index, p, -shift), task + 1)
-            task += 2
-            term = (np.asarray(plus, dtype=float) - np.asarray(minus, dtype=float)) / denom
-            row = term if row is None else row + term
-        if row is None:
+        if not occurrences[p]:
             raise CircuitError(f"parameter {p.name!r} does not occur in the circuit")
-        rows.append(row)
-    if not rows:
+    if not params:
         return np.zeros((0, 0))
+    tasks = [
+        (gate, circuit.parameters.index(p), delta)
+        for p in params
+        for gate in occurrences[p]
+        for delta in (shift, -shift)
+    ]
+    gates, columns, deltas = map(np.array, zip(*tasks))
+    every = np.arange(len(tasks))
+    angles = np.tile(bound_angles(circuit, values), (len(tasks), 1))
+    shifted = np.tile(np.asarray(values, dtype=float), (len(tasks), 1))
+    shifted[every, columns] += deltas
+    angles[every, gates] = bound_angles(circuit, shifted)[every, gates]
+    n = circuit.num_qubits
+    states = (
+        Statevector(n, amplitudes)
+        for block in _row_blocks(n, len(circuit.gates), len(tasks))
+        for amplitudes in run_ops(n, circuit.gates, angles[block])
+    )
+    outputs = (np.asarray(evaluate(state, task), dtype=float) for task, state in enumerate(states))
+    denom = 2.0 * math.sin(shift)
+    rows = []
+    for p in params:
+        terms = [(next(outputs) - next(outputs)) / denom for _ in occurrences[p]]
+        rows.append(sum(terms[1:], terms[0]))
     return np.vstack(rows)
 
 

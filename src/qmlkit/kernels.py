@@ -69,16 +69,6 @@ def _as_dataset(X, feature_map: Circuit, name: str) -> np.ndarray:
     return data
 
 
-def _states(feature_map: Circuit, data: np.ndarray) -> np.ndarray:
-    """Feature-map state of each row, one row of amplitudes per sample."""
-    states = np.empty((data.shape[0], 1 << feature_map.num_qubits), dtype=complex)
-    for row, x in zip(states, data):
-        row[:] = run_ops(
-            feature_map.num_qubits, feature_map.gates, bound_angles(feature_map, x)
-        ).amplitudes
-    return states
-
-
 def _sampled(fidelity: float, shots: int, seed: int | None) -> float:
     """All-zeros frequency of ``shots`` compute-uncompute draws: Binomial(shots, F) / shots."""
     if shots < 1:
@@ -108,8 +98,9 @@ def kernel_matrix(
 ) -> KernelMatrix:
     """Gram matrix of fidelities between feature-map states.
 
-    Every sample's state is prepared once and the fidelities come from one
-    product, ``|A* B^T|^2`` clipped to [0, 1]; the states take
+    Every sample's state is prepared once, each side's rows in one batched
+    ``run_ops`` call, and the fidelities come from one product,
+    ``|A* B^T|^2`` clipped to [0, 1]; the states take
     ``rows * 2^n`` complex amplitudes (``rows + cols`` with ``Y``). With
     ``Y`` absent the matrix is symmetric: the upper triangle is mirrored and
     the diagonal is exactly 1 in exact mode. Shot mode draws entry (i, j),
@@ -119,8 +110,9 @@ def kernel_matrix(
     """
     rows = _as_dataset(X, feature_map, "X")
     cols = rows if Y is None else _as_dataset(Y, feature_map, "Y")
-    states = _states(feature_map, rows)
-    other = states if Y is None else _states(feature_map, cols)
+    n, gates = feature_map.num_qubits, feature_map.gates
+    states = run_ops(n, gates, bound_angles(feature_map, rows))
+    other = states if Y is None else run_ops(n, gates, bound_angles(feature_map, cols))
     entries = np.clip(np.abs(states.conj() @ other.T) ** 2, 0.0, 1.0)
     if Y is None:
         entries = np.triu(entries, 1)

@@ -121,19 +121,9 @@ def _qnn(feature_map: Circuit, ansatz: Circuit, observable: PauliObservable | No
     return EstimatorQnn(circuit, [observable], **split)
 
 
-def _row_seed(shots: int | None, seed: int | None, *task: int) -> int | None:
-    """Child seed for one row in shot mode; exact mode draws nothing and gets None."""
-    return derive_seed(seed, *task) if shots is not None else None
-
-
-def _forward_rows(qnn, features, weights, shots: int | None, seed: int | None, *task: int) -> np.ndarray:
-    """Network outputs, one row per sample; in shot mode row i reads from (seed, *task, i)."""
-    return np.vstack(
-        [
-            qnn.forward(x, weights, shots=shots, seed=_row_seed(shots, seed, *task, i))
-            for i, x in enumerate(features)
-        ]
-    )
+def _row_seeds(shots: int | None, seed: int | None, rows: int, *task: int) -> list:
+    """Row i's child seed (seed, *task, i) in shot mode; exact mode draws nothing and gets None."""
+    return [derive_seed(seed, *task, i) if shots is not None else None for i in range(rows)]
 
 
 def _fit_qnn(qnn, data: Dataset, mean_loss, row_gradient, config, shots, seed) -> OptimizeResult:
@@ -148,17 +138,16 @@ def _fit_qnn(qnn, data: Dataset, mean_loss, row_gradient, config, shots, seed) -
     evaluation = itertools.count(1)
 
     def objective(weights: np.ndarray) -> float:
-        outputs = _forward_rows(qnn, data.features, weights, shots, seed, 2, next(evaluation))
-        return float(mean_loss(outputs))
+        seeds = _row_seeds(shots, seed, data.size, 2, next(evaluation))
+        return float(mean_loss(qnn._outputs(data.features, weights, shots, seeds)))
 
     def gradient(weights: np.ndarray) -> np.ndarray:
-        k = next(evaluation)
+        seeds = _row_seeds(shots, seed, data.size, 3, next(evaluation))
+        outputs = qnn._outputs(data.features, weights, shots, seeds)
         total = np.zeros_like(weights)
-        for i, x in enumerate(data.features):
-            child = _row_seed(shots, seed, 3, k, i)
-            outputs = qnn.forward(x, weights, shots=shots, seed=child)
+        for i, (x, child) in enumerate(zip(data.features, seeds)):
             _, weight_jac = qnn.backward(x, weights, shots=shots, seed=child)
-            total += row_gradient(i, outputs, weight_jac)
+            total += row_gradient(i, outputs[i], weight_jac)
         return total / data.size
 
     initial = derive_rng(seed, 1).uniform(-math.pi, math.pi, len(qnn.weight_params))
@@ -208,7 +197,7 @@ def vqc_predict(
     """
     features = _as_dataset(features, model.feature_map, "features")
     qnn = _qnn(model.feature_map, model.ansatz)
-    probs = _forward_rows(qnn, features, model.trained_weights, shots, seed)
+    probs = qnn._outputs(features, model.trained_weights, shots, _row_seeds(shots, seed, len(features)))
     return np.where(probs[:, 1] > 0.5, 1.0, -1.0), probs
 
 
@@ -243,7 +232,7 @@ def vqr_predict(model: VqrModel, features) -> np.ndarray:
     """Expectation value of the model observable per input row."""
     features = _as_dataset(features, model.feature_map, "features")
     qnn = _qnn(model.feature_map, model.ansatz, model.observable)
-    return _forward_rows(qnn, features, model.trained_weights, None, None)[:, 0]
+    return qnn._outputs(features, model.trained_weights, None, [None] * len(features))[:, 0]
 
 
 def _smo_solve(
@@ -315,7 +304,7 @@ def qsvc_fit(
     violation below 1e-3 (``converged`` records whether that was reached).
     """
     _require_binary(data.labels)
-    if C <= 0.0:
+    if not C > 0.0:
         raise DataError("regularization C must be positive")
     K = kernel_matrix(feature_map, data.features, shots=shots, seed=seed).entries
     alpha, bias, converged = _smo_solve(K, data.labels, C)
@@ -345,8 +334,8 @@ def pegasos_fit(
     training set's Gram matrix is computed once, up front.
     """
     _require_binary(data.labels)
-    if lam <= 0.0:
-        raise DataError("lambda must be positive")
+    if not (math.isfinite(lam) and lam > 0.0):
+        raise DataError("lambda must be positive and finite")
     if steps < 1:
         raise DataError("steps must be at least 1")
     m = data.size

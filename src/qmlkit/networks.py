@@ -27,6 +27,7 @@ from .simulator import (
     expectation,
     expectation_sampled,
     index_to_bitstring,
+    _row_blocks,
     run_ops,
     sample_indices,
 )
@@ -62,9 +63,6 @@ class _QnnBase:
             )
         self.input_gradients = input_gradients
 
-    def _readout(self, state: Statevector, shots: int | None, seed: int | None) -> np.ndarray:
-        raise NotImplementedError
-
     def _values(self, inputs, weights) -> np.ndarray:
         inputs = np.asarray(inputs, dtype=float)
         weights = np.asarray(weights, dtype=float)
@@ -77,11 +75,22 @@ class _QnnBase:
         values[list(self.weight_params)] = weights
         return values
 
+    def _outputs(self, rows, weights, shots: int | None, seeds) -> np.ndarray:
+        """One output row per input row; states are prepared in row blocks and
+        row i reads out with ``seeds[i]``."""
+        n, gates = self.circuit.num_qubits, self.circuit.gates
+        values = np.array([self._values(x, weights) for x in rows])
+        return np.array([
+            self._readout(Statevector(n, amplitudes), shots, seed)
+            for block in _row_blocks(n, len(gates), len(values))
+            for amplitudes, seed in zip(
+                run_ops(n, gates, bound_angles(self.circuit, values[block])), seeds[block]
+            )
+        ])
+
     def forward(self, inputs, weights, shots: int | None = None, seed: int | None = None) -> np.ndarray:
         """One output vector: expectation values, or bucket probabilities summing to 1."""
-        values = self._values(inputs, weights)
-        state = run_ops(self.circuit.num_qubits, self.circuit.gates, bound_angles(self.circuit, values))
-        return self._readout(state, shots, seed)
+        return self._outputs([inputs], weights, shots, [seed])[0]
 
     def backward(
         self, inputs, weights, shots: int | None = None, seed: int | None = None

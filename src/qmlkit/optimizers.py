@@ -50,6 +50,8 @@ class OptimizerConfig:
             raise ValueError(f"unknown optimizer kind {self.kind!r}; expected one of {_KINDS}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
+        if not all(map(math.isfinite, (self.learning_rate, self.tolerance, self.spsa_c))):
+            raise ValueError("learning_rate, tolerance and spsa_c must be finite")
         if self.learning_rate <= 0.0 or self.spsa_c <= 0.0:
             raise ValueError("rates must be positive")
         if not (0.0 <= self.adam_beta1 < 1.0 and 0.0 <= self.adam_beta2 < 1.0):

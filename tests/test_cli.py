@@ -288,6 +288,30 @@ def test_train_exact_only_model_rejects_shots(tmp_path, capsys, model):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "model, flag, value, named",
+    [
+        ("vqc", "--learning-rate", "nan", "finite"),
+        ("vqc", "--learning-rate", "inf", "finite"),
+        ("vqc", "--tolerance", "nan", "finite"),
+        ("qsvc", "--svm-c", "nan", "positive"),
+        ("pegasos", "--pegasos-lambda", "nan", "finite"),
+        ("pegasos", "--pegasos-lambda", "inf", "finite"),
+    ],
+)
+def test_train_non_finite_hyperparameter_exits_2(tmp_path, capsys, model, flag, value, named):
+    data = tmp_path / "blobs.csv"
+    run_cli(capsys, "gen-data", "blobs", "--samples", "4", "--seed", "1", "--out", str(data))
+    out = tmp_path / "m.json"
+    code, _, err = run_cli(
+        capsys, "train", "--model", model, "--data", str(data), "--out", str(out),
+        "--max-iter", "2", flag, value,
+    )
+    assert code == 2
+    assert named in json.loads(err)["error"]
+    assert not out.exists()
+
+
 def test_predict_vqr_rejects_shots(tmp_path, capsys):
     data = tmp_path / "reg.csv"
     data.write_text("f0,label\n0.1,0.5\n1.2,-0.3\n")

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,9 +17,12 @@ from qmlkit import (
     estimator,
     finite_difference,
     param_shift_gradient,
+    run,
     spsa_gradient,
     zz_feature_map,
 )
+from qmlkit.circuits import bound_angles
+from qmlkit.gradients import shift_rule_jacobian
 
 from .helpers import random_observable, random_supported_circuit
 
@@ -185,3 +189,37 @@ def test_finite_difference_cosine():
 def test_finite_difference_rejects_bad_step():
     with pytest.raises(CircuitError):
         finite_difference(lambda v: 0.0, [0.0], 0.0)
+
+
+def test_shift_rule_hands_tasks_in_order_with_one_gate_moved():
+    a, b = Parameter("a"), Parameter("b")
+    # ``a`` feeds gates 1 and 4 (the latter as -(0.3 + a)), ``b`` feeds gate 3.
+    circuit = Circuit(2).extend([
+        Gate.h(0), Gate.ry(a, 0), Gate.cx(0, 1), Gate.rx(b, 1),
+        Gate.rz(AngleExpr(-1.0, ((0.3, 1.0, a),)), 1),
+    ])
+    values = np.array([0.4, -1.1])
+    seen = []
+
+    def evaluate(state, task):
+        seen.append((task, state.amplitudes.copy()))
+        return np.zeros(1)
+
+    shift_rule_jacobian(circuit, values, evaluate)
+    s = math.pi / 2
+    # Parameters in circuit order, then each one's gates in order, +shift before -shift.
+    expected = [(1, 0, s), (1, 0, -s), (4, 0, s), (4, 0, -s), (3, 1, s), (3, 1, -s)]
+    assert [task for task, _ in seen] == list(range(len(expected)))
+    base = bound_angles(circuit, values)
+    for (_, amplitudes), (gate, column, delta) in zip(seen, expected):
+        shifted = values.copy()
+        shifted[column] += delta
+        angles = base.copy()
+        angles[gate] = bound_angles(circuit, shifted)[gate]
+        moved = Circuit(2).extend(
+            replace(g, angle=AngleExpr.constant(angle)) if g.angle is not None else g
+            for g, angle in zip(circuit.gates, angles)
+        )
+        np.testing.assert_allclose(amplitudes, run(moved).amplitudes, rtol=0, atol=1e-12)
+        # Moving the parameter in every gate it feeds gives another state.
+        assert column == 1 or not np.allclose(amplitudes, run(circuit.bind(shifted)).amplitudes)

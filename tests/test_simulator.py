@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmlkit import (
+    AngleExpr,
     Circuit,
     CircuitError,
     Gate,
@@ -18,6 +20,8 @@ from qmlkit import (
     run,
     sampler,
 )
+from qmlkit.circuits import bound_angles
+from qmlkit.simulator import run_ops
 
 from .helpers import dense_state, random_bound_circuit, random_observable, random_supported_circuit
 
@@ -218,3 +222,44 @@ def test_run_preserves_norm_and_inverse_undoes(num_qubits, seed):
     identity[0] = 1.0
     round_trip = run(circuit.compose(circuit.inverse())).amplitudes
     assert np.max(np.abs(round_trip - identity)) <= 1e-12
+
+
+def _parameterized(rng: np.random.Generator, circuit: Circuit) -> Circuit:
+    """``circuit`` with most rotation angles rewritten over up to three parameters,
+    some in product form."""
+    params = [Parameter(f"p{i}") for i in range(3)]
+    gates = []
+    for gate in circuit.gates:
+        if gate.angle is not None and rng.uniform() < 0.8:
+            count = 2 if rng.uniform() < 0.3 else 1
+            factors = tuple(
+                (float(rng.uniform(-1, 1)), float(rng.uniform(-2, 2)), params[int(rng.integers(3))])
+                for _ in range(count)
+            )
+            gate = replace(gate, angle=AngleExpr(float(rng.uniform(-2, 2)), factors))
+        gates.append(gate)
+    return Circuit(circuit.num_qubits).extend(gates)
+
+
+@pytest.mark.parametrize("num_qubits", range(1, 7))
+def test_batch_equals_its_rows_byte_for_byte(num_qubits):
+    rng = np.random.default_rng(500 + num_qubits)
+    circuits = [Circuit(num_qubits), random_bound_circuit(rng, num_qubits, max_gates=20)]
+    circuits += [_parameterized(rng, random_bound_circuit(rng, num_qubits, max_gates=20)) for _ in range(4)]
+    if num_qubits > 1:  # CRY on a 0-valued and on a 1-valued control
+        t = Parameter("t")
+        circuits.append(Circuit(num_qubits).extend([
+            Gate.h(0), Gate.cry(t, [(0, 0)], 1), Gate.ry(0.3, 0),
+            Gate.cry(AngleExpr(-0.5, ((1.0, 2.0, t),)), [(0, 1)], 1),
+        ]))
+    for circuit in circuits:
+        for batch in (1, 2, 3, 17):
+            values = rng.uniform(-np.pi, np.pi, (batch, circuit.num_parameters))
+            angles = bound_angles(circuit, values)
+            rows = [bound_angles(circuit, v) for v in values]
+            assert angles.shape == (batch, len(circuit.gates))
+            assert angles.tobytes() == np.array(rows).tobytes()
+            states = run_ops(num_qubits, circuit.gates, angles)
+            assert states.shape == (batch, 2**num_qubits) and states.flags.c_contiguous
+            for state, row in zip(states, rows):
+                assert state.tobytes() == run_ops(num_qubits, circuit.gates, row).amplitudes.tobytes()
