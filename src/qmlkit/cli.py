@@ -136,8 +136,8 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
 def cmd_gen_data(args) -> int:
     if args.samples < 2 or args.samples % 2 != 0:
         raise CliError("--samples must be an even integer >= 2")
-    if args.noise < 0:
-        raise CliError("--noise must be nonnegative")
+    if not (math.isfinite(args.noise) and args.noise >= 0):
+        raise CliError("--noise must be finite and nonnegative")
     rng = derive_rng(args.seed)
     rows = []
     if args.kind == "blobs":
@@ -322,6 +322,8 @@ def cmd_gradcheck(args) -> int:
             values = [float(v) for v in args.values.split(",") if v.strip()]
         except ValueError as exc:
             raise CliError(f"--values: {exc}") from exc
+        if not all(map(math.isfinite, values)):
+            raise CliError(f"--values: every value must be finite, got {args.values!r}")
     else:
         values = [0.0] * circuit.num_parameters
     if len(values) != circuit.num_parameters:

@@ -30,6 +30,12 @@ from .simulator import (
 _UNIT_TOL = 1e-12
 
 
+def _check_shift(shift: float) -> None:
+    """The shift rule divides by sin(shift): refuse a shift that makes it zero or not finite."""
+    if not (math.isfinite(shift) and abs(math.sin(shift)) > 1e-9):
+        raise CircuitError(f"shift {shift} must be finite with sin(shift) away from zero")
+
+
 @dataclass(frozen=True)
 class GradientRequest:
     """Shift-rule gradient of estimator(circuit, observable, .) at ``values``."""
@@ -42,8 +48,7 @@ class GradientRequest:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        if abs(math.sin(self.shift)) <= 1e-9:
-            raise CircuitError(f"shift {self.shift} has sin(s) too close to zero")
+        _check_shift(self.shift)
 
 
 @dataclass(frozen=True)
@@ -91,53 +96,55 @@ def _occurrence_map(circuit: Circuit, wrt: Sequence[Parameter]) -> dict[Paramete
 
 def shift_rule_jacobian(
     circuit: Circuit,
-    values: Sequence[float],
-    evaluate: Callable[[Statevector, int], np.ndarray],
+    values,
+    evaluate: Callable[..., np.ndarray],
     shift: float = math.pi / 2,
     wrt: Sequence[Parameter] | None = None,
 ) -> np.ndarray:
     """Occurrence-summed shift-rule Jacobian of a vector-valued state functional.
 
-    ``evaluate(state, task_index)`` must return a 1-d array; the task index
-    is unique per evaluation so callers can derive independent RNG streams.
-    Each occurrence of a parameter is shifted separately and the two-point
-    differences summed, which realizes the product rule when one parameter
-    feeds several gates. Tasks run over the parameters, then each one's
-    gates, +shift before -shift; a task's state moves only that gate's
-    angle. Returns shape (len(wrt), output_dim).
+    ``values`` is one ``(P,)`` row, read out by ``evaluate(state, task)``, or
+    an ``(R, P)`` table whose row i is read out by ``evaluate(state, i,
+    task)``; either returns a 1-d array. Tasks are numbered per row, so
+    callers can derive independent RNG streams, and run over the parameters,
+    then each one's gates, +shift before -shift: a task's state moves only
+    that gate's angle, and the gates' differences are summed (the product
+    rule). All rows' shifted states are prepared in row blocks. Returns
+    (len(wrt), output_dim) for a row and (R, len(wrt), output_dim) for a table.
     """
+    _check_shift(shift)
     params = list(circuit.parameters if wrt is None else wrt)
     occurrences = _occurrence_map(circuit, params)
     for p in params:
         if not occurrences[p]:
             raise CircuitError(f"parameter {p.name!r} does not occur in the circuit")
+    values = np.asarray(values, dtype=float)
     if not params:
-        return np.zeros((0, 0))
+        return np.zeros(values.shape[:-1] + (0, 0))
     tasks = [
-        (gate, circuit.parameters.index(p), delta)
-        for p in params
+        (k, gate, circuit.parameters.index(p), delta)
+        for k, p in enumerate(params)
         for gate in occurrences[p]
         for delta in (shift, -shift)
     ]
-    gates, columns, deltas = map(np.array, zip(*tasks))
-    every = np.arange(len(tasks))
-    angles = np.tile(bound_angles(circuit, values), (len(tasks), 1))
-    shifted = np.tile(np.asarray(values, dtype=float), (len(tasks), 1))
-    shifted[every, columns] += deltas
-    angles[every, gates] = bound_angles(circuit, shifted)[every, gates]
-    n = circuit.num_qubits
-    states = (
-        Statevector(n, amplitudes)
-        for block in _row_blocks(n, len(circuit.gates), len(tasks))
-        for amplitudes in run_ops(n, circuit.gates, angles[block])
-    )
-    outputs = (np.asarray(evaluate(state, task), dtype=float) for task, state in enumerate(states))
-    denom = 2.0 * math.sin(shift)
-    rows = []
-    for p in params:
-        terms = [(next(outputs) - next(outputs)) / denom for _ in occurrences[p]]
-        rows.append(sum(terms[1:], terms[0]))
-    return np.vstack(rows)
+    owners, gates, columns, deltas = map(np.array, zip(*tasks))
+    table, n = np.atleast_2d(values), circuit.num_qubits
+    read = evaluate if values.ndim == 2 else lambda state, i, task: evaluate(state, task)
+    blocks = []
+    for block in _row_blocks(n, len(circuit.gates), len(table) * len(tasks)):
+        rows, task = np.divmod(np.arange(len(table) * len(tasks))[block], len(tasks))
+        every = np.arange(len(rows))
+        shifted = table[rows]
+        angles = bound_angles(circuit, shifted)
+        shifted[every, columns[task]] += deltas[task]
+        angles[every, gates[task]] = bound_angles(circuit, shifted)[every, gates[task]]
+        states = zip(run_ops(n, circuit.gates, angles), rows.tolist(), task.tolist())
+        blocks.append(np.array([read(Statevector(n, a), i, k) for a, i, k in states], dtype=float))
+    outputs = np.concatenate(blocks).reshape(len(table), -1, 2, blocks[0].shape[1])
+    terms = (outputs[:, :, 0] - outputs[:, :, 1]) / (2.0 * math.sin(shift))
+    jacobian = np.zeros((len(table), len(params), terms.shape[2]))
+    np.add.at(jacobian, (slice(None), owners[::2]), terms)  # occurrences add up in gate order
+    return jacobian if values.ndim == 2 else jacobian[0]
 
 
 def param_shift_gradient(request: GradientRequest) -> np.ndarray:
@@ -147,18 +154,13 @@ def param_shift_gradient(request: GradientRequest) -> np.ndarray:
     estimate is deterministic for a given master seed.
     """
 
-    def evaluate(state: Statevector, task: int) -> np.ndarray:
+    def evaluate(state: Statevector, task: int) -> list[float]:
         if request.shots is None:
-            value = expectation(state, request.observable)
-        else:
-            value = expectation_sampled(
-                state, request.observable, request.shots, derive_seed(request.seed, task)
-            )
-        return np.array([value])
+            return [expectation(state, request.observable)]
+        seed = derive_seed(request.seed, task)
+        return [expectation_sampled(state, request.observable, request.shots, seed)]
 
-    jacobian = shift_rule_jacobian(
-        request.circuit, request.values, evaluate, shift=request.shift
-    )
+    jacobian = shift_rule_jacobian(request.circuit, request.values, evaluate, shift=request.shift)
     return jacobian[:, 0] if jacobian.size else np.zeros(0)
 
 

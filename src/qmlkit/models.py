@@ -111,11 +111,8 @@ def _qnn(feature_map: Circuit, ansatz: Circuit, observable: PauliObservable | No
     """Feature map + ansatz as a network: a parity sampler, or an estimator of ``observable``."""
     circuit = feature_map.compose(ansatz)
     d = feature_map.num_parameters
-    split = dict(
-        input_params=range(d),
-        weight_params=range(d, circuit.num_parameters),
-        input_gradients=False,
-    )
+    weights = range(d, circuit.num_parameters)
+    split = dict(input_params=range(d), weight_params=weights, input_gradients=False)
     if observable is None:
         return SamplerQnn(circuit, interpret=parity_interpret, output_dim=2, **split)
     return EstimatorQnn(circuit, [observable], **split)
@@ -126,12 +123,13 @@ def _row_seeds(shots: int | None, seed: int | None, rows: int, *task: int) -> li
     return [derive_seed(seed, *task, i) if shots is not None else None for i in range(rows)]
 
 
-def _fit_qnn(qnn, data: Dataset, mean_loss, row_gradient, config, shots, seed) -> OptimizeResult:
+def _fit_qnn(qnn, data: Dataset, mean_loss, loss_terms, config, shots, seed) -> OptimizeResult:
     """Minimize a per-row loss of the network outputs over its weights.
 
-    ``mean_loss`` maps the (rows, outputs) matrix to the loss;
-    ``row_gradient(i, outputs_i, weight_jacobian_i)`` is row i's term of the
-    loss gradient, which is averaged over the rows. Objective evaluation k
+    ``mean_loss`` maps the (rows, outputs) matrix to the loss, and
+    ``loss_terms`` maps it and the (rows, outputs, weights) Jacobians to the
+    (rows, weights) gradient terms, averaged in row order. A gradient is one
+    forward and one shift-rule pass over all rows. Objective evaluation k
     reads row i from (seed, 2, k, i), gradient evaluation k from
     (seed, 3, k, i); the start is uniform in [-pi, pi) from (seed, 1).
     """
@@ -144,11 +142,9 @@ def _fit_qnn(qnn, data: Dataset, mean_loss, row_gradient, config, shots, seed) -
     def gradient(weights: np.ndarray) -> np.ndarray:
         seeds = _row_seeds(shots, seed, data.size, 3, next(evaluation))
         outputs = qnn._outputs(data.features, weights, shots, seeds)
-        total = np.zeros_like(weights)
-        for i, (x, child) in enumerate(zip(data.features, seeds)):
-            _, weight_jac = qnn.backward(x, weights, shots=shots, seed=child)
-            total += row_gradient(i, outputs[i], weight_jac)
-        return total / data.size
+        _, jacobians = qnn._jacobians(data.features, weights, shots, seeds)
+        # Rows add up in order; sum(axis=0) would add a lone weight's column pairwise.
+        return np.add.accumulate(loss_terms(outputs, jacobians))[-1] / data.size
 
     initial = derive_rng(seed, 1).uniform(-math.pi, math.pi, len(qnn.weight_params))
     return minimize(objective, gradient, initial, _seeded_config(config, seed, kind="adam"))
@@ -170,25 +166,21 @@ def vqc_fit(
     """
     _require_binary(data.labels)
     _as_dataset(data.features, feature_map, "data")
-    classes = ((data.labels + 1.0) / 2.0).astype(int)  # -1/+1 -> parity bucket 0/1
+    rows, classes = np.arange(data.size), (data.labels > 0).astype(int)  # -1/+1 -> parity bucket 0/1
 
     def mean_loss(probs: np.ndarray) -> float:
-        picked = probs[np.arange(data.size), classes]
-        return np.mean(-np.log(np.maximum(picked, _PROB_FLOOR)))
+        return np.mean(-np.log(np.maximum(probs[rows, classes], _PROB_FLOOR)))
 
-    def row_gradient(i: int, probs: np.ndarray, weight_jac: np.ndarray) -> np.ndarray:
-        return -weight_jac[classes[i]] / max(probs[classes[i]], _PROB_FLOOR)
+    def loss_terms(probs: np.ndarray, jacobians: np.ndarray) -> np.ndarray:
+        return -jacobians[rows, classes] / np.maximum(probs[rows, classes], _PROB_FLOOR)[:, None]
 
     qnn = _qnn(feature_map, ansatz)
-    result = _fit_qnn(qnn, data, mean_loss, row_gradient, optimizer_config, shots, seed)
+    result = _fit_qnn(qnn, data, mean_loss, loss_terms, optimizer_config, shots, seed)
     return VqcModel(feature_map, ansatz, result.best_point, result.history)
 
 
 def vqc_predict(
-    model: VqcModel,
-    features,
-    shots: int | None = None,
-    seed: int | None = None,
+    model: VqcModel, features, shots: int | None = None, seed: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Labels in {-1, +1} and per-class probabilities [P(-1), P(+1)] per row.
 
@@ -220,11 +212,11 @@ def vqr_fit(
     def mean_loss(values: np.ndarray) -> float:
         return np.mean((values[:, 0] - data.labels) ** 2)
 
-    def row_gradient(i: int, values: np.ndarray, weight_jac: np.ndarray) -> np.ndarray:
-        return 2.0 * (values[0] - data.labels[i]) * weight_jac[0]
+    def loss_terms(values: np.ndarray, jacobians: np.ndarray) -> np.ndarray:
+        return (2.0 * (values[:, 0] - data.labels))[:, None] * jacobians[:, 0]
 
     qnn = _qnn(feature_map, ansatz, observable)
-    result = _fit_qnn(qnn, data, mean_loss, row_gradient, optimizer_config, None, seed)
+    result = _fit_qnn(qnn, data, mean_loss, loss_terms, optimizer_config, None, seed)
     return VqrModel(feature_map, ansatz, result.best_point, observable, result.history)
 
 

@@ -48,7 +48,10 @@ class _QnnBase:
 
     A subclass sets ``output_dim`` and supplies ``_readout(state, shots,
     seed)``, the 1-d output read from a prepared state; everything else is
-    shared.
+    shared. Both passes work on a table of input rows beside one weight
+    vector: ``_outputs`` reads every row's state, ``_jacobians`` every row's
+    shifted states, each parameter's +shift then -shift state per gate it
+    feeds. ``forward`` and ``backward`` are their one-row cases.
     """
 
     output_dim: int
@@ -58,28 +61,26 @@ class _QnnBase:
         self.input_params = tuple(int(i) for i in input_params)
         self.weight_params = tuple(int(i) for i in weight_params)
         if sorted(self.input_params + self.weight_params) != list(range(circuit.num_parameters)):
-            raise CircuitError(
-                "input and weight indices must partition the circuit parameters exactly"
-            )
+            raise CircuitError("input and weight indices must partition the circuit parameters exactly")
         self.input_gradients = input_gradients
 
-    def _values(self, inputs, weights) -> np.ndarray:
-        inputs = np.asarray(inputs, dtype=float)
-        weights = np.asarray(weights, dtype=float)
-        if inputs.shape != (len(self.input_params),):
-            raise CircuitError(f"expected {len(self.input_params)} inputs, got {inputs.shape}")
+    def _values(self, rows, weights) -> np.ndarray:
+        """The (R, P) value table: every input row beside the one weight vector."""
+        rows, weights = np.asarray(rows, dtype=float), np.asarray(weights, dtype=float)
+        if rows.ndim != 2 or rows.shape[1] != len(self.input_params):
+            raise CircuitError(f"expected {len(self.input_params)} inputs per row, got {rows.shape[1:]}")
         if weights.shape != (len(self.weight_params),):
             raise CircuitError(f"expected {len(self.weight_params)} weights, got {weights.shape}")
-        values = np.zeros(self.circuit.num_parameters)
-        values[list(self.input_params)] = inputs
-        values[list(self.weight_params)] = weights
+        values = np.zeros((len(rows), self.circuit.num_parameters))
+        values[:, list(self.input_params)] = rows
+        values[:, list(self.weight_params)] = weights
         return values
 
     def _outputs(self, rows, weights, shots: int | None, seeds) -> np.ndarray:
         """One output row per input row; states are prepared in row blocks and
         row i reads out with ``seeds[i]``."""
         n, gates = self.circuit.num_qubits, self.circuit.gates
-        values = np.array([self._values(x, weights) for x in rows])
+        values = self._values(rows, weights)
         return np.array([
             self._readout(Statevector(n, amplitudes), shots, seed)
             for block in _row_blocks(n, len(gates), len(values))
@@ -88,6 +89,24 @@ class _QnnBase:
             )
         ])
 
+    def _jacobians(self, rows, weights, shots: int | None, seeds):
+        """One shift rule over all rows for each of (R, outputs, inputs), None without
+        ``input_gradients``, and (R, outputs, weights); row i's shifted state k
+        reads out from ``derive_seed(seeds[i], k)`` in shot mode."""
+        values = self._values(rows, weights)
+
+        def evaluate(state: Statevector, i: int, task: int) -> np.ndarray:
+            return self._readout(state, shots, None if shots is None else derive_seed(seeds[i], task))
+
+        def jacobian(indices: tuple[int, ...]) -> np.ndarray:
+            if not indices:
+                return np.zeros((len(values), self.output_dim, 0))
+            wrt = [self.circuit.parameters[i] for i in indices]
+            return shift_rule_jacobian(self.circuit, values, evaluate, wrt=wrt).transpose(0, 2, 1)
+
+        weight_jac = jacobian(self.weight_params)
+        return (jacobian(self.input_params) if self.input_gradients else None), weight_jac
+
     def forward(self, inputs, weights, shots: int | None = None, seed: int | None = None) -> np.ndarray:
         """One output vector: expectation values, or bucket probabilities summing to 1."""
         return self._outputs([inputs], weights, shots, [seed])[0]
@@ -95,26 +114,15 @@ class _QnnBase:
     def backward(
         self, inputs, weights, shots: int | None = None, seed: int | None = None
     ) -> tuple[np.ndarray | None, np.ndarray]:
-        """Shift-rule Jacobians (d output / d input, d output / d weight).
+        """Shift-rule Jacobians (d output / d input, d output / d weight) of one row.
 
         The input Jacobian is None when the network was built with
         ``input_gradients=False`` (the usual setting while training, where
         data parameters may sit in non-shiftable encodings). Shifted state k
         reads out from ``derive_seed(seed, k)`` in shot mode.
         """
-        values = self._values(inputs, weights)
-
-        def evaluate(state: Statevector, task: int) -> np.ndarray:
-            return self._readout(state, shots, derive_seed(seed, task) if shots is not None else None)
-
-        def jacobian(indices: tuple[int, ...]) -> np.ndarray:
-            if not indices:
-                return np.zeros((self.output_dim, 0))
-            wrt = [self.circuit.parameters[i] for i in indices]
-            return shift_rule_jacobian(self.circuit, values, evaluate, wrt=wrt).T
-
-        weight_jac = jacobian(self.weight_params)
-        return (jacobian(self.input_params) if self.input_gradients else None), weight_jac
+        input_jac, weight_jac = self._jacobians([inputs], weights, shots, [seed])
+        return (None if input_jac is None else input_jac[0]), weight_jac[0]
 
 
 class EstimatorQnn(_QnnBase):
@@ -148,12 +156,8 @@ class EstimatorQnn(_QnnBase):
     def _readout(self, state: Statevector, shots: int | None, seed: int | None) -> np.ndarray:
         if shots is None:
             return np.array([expectation(state, obs) for obs in self.observables])
-        return np.array(
-            [
-                expectation_sampled(state, obs, shots, derive_seed(seed, o))
-                for o, obs in enumerate(self.observables)
-            ]
-        )
+        terms = enumerate(self.observables)
+        return np.array([expectation_sampled(state, obs, shots, derive_seed(seed, o)) for o, obs in terms])
 
 
 class SamplerQnn(_QnnBase):

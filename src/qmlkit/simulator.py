@@ -230,8 +230,8 @@ def run_ops(num_qubits: int, gates, angles):
         )
     angles = np.asarray(angles, dtype=float)
     table = angles.ndim == 2
-    half = np.ascontiguousarray(angles.T) / 2.0  # one row of B half angles per gate
-    cos, sin = np.cos(half), np.sin(half)
+    half = np.divide(angles.T, 2.0, order="C")  # one C-ordered row of B half angles per gate
+    cos, sin = np.cos(half), np.sin(half, out=half)
     if not table:  # one state: Python scalars keep the per-gate arithmetic cheap
         cos, sin = cos.tolist(), sin.tolist()
     state = np.zeros((1 << num_qubits, angles.shape[0] if table else 1), dtype=complex)

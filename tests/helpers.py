@@ -8,6 +8,7 @@ the Bayesian oracle enumerates CPT products directly.
 from __future__ import annotations
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -98,6 +99,25 @@ def random_observable(
         coeff = float(rng.uniform(0.2, 1.0)) * (-1.0 if rng.uniform() < 0.5 else 1.0)
         terms.append((coeff, string))
     return PauliObservable(tuple(terms))
+
+
+def training_functions(monkeypatch, fit, *args, **kwargs):
+    """The (objective, gradient, start) a variational ``fit`` hands its optimizer.
+
+    ``qmlkit.models.minimize`` is replaced by a stub that records them and
+    returns the start unchanged, so no training step runs.
+    """
+    from qmlkit import models
+
+    captured = []
+
+    def record(objective, gradient, initial, config):
+        captured.append((objective, gradient, initial))
+        return SimpleNamespace(best_point=initial, history=[])
+
+    monkeypatch.setattr(models, "minimize", record)
+    fit(*args, **kwargs)
+    return captured[0]
 
 
 # --- SVM dual oracle -------------------------------------------------------

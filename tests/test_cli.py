@@ -93,6 +93,15 @@ def test_gen_data_rejects_odd_samples(tmp_path, capsys):
     assert "even" in err
 
 
+@pytest.mark.parametrize("noise", ["nan", "inf"])
+def test_gen_data_non_finite_noise_exits_2_and_writes_nothing(tmp_path, capsys, noise):
+    out = tmp_path / "xor.csv"
+    code, _, err = run_cli(capsys, "gen-data", "xor", "--samples", "4", "--noise", noise, "--out", str(out))
+    assert code == 2
+    assert "noise" in json.loads(err)["error"]
+    assert not out.exists()
+
+
 # --- train / predict --------------------------------------------------------
 
 
@@ -392,9 +401,10 @@ def test_gradcheck_product_angle_exits_2(tmp_path, capsys):
 def test_gradcheck_non_numeric_value_exits_2(tmp_path, capsys):
     path = tmp_path / "circuit.json"
     path.write_text(json.dumps(circuit_to_dict(real_amplitudes_ansatz(1, 1))))
-    code, _, err = run_cli(capsys, "gradcheck", "--circuit", str(path), "--values", "1,abc")
-    assert code == 2
-    assert "abc" in json.loads(err)["error"]
+    for value in ("abc", "nan", "inf"):
+        code, _, err = run_cli(capsys, "gradcheck", "--circuit", str(path), "--values", f"1,{value}")
+        assert code == 2
+        assert value in json.loads(err)["error"]
 
 
 def test_gradcheck_zero_parameters(tmp_path, capsys):

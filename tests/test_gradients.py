@@ -15,6 +15,7 @@ from qmlkit import (
     SpsaGradientConfig,
     UnsupportedParameterError,
     estimator,
+    expectation,
     finite_difference,
     param_shift_gradient,
     run,
@@ -99,6 +100,14 @@ def test_affine_offset_is_differentiable():
 def test_invalid_shift_rejected():
     with pytest.raises(CircuitError):
         GradientRequest(ry_circuit(), Z, [0.0], shift=math.pi)
+
+
+@pytest.mark.parametrize("shift", [0.0, math.pi, -2.0 * math.pi, math.nan, math.inf, -math.inf])
+def test_degenerate_or_non_finite_shift_rejected(shift):
+    with pytest.raises(CircuitError):
+        GradientRequest(ry_circuit(), Z, [0.3], shift=shift)
+    with pytest.raises(CircuitError):
+        shift_rule_jacobian(ry_circuit(), [0.3], lambda state, task: [expectation(state, Z)], shift=shift)
 
 
 def test_matches_finite_difference_on_random_circuits():
@@ -223,3 +232,23 @@ def test_shift_rule_hands_tasks_in_order_with_one_gate_moved():
         np.testing.assert_allclose(amplitudes, run(moved).amplitudes, rtol=0, atol=1e-12)
         # Moving the parameter in every gate it feeds gives another state.
         assert column == 1 or not np.allclose(amplitudes, run(circuit.bind(shifted)).amplitudes)
+
+
+def test_shift_rule_over_a_table_reads_rows_in_order_and_equals_its_rows():
+    rng = np.random.default_rng(47)
+    circuit, _ = random_supported_circuit(rng, num_qubits=2, max_params=3, max_gates=12)
+    observable = random_observable(rng, 2)
+    table = rng.uniform(-np.pi, np.pi, (5, circuit.num_parameters))
+    seen = []
+
+    def evaluate_row(state, i, task):
+        seen.append((i, task))
+        return [expectation(state, observable), float(i)]
+
+    jacobians = shift_rule_jacobian(circuit, table, evaluate_row)
+    tasks = len(seen) // len(table)
+    assert seen == [(i, k) for i in range(len(table)) for k in range(tasks)]
+    for i, values in enumerate(table):
+        row = shift_rule_jacobian(circuit, values, lambda state, task: evaluate_row(state, i, task))
+        assert jacobians[i].tobytes() == row.tobytes()
+        assert np.all(row[:, 1] == 0.0)

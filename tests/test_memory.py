@@ -10,7 +10,20 @@ import tracemalloc
 
 import numpy as np
 
-from qmlkit import EstimatorQnn, PauliObservable, VqcModel, real_amplitudes_ansatz, vqc_predict, zz_feature_map
+from qmlkit import (
+    Dataset,
+    EstimatorQnn,
+    PauliObservable,
+    VqcModel,
+    real_amplitudes_ansatz,
+    vqc_fit,
+    vqc_predict,
+    zz_feature_map,
+)
+from qmlkit.circuits import bound_angles
+from qmlkit.simulator import run_ops
+
+from .helpers import training_functions
 
 BUDGET_AMPLITUDES = 1 << 18
 # Inside run_ops a block, its scratch and its row-major copy are alive at
@@ -50,3 +63,27 @@ def test_vqc_predict_on_4096_rows_stays_bounded():
     model = VqcModel(feature_map, ansatz, rng.uniform(-np.pi, np.pi, ansatz.num_parameters))
     features = rng.uniform(-1, 1, (4096, 2))
     assert _peak_bytes(lambda: vqc_predict(model, features)) < _bound(2)
+
+
+def test_vqc_fit_gradient_over_8192_rows_stays_bounded(monkeypatch):
+    feature_map, ansatz = zz_feature_map(2, 2), real_amplitudes_ansatz(2, 2)
+    rng = np.random.default_rng(2)
+    features = rng.uniform(-1, 1, (8192, 2))
+    data = Dataset(features, np.where(features[:, 0] * features[:, 1] > 0, 1.0, -1.0))
+    _, gradient, start = training_functions(monkeypatch, vqc_fit, data, feature_map, ansatz)
+    # One +shift and one -shift state per weight and row: unblocked, their
+    # (rows * shifts, gates) angle table alone would exceed the bound.
+    gates, shifted = len(feature_map.gates) + len(ansatz.gates), 8192 * 2 * len(start)
+    assert 8 * shifted * gates > _bound(2)
+    assert _peak_bytes(lambda: gradient(start)) < _bound(2)
+
+
+def test_run_ops_holds_two_angle_tables_for_4096_rows():
+    circuit = zz_feature_map(2, 2).compose(real_amplitudes_ansatz(2, 2))
+    angles = bound_angles(circuit, np.random.default_rng(3).uniform(-1, 1, (4096, circuit.num_parameters)))
+    assert angles.shape == (4096, 22)  # 0.69 MiB of angles for 0.25 MiB of states
+    states_bytes = 16 * 4096 * 4
+    # Two (gates, rows) tables (half angles then sines, and cosines), the
+    # states, their scratch and their row-major copy, and slack for each
+    # gate's matrix entries.
+    assert _peak_bytes(lambda: run_ops(2, circuit.gates, angles)) < 2.5 * angles.nbytes + 3 * states_bytes

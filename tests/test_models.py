@@ -27,8 +27,9 @@ from qmlkit import (
     zz_feature_map,
     real_amplitudes_ansatz,
 )
+from qmlkit.gradients import finite_difference
 
-from .helpers import brute_force_svm_dual, svm_bias_from_alpha, svm_dual_objective
+from .helpers import brute_force_svm_dual, svm_bias_from_alpha, svm_dual_objective, training_functions
 
 
 def ry_map() -> Circuit:
@@ -105,6 +106,20 @@ def test_vqc_shot_training_repeats_per_seed():
     assert np.array_equal(a.trained_weights, b.trained_weights)
     assert a.loss_history != c.loss_history
     assert not np.array_equal(a.trained_weights, c.trained_weights)
+
+
+@pytest.mark.parametrize("fit", [vqc_fit, vqr_fit])
+def test_exact_training_gradient_matches_finite_difference(monkeypatch, fit):
+    rng = np.random.default_rng(17)
+    features = rng.uniform(-1.5, 1.5, (7, 2))
+    labels = np.where(features[:, 0] * features[:, 1] > 0, 1.0, -1.0)
+    if fit is vqr_fit:
+        labels = 0.8 * np.sin(features[:, 0])
+    feature_map, ansatz = zz_feature_map(2, 1), real_amplitudes_ansatz(2, 2)
+    objective, gradient, start = training_functions(
+        monkeypatch, fit, Dataset(features, labels), feature_map, ansatz, seed=4
+    )
+    assert np.max(np.abs(gradient(start) - finite_difference(objective, start))) < 1e-6
 
 
 # --- VQR -------------------------------------------------------------------

@@ -18,6 +18,7 @@ from qmlkit import (
     run,
     zz_feature_map,
 )
+from qmlkit import simulator
 from qmlkit.simulator import sample_state
 
 from .helpers import random_observable, random_supported_circuit
@@ -198,3 +199,63 @@ def test_shot_forward_equals_bucketed_sample_state(interpret, output_dim):
             expected[interpret(bits)] += p
         forward = qnn.forward(inputs, weights, shots=300, seed=seed)
         assert np.max(np.abs(forward - expected)) <= 1e-15
+
+
+def batch_circuit() -> Circuit:
+    """Two plain-RY inputs and three weights, ``w0`` feeding two gates."""
+    x0, x1, w0, w1, w2 = (Parameter(name) for name in ("x0", "x1", "w0", "w1", "w2"))
+    return Circuit(2).extend([
+        Gate.ry(x0, 0), Gate.ry(x1, 1), Gate.cx(0, 1), Gate.ry(w0, 0), Gate.rx(w1, 1),
+        Gate.rz(w0, 1), Gate.cx(1, 0), Gate.ry(w2, 0), Gate.ry(x0, 1),
+    ])
+
+
+BATCH_QNNS = {
+    "estimator": lambda grads: EstimatorQnn(
+        batch_circuit(), [PauliObservable(((1.0, "ZI"), (0.5, "XY"))), PauliObservable.z_on(1, 2)],
+        [0, 1], [2, 3, 4], input_gradients=grads,
+    ),
+    "sampler_parity": lambda grads: SamplerQnn(
+        batch_circuit(), [0, 1], [2, 3, 4], parity_interpret, 2, input_gradients=grads
+    ),
+    "sampler_identity": lambda grads: SamplerQnn(batch_circuit(), [0, 1], [2, 3, 4], input_gradients=grads),
+}
+
+
+def assert_jacobians_equal_backward_rows(qnn, inputs, weights, shots, seeds, expected=None):
+    input_jacs, weight_jacs = qnn._jacobians(inputs, weights, shots, seeds)
+    for i, (x, seed) in enumerate(zip(inputs, seeds)):
+        input_jac, weight_jac = expected[i] if expected else qnn.backward(x, weights, shots, seed)
+        assert weight_jacs[i].shape == weight_jac.shape == (qnn.output_dim, 3)
+        assert weight_jacs[i].tobytes() == weight_jac.tobytes()
+        if input_jac is None:
+            assert input_jacs is None and not qnn.input_gradients
+        else:
+            assert input_jacs[i].shape == input_jac.shape == (qnn.output_dim, 2)
+            assert input_jacs[i].tobytes() == input_jac.tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, 2, 17])
+@pytest.mark.parametrize("shots", [None, 64])
+@pytest.mark.parametrize("input_gradients", [True, False])
+@pytest.mark.parametrize("kind", sorted(BATCH_QNNS))
+def test_jacobians_over_rows_equal_one_row_backward_calls(kind, input_gradients, shots, rows):
+    qnn = BATCH_QNNS[kind](input_gradients)
+    rng = np.random.default_rng(rows)
+    inputs, weights = rng.uniform(-2.0, 2.0, (rows, 2)), rng.uniform(-2.0, 2.0, 3)
+    seeds = [None if shots is None else 100 + i for i in range(rows)]
+    assert_jacobians_equal_backward_rows(qnn, inputs, weights, shots, seeds)
+
+
+@pytest.mark.parametrize("shots", [None, 64])
+def test_jacobians_across_row_block_boundaries(monkeypatch, shots):
+    qnn = BATCH_QNNS["sampler_identity"](True)
+    rng = np.random.default_rng(5)
+    inputs, weights = rng.uniform(-2.0, 2.0, (5, 2)), rng.uniform(-2.0, 2.0, 3)
+    seeds = [None if shots is None else 7 * i for i in range(5)]
+    expected = [qnn.backward(x, weights, shots, seed) for x, seed in zip(inputs, seeds)]
+    gates = len(qnn.circuit.gates)
+    # Blocks of 3 shifted states: each row's 8 weight and 6 input shifts straddle blocks.
+    monkeypatch.setattr(simulator, "_BATCH_AMPLITUDES", 3 * gates)
+    assert len(simulator._row_blocks(2, gates, 5 * 8)) == 14
+    assert_jacobians_equal_backward_rows(qnn, inputs, weights, shots, seeds, expected)
