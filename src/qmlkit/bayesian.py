@@ -20,7 +20,7 @@ import numpy as np
 
 from .circuits import Circuit, Gate
 from .errors import CircuitError, ModelFormatError, NoSupportError
-from .simulator import MAX_QUBITS, derive_rng, run
+from .simulator import MAX_QUBITS, _draws, run
 
 _SAMPLE_BATCH = 4096
 
@@ -195,13 +195,10 @@ def rejection_inference(
         raise CircuitError("shots must be a positive integer")
     consistent, hit = _matcher(bn, query.evidence), _matcher(bn, query.assignment)
     probs = run(compile_network(bn)).probabilities()
-    probs = probs / probs.sum()
     accepted = 0
     hits = 0
     for batch_index, start in enumerate(range(0, shots, _SAMPLE_BATCH)):
-        batch = min(_SAMPLE_BATCH, shots - start)
-        rng = derive_rng(seed, batch_index)
-        outcomes = rng.choice(probs.shape[0], size=batch, p=probs)
+        outcomes = _draws(probs, min(_SAMPLE_BATCH, shots - start), seed, batch_index)
         accepted += int(consistent(outcomes).sum())
         hits += int(hit(outcomes).sum())
     if accepted == 0:

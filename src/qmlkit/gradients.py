@@ -21,10 +21,10 @@ from .simulator import (
     Statevector,
     derive_rng,
     derive_seed,
-    expectation,
-    expectation_sampled,
+    _expectations,
     _row_blocks,
     run_ops,
+    _sampled_expectations,
 )
 
 _UNIT_TOL = 1e-12
@@ -103,14 +103,14 @@ def shift_rule_jacobian(
 ) -> np.ndarray:
     """Occurrence-summed shift-rule Jacobian of a vector-valued state functional.
 
-    ``values`` is one ``(P,)`` row, read out by ``evaluate(state, task)``, or
-    an ``(R, P)`` table whose row i is read out by ``evaluate(state, i,
-    task)``; either returns a 1-d array. Tasks are numbered per row, so
-    callers can derive independent RNG streams, and run over the parameters,
-    then each one's gates, +shift before -shift: a task's state moves only
-    that gate's angle, and the gates' differences are summed (the product
-    rule). All rows' shifted states are prepared in row blocks. Returns
-    (len(wrt), output_dim) for a row and (R, len(wrt), output_dim) for a table.
+    An ``(R, P)`` table of ``values`` is read a block at a time by ``evaluate(states, rows,
+    tasks)``, returning (B, output_dim): amplitude row b is table row ``rows[b]`` under task
+    ``tasks[b]``. One ``(P,)`` row is read one ``Statevector`` at a time by ``evaluate(state,
+    task)``, returning a 1-d array. Tasks are numbered per row, so callers can derive
+    independent RNG streams, and run over the parameters, then each one's gates, +shift
+    before -shift: a task's state moves only that gate's angle, and the gates' differences
+    are summed (the product rule). All rows' shifted states are prepared in row blocks.
+    Returns (len(wrt), output_dim) for a row and (R, len(wrt), output_dim) for a table.
     """
     _check_shift(shift)
     params = list(circuit.parameters if wrt is None else wrt)
@@ -129,17 +129,18 @@ def shift_rule_jacobian(
     ]
     owners, gates, columns, deltas = map(np.array, zip(*tasks))
     table, n = np.atleast_2d(values), circuit.num_qubits
-    read = evaluate if values.ndim == 2 else lambda state, i, task: evaluate(state, task)
+    read = evaluate if values.ndim == 2 else lambda states, rows, task: [
+        evaluate(Statevector(n, amplitudes), k) for amplitudes, k in zip(states, task.tolist())]
+    base = bound_angles(circuit, table)  # each row's unshifted angles, evaluated once
     blocks = []
     for block in _row_blocks(n, len(circuit.gates), len(table) * len(tasks)):
         rows, task = np.divmod(np.arange(len(table) * len(tasks))[block], len(tasks))
         every = np.arange(len(rows))
         shifted = table[rows]
-        angles = bound_angles(circuit, shifted)
+        angles = base[rows]
         shifted[every, columns[task]] += deltas[task]
         angles[every, gates[task]] = bound_angles(circuit, shifted)[every, gates[task]]
-        states = zip(run_ops(n, circuit.gates, angles), rows.tolist(), task.tolist())
-        blocks.append(np.array([read(Statevector(n, a), i, k) for a, i, k in states], dtype=float))
+        blocks.append(np.asarray(read(run_ops(n, circuit.gates, angles), rows, task), dtype=float))
     outputs = np.concatenate(blocks).reshape(len(table), -1, 2, blocks[0].shape[1])
     terms = (outputs[:, :, 0] - outputs[:, :, 1]) / (2.0 * math.sin(shift))
     jacobian = np.zeros((len(table), len(params), terms.shape[2]))
@@ -154,13 +155,13 @@ def param_shift_gradient(request: GradientRequest) -> np.ndarray:
     estimate is deterministic for a given master seed.
     """
 
-    def evaluate(state: Statevector, task: int) -> list[float]:
+    def evaluate(states: np.ndarray, rows: np.ndarray, tasks: np.ndarray) -> np.ndarray:
         if request.shots is None:
-            return [expectation(state, request.observable)]
-        seed = derive_seed(request.seed, task)
-        return [expectation_sampled(state, request.observable, request.shots, seed)]
+            return _expectations(states, request.observable)[:, None]
+        seeds = [derive_seed(request.seed, k) for k in tasks]
+        return _sampled_expectations(states, request.observable, request.shots, seeds)[:, None]
 
-    jacobian = shift_rule_jacobian(request.circuit, request.values, evaluate, shift=request.shift)
+    jacobian = shift_rule_jacobian(request.circuit, [request.values], evaluate, shift=request.shift)[0]
     return jacobian[:, 0] if jacobian.size else np.zeros(0)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuits import Circuit, circuit_from_dict, circuit_to_dict
-from .errors import DataError, ModelFormatError
+from .errors import CircuitError, DataError, ModelFormatError
 from .kernels import _as_dataset, kernel_matrix
 from .networks import EstimatorQnn, SamplerQnn, parity_interpret
 from .optimizers import OptimizeResult, OptimizerConfig, _seeded_config, minimize
@@ -359,7 +359,9 @@ def svm_predict(
     seed: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Labels and decision values; a decision of exactly zero maps to -1."""
-    features = np.atleast_2d(np.asarray(features, dtype=float))
+    features = _as_dataset(features, model.feature_map, "features")
+    if shots is not None and shots < 1:
+        raise CircuitError("shots must be a positive integer")
     if model.support_data.size == 0:
         decisions = np.full(features.shape[0], model.bias if model.kind == "qsvc" else 0.0)
     else:

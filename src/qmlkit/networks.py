@@ -2,7 +2,7 @@
 
 Both network types split the circuit parameters into input and weight
 partitions by explicit index lists and share one ``forward`` and one
-``backward``: prepare the state, then read it out. The estimator reads
+``backward``: prepare a block of states, then read it out. The estimator reads
 observable expectations, the sampler bucketed outcome probabilities; that
 readout is the only thing that differs. Backward passes go through the
 shift rule, so they are exact in exact mode. Outcome probabilities are
@@ -21,15 +21,14 @@ from .errors import CircuitError
 from .gradients import shift_rule_jacobian
 from .simulator import (
     PauliObservable,
-    Statevector,
     bitstring_to_index,
     derive_seed,
-    expectation,
-    expectation_sampled,
+    _draws,
+    _expectations,
     index_to_bitstring,
     _row_blocks,
     run_ops,
-    sample_indices,
+    _sampled_expectations,
 )
 
 
@@ -46,12 +45,12 @@ def identity_interpret(bitstring: str) -> int:
 class _QnnBase:
     """Input/weight partition plus the one forward and backward pass.
 
-    A subclass sets ``output_dim`` and supplies ``_readout(state, shots,
-    seed)``, the 1-d output read from a prepared state; everything else is
-    shared. Both passes work on a table of input rows beside one weight
-    vector: ``_outputs`` reads every row's state, ``_jacobians`` every row's
-    shifted states, each parameter's +shift then -shift state per gate it
-    feeds. ``forward`` and ``backward`` are their one-row cases.
+    A subclass sets ``output_dim`` and supplies ``_readout(states, shots, seeds)``:
+    the (B, output_dim) outputs of (B, 2^n) amplitude rows, row b seeded by ``seeds[b]``.
+    Both passes take input rows beside one weight vector and read states a block at a
+    time: ``_outputs`` every row's state, ``_jacobians`` every row's shifted states, each
+    parameter's +shift then -shift state per gate it feeds. ``forward`` and ``backward``
+    are their one-row cases.
     """
 
     output_dim: int
@@ -77,16 +76,13 @@ class _QnnBase:
         return values
 
     def _outputs(self, rows, weights, shots: int | None, seeds) -> np.ndarray:
-        """One output row per input row; states are prepared in row blocks and
-        row i reads out with ``seeds[i]``."""
+        """One output row per input row; states are prepared and read in row blocks,
+        row i with ``seeds[i]``."""
         n, gates = self.circuit.num_qubits, self.circuit.gates
         values = self._values(rows, weights)
-        return np.array([
-            self._readout(Statevector(n, amplitudes), shots, seed)
+        return np.concatenate([
+            self._readout(run_ops(n, gates, bound_angles(self.circuit, values[block])), shots, seeds[block])
             for block in _row_blocks(n, len(gates), len(values))
-            for amplitudes, seed in zip(
-                run_ops(n, gates, bound_angles(self.circuit, values[block])), seeds[block]
-            )
         ])
 
     def _jacobians(self, rows, weights, shots: int | None, seeds):
@@ -95,8 +91,9 @@ class _QnnBase:
         reads out from ``derive_seed(seeds[i], k)`` in shot mode."""
         values = self._values(rows, weights)
 
-        def evaluate(state: Statevector, i: int, task: int) -> np.ndarray:
-            return self._readout(state, shots, None if shots is None else derive_seed(seeds[i], task))
+        def evaluate(states: np.ndarray, rows: np.ndarray, tasks: np.ndarray) -> np.ndarray:
+            task_seeds = None if shots is None else [derive_seed(seeds[i], k) for i, k in zip(rows, tasks)]
+            return self._readout(states, shots, task_seeds)
 
         def jacobian(indices: tuple[int, ...]) -> np.ndarray:
             if not indices:
@@ -153,11 +150,11 @@ class EstimatorQnn(_QnnBase):
     def output_dim(self) -> int:
         return len(self.observables)
 
-    def _readout(self, state: Statevector, shots: int | None, seed: int | None) -> np.ndarray:
+    def _readout(self, states: np.ndarray, shots: int | None, seeds) -> np.ndarray:
         if shots is None:
-            return np.array([expectation(state, obs) for obs in self.observables])
-        terms = enumerate(self.observables)
-        return np.array([expectation_sampled(state, obs, shots, derive_seed(seed, o)) for o, obs in terms])
+            return np.stack([_expectations(states, obs) for obs in self.observables], axis=1)
+        return np.stack([_sampled_expectations(states, obs, shots, [derive_seed(seed, o) for seed in seeds])
+                         for o, obs in enumerate(self.observables)], axis=1)
 
 
 class SamplerQnn(_QnnBase):
@@ -201,8 +198,11 @@ class SamplerQnn(_QnnBase):
             bins.append(int(bucket))
         self._bins = np.array(bins)
 
-    def _readout(self, state: Statevector, shots: int | None, seed: int | None) -> np.ndarray:
-        if shots is None:
-            return np.bincount(self._bins, weights=state.probabilities(), minlength=self.output_dim)
-        outcomes = sample_indices(state, shots, seed)
-        return np.bincount(self._bins[outcomes], minlength=self.output_dim) / shots
+    def _readout(self, states: np.ndarray, shots: int | None, seeds) -> np.ndarray:
+        probs, d = np.abs(states) ** 2, self.output_dim
+        if shots is not None:
+            return np.array([np.bincount(self._bins[_draws(p, shots, seed)], minlength=d) / shots
+                             for p, seed in zip(probs, seeds)])
+        # Bucket b * d + bin sums row b's probabilities in index order, as a per-row bincount does.
+        buckets = (self._bins + d * np.arange(len(probs))[:, None]).ravel()
+        return np.bincount(buckets, weights=probs.ravel(), minlength=d * len(probs)).reshape(-1, d)

@@ -3,9 +3,9 @@
 Two execution primitives sit on top of the raw state: ``estimator`` returns
 observable expectation values and ``sampler`` returns outcome probability
 distributions. Both are pure functions of (circuit, values, shots, seed) and
-safe to call concurrently. The measurement halves (``expectation``,
-``expectation_sampled``, ``sample_state``) also work on a ``Statevector``
-directly, which lets gradient and network code reuse prepared states.
+safe to call concurrently. Measurement reads C-contiguous (B, 2^n) amplitude
+rows, a block of prepared states at a time, as the shift rule and the networks
+hold them; ``expectation`` and ``sample_state`` are its one-``Statevector`` cases.
 
 One in-place gate loop does all the state updates, for one state or a
 batch of B states of one circuit. Every gate kind maps to a 2x2 target
@@ -17,11 +17,11 @@ per-gate reshape; fixed gates, and all gates of a single state, keep scalar
 entries. Intermediate products go to one scratch buffer the size of the
 states, so a gate allocates nothing: per-gate temporaries of half the state
 made a fresh process fault in about 250 MB of new pages during its first
-20-qubit circuit. Pauli terms reuse the loop on one (2^n, 1) copy of the
-state per term: an exact expectation applies X, Y or Z; a sampled one
-applies the H or S-dagger-then-H basis rotations and reads each drawn
-outcome's eigenvalue from the parity of its index bits. ``bound_angles``
-evaluates the angles and ``run_ops`` feeds the loop.
+20-qubit circuit. Pauli terms reuse the loop on one copy of the rows per
+term: an exact expectation applies X, Y or Z; a sampled one applies the H or
+S-dagger-then-H basis rotations and reads each drawn outcome's eigenvalue
+from the parity of its index bits. ``bound_angles`` evaluates the angles and
+``run_ops`` feeds the loop.
 
 Callers that stream states (the shift rule, the networks' rows) prepare
 them in blocks of at most ``_BATCH_AMPLITUDES`` = 2^18 amplitudes (4 MiB),
@@ -259,73 +259,72 @@ def run(circuit: Circuit) -> Statevector:
     return run_ops(circuit.num_qubits, circuit.gates, bound_angles(circuit, ()))
 
 
-def _check_width(state: Statevector, observable: PauliObservable) -> None:
-    if observable.num_qubits != state.num_qubits:
-        raise CircuitError(
-            f"observable width {observable.num_qubits} != state width {state.num_qubits}"
-        )
+def _check_width(rows: np.ndarray, observable: PauliObservable) -> None:
+    if rows.shape[-1] != 1 << observable.num_qubits:
+        width = rows.shape[-1].bit_length() - 1
+        raise CircuitError(f"observable width {observable.num_qubits} != state width {width}")
 
 
-def _rotated(state: Statevector, string: str, matrices: dict) -> np.ndarray:
-    """Copy of the amplitudes with ``matrices[ch]`` applied, in order, on each qubit."""
-    out = state.amplitudes.reshape(-1, 1).copy()
-    ops = ((m, q, ()) for q, ch in enumerate(string) for m in matrices.get(ch, ()))
-    _apply(out, state.num_qubits, ops)
-    return out[:, 0]
+def _rotated(rows: np.ndarray, string: str, matrices: dict) -> np.ndarray:
+    """Copy of (B, 2^n) amplitude rows with ``matrices[ch]`` applied, in order, on each qubit.
+    The loop runs on its (2^n, B) transpose: rows stay C-contiguous, and these exact or
+    real-scaled products round alike in any layout."""
+    out = rows.copy()
+    _apply(out.T, len(string), ((m, q, ()) for q, ch in enumerate(string) for m in matrices.get(ch, ())))
+    return out
 
 
-def expectation(state: Statevector, observable: PauliObservable) -> float:
-    """Exact <state|O|state> for a Pauli-sum observable."""
-    _check_width(state, observable)
-    total = 0.0 + 0.0j
+def _expectations(rows: np.ndarray, observable: PauliObservable) -> np.ndarray:
+    """Exact <row|O|row> of each of (B, 2^n) C-contiguous amplitude rows. A term's rotated copy
+    is conjugated in place and contracted with the rows in one batched ``matmul``, which sums
+    each row's products as ``np.vdot`` of the row and its rotated copy does."""
+    _check_width(rows, observable)
+    total = np.zeros(len(rows), dtype=complex)
     for coeff, string in observable.terms:
-        total += coeff * np.vdot(state.amplitudes, _rotated(state, string, _PAULIS))
-    return float(total.real)
+        rotated = _rotated(rows, string, _PAULIS)
+        total += coeff * np.matmul(np.conjugate(rotated, out=rotated)[:, None], rows[:, :, None])[:, 0, 0]
+    return total.real
 
 
-def expectation_sampled(
-    state: Statevector,
-    observable: PauliObservable,
-    shots: int,
-    seed: int | None = None,
-) -> float:
-    """Shot-based expectation: each term measured in its own rotated basis.
-
-    Every term gets the full shot budget and an RNG stream derived from
-    (seed, term index), so results are deterministic per seed and
-    independent of evaluation order. A drawn outcome's eigenvalue is +-1 by
-    the parity of its bits on the term's non-identity qubits.
-    """
-    _check_width(state, observable)
+def _draws(probs: np.ndarray, shots: int, seed: int | None, *task: int) -> np.ndarray:
+    """Basis indices of ``shots`` draws against renormalised ``probs`` from the (seed, *task) stream."""
     if shots < 1:
         raise CircuitError("shots must be a positive integer")
-    dim = state.amplitudes.shape[0]
-    total = 0.0
+    return derive_rng(seed, *task).choice(probs.shape[0], size=shots, p=probs / probs.sum())
+
+
+def _sampled_expectations(rows: np.ndarray, observable: PauliObservable, shots: int, seeds) -> np.ndarray:
+    """Shot-based expectation of each of (B, 2^n) amplitude rows: each term measured in its own
+    rotated basis with the full shot budget, row b drawing from the (seeds[b], term index)
+    stream, so results do not depend on evaluation order. A drawn outcome's eigenvalue is +-1
+    by the parity of its bits on the term's non-identity qubits."""
+    _check_width(rows, observable)
+    if shots < 1:
+        raise CircuitError("shots must be a positive integer")
+    total = np.zeros(len(rows))
     for term_index, (coeff, string) in enumerate(observable.terms):
         if all(ch == "I" for ch in string):
             total += coeff
             continue
-        probs = np.abs(_rotated(state, string, _MEASUREMENT_ROTATIONS)) ** 2
-        outcomes = derive_rng(seed, term_index).choice(dim, size=shots, p=probs / probs.sum())
-        parity = np.zeros(shots, dtype=np.int64)
-        for qubit, ch in enumerate(string):
-            if ch != "I":
-                parity ^= (outcomes >> qubit) & 1
-        total += coeff * float((1.0 - 2.0 * parity).mean())
+        probs = np.abs(_rotated(rows, string, _MEASUREMENT_ROTATIONS)) ** 2
+        for b, seed in enumerate(seeds):
+            outcomes = _draws(probs[b], shots, seed, term_index)
+            parity = np.zeros(shots, dtype=np.int64)
+            for qubit, ch in enumerate(string):
+                if ch != "I":
+                    parity ^= (outcomes >> qubit) & 1
+            total[b] += coeff * float((1.0 - 2.0 * parity).mean())
     return total
 
 
-def sample_indices(state: Statevector, shots: int, seed: int | None = None) -> np.ndarray:
-    """Basis indices of ``shots`` seeded draws against |amp|^2."""
-    if shots < 1:
-        raise CircuitError("shots must be a positive integer")
-    probs = state.probabilities()
-    return derive_rng(seed).choice(probs.shape[0], size=shots, p=probs / probs.sum())
+def expectation(state: Statevector, observable: PauliObservable) -> float:
+    """Exact <state|O|state> for a Pauli-sum observable."""
+    return float(_expectations(state.amplitudes[None], observable)[0])
 
 
 def sample_state(state: Statevector, shots: int, seed: int | None = None) -> QuasiDistribution:
     """Empirical outcome frequencies from a seeded draw against |amp|^2."""
-    outcomes = sample_indices(state, shots, seed)
+    outcomes = _draws(state.probabilities(), shots, seed)
     values, counts = np.unique(outcomes, return_counts=True)
     freqs = {
         index_to_bitstring(int(i), state.num_qubits): float(c) / shots
@@ -344,12 +343,12 @@ def estimator(
     """Expectation value of the bound circuit's output state.
 
     Exact mode (``shots`` None) evaluates the Pauli sum directly; shot mode
-    delegates to ``expectation_sampled``.
+    measures each term from the stream of (seed, term index).
     """
     state = run_ops(circuit.num_qubits, circuit.gates, bound_angles(circuit, values))
     if shots is None:
         return expectation(state, observable)
-    return expectation_sampled(state, observable, shots, seed)
+    return float(_sampled_expectations(state.amplitudes[None], observable, shots, [seed])[0])
 
 
 def sampler(

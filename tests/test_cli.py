@@ -163,6 +163,24 @@ def test_predict_feature_mismatch_exits_2(tmp_path, capsys):
     assert err
 
 
+@pytest.mark.parametrize("columns, shots", [(3, []), (2, ["--shots", "0"])])
+def test_predict_without_support_vectors_checks_features_and_shots(tmp_path, capsys, columns, shots):
+    data = tmp_path / "blobs.csv"
+    model = tmp_path / "model.json"
+    run_cli(capsys, "gen-data", "blobs", "--samples", "4", "--seed", "1", "--out", str(data))
+    run_cli(capsys, "train", "--model", "qsvc", "--data", str(data), "--out", str(model))
+    payload = json.loads(model.read_text())
+    payload.update(alphas=[], support_labels=[], support_data=[])
+    model.write_text(json.dumps(payload))
+    rows = tmp_path / "rows.csv"
+    rows.write_text(",".join(f"f{i}" for i in range(columns)) + "\n" + ",".join(["0.5"] * columns) + "\n")
+    out = tmp_path / "p.csv"
+    code, _, err = run_cli(capsys, "predict", "--model", str(model), "--data", str(rows), "--out", str(out), *shots)
+    assert code == 2
+    assert json.loads(err)["error"]
+    assert not out.exists()
+
+
 def test_predict_missing_model_file_exits_2(tmp_path, capsys):
     data = tmp_path / "blobs.csv"
     run_cli(capsys, "gen-data", "blobs", "--samples", "4", "--seed", "1", "--out", str(data))

@@ -13,6 +13,7 @@ from qmlkit import (
     Parameter,
     PauliObservable,
     SpsaGradientConfig,
+    Statevector,
     UnsupportedParameterError,
     estimator,
     expectation,
@@ -245,7 +246,10 @@ def test_shift_rule_over_a_table_reads_rows_in_order_and_equals_its_rows():
         seen.append((i, task))
         return [expectation(state, observable), float(i)]
 
-    jacobians = shift_rule_jacobian(circuit, table, evaluate_row)
+    def evaluate_block(states, rows, tasks):
+        return [evaluate_row(Statevector(2, a), i, k) for a, i, k in zip(states, rows.tolist(), tasks.tolist())]
+
+    jacobians = shift_rule_jacobian(circuit, table, evaluate_block)
     tasks = len(seen) // len(table)
     assert seen == [(i, k) for i in range(len(table)) for k in range(tasks)]
     for i, values in enumerate(table):

@@ -6,12 +6,14 @@ import pytest
 
 from qmlkit import (
     Circuit,
+    CircuitError,
     DataError,
     Dataset,
     Gate,
     ModelFormatError,
     OptimizerConfig,
     Parameter,
+    SvmModel,
     derive_rng,
     kernel_matrix,
     load_model,
@@ -229,6 +231,17 @@ def test_qsvc_rejects_bad_inputs():
         qsvc_fit(Dataset([[0.0]], [0.5]), ry_map())
     with pytest.raises(DataError):
         qsvc_fit(Dataset([[0.0], [1.0]], [1.0, -1.0]), ry_map(), C=0.0)
+
+
+def test_svm_predict_without_support_vectors_checks_features_and_shots():
+    empty = np.zeros(0)
+    model = SvmModel("qsvc", zz_feature_map(2, 2), empty, empty, np.zeros((0, 2)), bias=0.25)
+    _, decisions = svm_predict(model, [[0.1, 0.2]])
+    assert decisions.tolist() == [0.25]
+    with pytest.raises(DataError, match="3 features"):
+        svm_predict(model, [[0.1, 0.2, 0.3]])
+    with pytest.raises(CircuitError, match="shots"):
+        svm_predict(model, [[0.1, 0.2]], shots=0)
 
 
 # --- Pegasos ---------------------------------------------------------------

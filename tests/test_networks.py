@@ -259,3 +259,48 @@ def test_jacobians_across_row_block_boundaries(monkeypatch, shots):
     monkeypatch.setattr(simulator, "_BATCH_AMPLITUDES", 3 * gates)
     assert len(simulator._row_blocks(2, gates, 5 * 8)) == 14
     assert_jacobians_equal_backward_rows(qnn, inputs, weights, shots, seeds, expected)
+
+
+OUTPUT_QNNS = {
+    "estimator": lambda: EstimatorQnn(
+        batch_circuit(),
+        [PauliObservable(((1.0, "ZI"), (0.5, "XY"), (-0.25, "II"))), PauliObservable(((0.75, "YX"), (0.25, "IZ")))],
+        [0, 1], [2, 3, 4],
+    ),
+    "sampler_parity": lambda: SamplerQnn(batch_circuit(), [0, 1], [2, 3, 4], parity_interpret, 2),
+    "sampler_identity": lambda: SamplerQnn(batch_circuit(), [0, 1], [2, 3, 4]),
+    "sampler_custom": lambda: SamplerQnn(batch_circuit(), [0, 1], [2, 3, 4], lambda bits: bits.count("1"), 3),
+}
+
+
+def assert_outputs_equal_forward_rows(qnn, inputs, weights, shots, seeds, expected=None):
+    outputs = qnn._outputs(inputs, weights, shots, seeds)
+    assert outputs.shape == (len(inputs), qnn.output_dim)
+    for i, (x, seed) in enumerate(zip(inputs, seeds)):
+        forward = expected[i] if expected else qnn.forward(x, weights, shots, seed)
+        assert outputs[i].tobytes() == forward.tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, 2, 17])
+@pytest.mark.parametrize("shots", [None, 64])
+@pytest.mark.parametrize("kind", sorted(OUTPUT_QNNS))
+def test_outputs_over_rows_equal_one_row_forward_calls(kind, shots, rows):
+    qnn = OUTPUT_QNNS[kind]()
+    rng = np.random.default_rng(rows)
+    inputs, weights = rng.uniform(-2.0, 2.0, (rows, 2)), rng.uniform(-2.0, 2.0, 3)
+    seeds = [None if shots is None else 100 + i for i in range(rows)]
+    assert_outputs_equal_forward_rows(qnn, inputs, weights, shots, seeds)
+
+
+@pytest.mark.parametrize("shots", [None, 64])
+@pytest.mark.parametrize("kind", sorted(OUTPUT_QNNS))
+def test_outputs_across_row_block_boundaries(monkeypatch, kind, shots):
+    qnn = OUTPUT_QNNS[kind]()
+    rng = np.random.default_rng(9)
+    inputs, weights = rng.uniform(-2.0, 2.0, (5, 2)), rng.uniform(-2.0, 2.0, 3)
+    seeds = [None if shots is None else 3 * i for i in range(5)]
+    expected = [qnn.forward(x, weights, shots, seed) for x, seed in zip(inputs, seeds)]
+    gates = len(qnn.circuit.gates)
+    monkeypatch.setattr(simulator, "_BATCH_AMPLITUDES", 2 * gates)
+    assert len(simulator._row_blocks(2, gates, 5)) == 3
+    assert_outputs_equal_forward_rows(qnn, inputs, weights, shots, seeds, expected)

@@ -130,6 +130,12 @@ def test_estimator_multi_term_includes_identity():
     assert estimator(Circuit(1), obs, [], shots=128, seed=0) == pytest.approx(0.75)
 
 
+@pytest.mark.parametrize("shots", [0, -3])
+def test_estimator_rejects_shots_below_one_on_identity_only_observable(shots):
+    with pytest.raises(CircuitError, match="shots"):
+        estimator(Circuit(2), PauliObservable(((0.5, "II"),)), [], shots=shots, seed=0)
+
+
 def test_estimator_shot_mode_in_rotated_basis():
     # H|0> is the +1 eigenstate of X: every shot must report +1.
     circuit = Circuit(1).append(Gate.h(0))
