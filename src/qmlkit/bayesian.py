@@ -20,7 +20,7 @@ import numpy as np
 
 from .circuits import Circuit, Gate
 from .errors import CircuitError, ModelFormatError, NoSupportError
-from .simulator import MAX_QUBITS, _draws, run
+from .simulator import MAX_QUBITS, _cdf, _draws, run
 
 _SAMPLE_BATCH = 4096
 
@@ -194,11 +194,11 @@ def rejection_inference(
     if shots < 1:
         raise CircuitError("shots must be a positive integer")
     consistent, hit = _matcher(bn, query.evidence), _matcher(bn, query.assignment)
-    probs = run(compile_network(bn)).probabilities()
+    cdf = _cdf(run(compile_network(bn)).probabilities())  # one CDF for every batch
     accepted = 0
     hits = 0
     for batch_index, start in enumerate(range(0, shots, _SAMPLE_BATCH)):
-        outcomes = _draws(probs, min(_SAMPLE_BATCH, shots - start), seed, batch_index)
+        outcomes = _draws(cdf, min(_SAMPLE_BATCH, shots - start), seed, batch_index)
         accepted += int(consistent(outcomes).sum())
         hits += int(hit(outcomes).sum())
     if accepted == 0:

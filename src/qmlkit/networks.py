@@ -23,6 +23,7 @@ from .simulator import (
     PauliObservable,
     bitstring_to_index,
     derive_seed,
+    _cdf,
     _draws,
     _expectations,
     index_to_bitstring,
@@ -80,7 +81,8 @@ class _QnnBase:
         row i with ``seeds[i]``."""
         n, gates = self.circuit.num_qubits, self.circuit.gates
         values = self._values(rows, weights)
-        return np.concatenate([
+        # The empty first block gives zero input rows a (0, output_dim) result.
+        return np.concatenate([np.zeros((0, self.output_dim))] + [
             self._readout(run_ops(n, gates, bound_angles(self.circuit, values[block])), shots, seeds[block])
             for block in _row_blocks(n, len(gates), len(values))
         ])
@@ -96,8 +98,8 @@ class _QnnBase:
             return self._readout(states, shots, task_seeds)
 
         def jacobian(indices: tuple[int, ...]) -> np.ndarray:
-            if not indices:
-                return np.zeros((len(values), self.output_dim, 0))
+            if not indices or not len(values):
+                return np.zeros((len(values), self.output_dim, len(indices)))
             wrt = [self.circuit.parameters[i] for i in indices]
             return shift_rule_jacobian(self.circuit, values, evaluate, wrt=wrt).transpose(0, 2, 1)
 
@@ -201,7 +203,7 @@ class SamplerQnn(_QnnBase):
     def _readout(self, states: np.ndarray, shots: int | None, seeds) -> np.ndarray:
         probs, d = np.abs(states) ** 2, self.output_dim
         if shots is not None:
-            return np.array([np.bincount(self._bins[_draws(p, shots, seed)], minlength=d) / shots
+            return np.array([np.bincount(self._bins[_draws(_cdf(p), shots, seed)], minlength=d) / shots
                              for p, seed in zip(probs, seeds)])
         # Bucket b * d + bin sums row b's probabilities in index order, as a per-row bincount does.
         buckets = (self._bins + d * np.arange(len(probs))[:, None]).ravel()

@@ -23,11 +23,39 @@ S-dagger-then-H basis rotations and reads each drawn outcome's eigenvalue
 from the parity of its index bits. ``bound_angles`` evaluates the angles and
 ``run_ops`` feeds the loop.
 
+That loop is the whole path for circuits of fewer than 10 qubits. Wider
+circuits pass over the state once per block of gates on at most K = 4
+consecutive qubits instead of about three times per gate. A gate joins the
+first block, from the last one that touches its qubits on, whose qubits then
+still lie within K consecutive qubits: no later block touches the gate's
+qubits, so moving it earlier commutes. Else it opens a new block. Each
+block's 2^K x 2^K matrix, one per state, is the loop run on identity
+columns. The states, held as (B, 2^n) rows (one state is the one-row case),
+are multiplied by it in one stacked ``matmul`` into a second buffer, and the
+two buffers swap roles. A gate spanning more than K qubits runs through the
+loop in place, with the second buffer as scratch. The product goes to BLAS
+because, applied elementwise, a d x d block would take d^2 = 256 passes over
+the state, one per matrix entry, which saves nothing against three passes
+per gate. A block on qubits 0 to 3 multiplies chunks of 256 rows per state,
+which keeps OpenBLAS on one thread and off a second thread's 8 MB buffer.
+Each state's products are separate BLAS calls of one shape, so a batch's
+rows equal their one-state runs byte for byte. Fused amplitudes differ from
+the gate-by-gate loop's in their low bits: at most 3.5e-16 on 400 random
+circuits of 5 to 14 qubits. The 98 gates of
+``real_amplitudes_ansatz(20, 2)`` become 17 blocks, which run in 0.15 s
+instead of 1.0 s on a 2-core host. A block's matrices cost each of its gates 2^(2K) = 256 amplitudes per
+state, which narrow states do not win back. On the same host,
+``real_amplitudes_ansatz(n, 2)`` and ``zz_feature_map(n, 2)`` ran fused in
+1.2 to 5.8 times the loop's time at 5 to 8 qubits (one state to 400 rows),
+in 0.6 to 1.5 times at 9, in 0.5 to 1.3 times at 10 (one state the slowest,
+by 0.1 to 0.5 ms) and in 0.2 to 1.0 times from 11 on; hence the switch at 10
+qubits.
+
 Callers that stream states (the shift rule, the networks' rows) prepare
 them in blocks of at most ``_BATCH_AMPLITUDES`` = 2^18 amplitudes (4 MiB),
 16 rows at 14 qubits. On a 2-core host a 14-qubit backward of 56 shifted
-states took 0.64 s in such blocks, against 1.05 s and twice the memory in
-one batch and 1.42 s in blocks of two rows.
+states takes 0.15 s in such blocks, against 0.13 s and 3.5 times the memory
+in one batch and 0.26 s in blocks of two rows.
 
 Bit ordering is little-endian throughout: qubit 0 is the least significant
 bit of a basis index, and outcome bitstrings put qubit 0 first (the most
@@ -72,6 +100,19 @@ def derive_seed(seed: int | None, *task: int) -> int | None:
 def index_to_bitstring(index: int, num_qubits: int) -> str:
     """Little-endian outcome string: character k holds qubit k's bit."""
     return "".join(str((index >> q) & 1) for q in range(num_qubits))
+
+
+def _outcome_dict(indices: np.ndarray, values: np.ndarray, num_qubits: int) -> dict[str, float]:
+    """``{index_to_bitstring(i): v}`` over ``indices`` and ``values`` in order, with the
+    strings built by numpy 2^12 outcomes at a time: one 4-byte character per (index,
+    qubit), read as one fixed-width string per index."""
+    outcomes: dict[str, float] = {}
+    for start in range(0, len(indices), 1 << 12):
+        chunk = slice(start, start + (1 << 12))
+        bits = (indices[chunk, None] >> np.arange(num_qubits)) & 1
+        keys = (bits + ord("0")).astype(np.uint32).view(f"U{num_qubits}")[:, 0].tolist()
+        outcomes.update(zip(keys, values[chunk].tolist()))
+    return outcomes
 
 
 def bitstring_to_index(bits: str) -> int:
@@ -166,18 +207,27 @@ _MEASUREMENT_ROTATIONS = {"X": (_H,), "Y": ((1.0, 0.0, 0.0, -1j), _H)}
 # Callers that stream many rows prepare them in blocks of at most this many
 # amplitudes (and angles), and at least one row.
 _BATCH_AMPLITUDES = 1 << 18
+# Circuits of at least ``_FUSED_QUBITS`` qubits run as fused blocks of gates on
+# at most ``_BLOCK_QUBITS`` consecutive qubits; narrower circuits run gate by
+# gate, which was faster below 10 qubits (see the module docstring).
+_BLOCK_QUBITS = 4
+_FUSED_QUBITS = 10
+# Rows per state of one product by a block on qubits 0 to K - 1: small enough
+# that OpenBLAS runs it on one thread.
+_CHUNK_ROWS = 256
 
 
-def _apply(state: np.ndarray, num_qubits: int, ops) -> None:
+def _apply(state: np.ndarray, num_qubits: int, ops, scratch: np.ndarray | None = None) -> None:
     """Apply each ``(matrix, target, controls)`` of ``ops`` in place to a (2^n, B)
     state: the 2x2 matrix acts on ``target`` where every (qubit, bit) control matches.
 
     Qubit q is axis n - 1 - q of the ``(2,) * n + (B,)`` view; fixing axes
     with integers keeps every slice a view, even when all n qubit axes are
-    fixed. Two slices of ``scratch`` hold the intermediate products.
+    fixed. Two slices of ``scratch``, an array of the state's shape (a new
+    one by default), hold the intermediate products.
     """
     view = state.reshape((2,) * num_qubits + state.shape[1:])
-    scratch = np.empty_like(view)
+    scratch = np.empty_like(view) if scratch is None else scratch.reshape(view.shape)
     last = num_qubits - 1
     for (m00, m01, m10, m11), target, controls in ops:
         index = [slice(None)] * view.ndim
@@ -217,6 +267,77 @@ def _apply(state: np.ndarray, num_qubits: int, ops) -> None:
             hi += lo_part
 
 
+def _blocks(num_qubits: int, gates) -> list[tuple[int | None, list[int]]]:
+    """Greedy commuting fusion of ``gates`` into ``(window, gate indices)`` blocks.
+
+    A gate joins the first block, from the last one that touches its qubits
+    on, whose qubits then still span at most ``_BLOCK_QUBITS``: no later block
+    touches the gate's qubits, so the gate commutes past them. Otherwise it
+    opens a new block. A block acts on the ``_BLOCK_QUBITS`` consecutive qubits
+    from its window on: 0 when it fits there, else as high as the state allows.
+    A gate spanning more qubits is its own block, with window None.
+    """
+    blocks: list[list] = []  # [qubits, low, high, gate indices]; low is None for a wide gate
+    for k, gate in enumerate(gates):
+        qubits = set(gate.qubits)
+        low, high = min(qubits), max(qubits)
+        if high - low >= _BLOCK_QUBITS:
+            blocks.append([qubits, None, None, [k]])
+            continue
+        start = next((i for i in range(len(blocks) - 1, -1, -1) if blocks[i][0] & qubits), 0)
+        for block in blocks[start:]:
+            if block[1] is not None and max(high, block[2]) - min(low, block[1]) < _BLOCK_QUBITS:
+                block[0] |= qubits
+                block[1], block[2] = min(low, block[1]), max(high, block[2])
+                block[3].append(k)
+                break
+        else:
+            blocks.append([qubits, low, high, [k]])
+    last = num_qubits - _BLOCK_QUBITS
+    return [
+        (None if low is None else 0 if high < _BLOCK_QUBITS else min(low, last), indices)
+        for _, low, high, indices in blocks
+    ]
+
+
+def _run_blocks(num_qubits: int, gates, ops: list, rows: int) -> np.ndarray:
+    """``rows`` states of more than ``_BLOCK_QUBITS`` qubits, as (B, 2^n) rows, from
+    the ``(matrix, target, controls)`` op of each gate, rotations with (B,) entries.
+
+    Each block's (B, 2^K, 2^K) matrices are ``_apply`` run on identity columns,
+    and one stacked ``matmul`` per block writes the rows into a second buffer;
+    the two buffers then swap roles. A wide gate runs ``_apply`` in place on
+    the rows' transpose, with the other buffer as its scratch.
+    """
+    dim = 1 << _BLOCK_QUBITS
+    state = np.zeros((rows, 1 << num_qubits), dtype=complex)
+    state[:, 0] = 1.0
+    spare = np.empty_like(state)
+    for window, indices in _blocks(num_qubits, gates):
+        if window is None:
+            _apply(state.T, num_qubits, [ops[k] for k in indices], spare.T)
+            continue
+        columns = np.zeros((dim, dim, rows), dtype=complex)
+        columns[np.arange(dim), np.arange(dim)] = 1.0
+        _apply(columns, _BLOCK_QUBITS, [
+            (matrix, target - window, tuple((q - window, bit) for q, bit in controls))
+            for matrix, target, controls in (ops[k] for k in indices)
+        ])
+        if window == 0:  # (2^(n-K), 2^K) rows times the transposed matrix, a chunk at a time
+            matrices = np.ascontiguousarray(columns.transpose(2, 1, 0))
+            shape = (rows, 1 << (num_qubits - _BLOCK_QUBITS), dim)
+            source, out = state.reshape(shape), spare.reshape(shape)
+            for start in range(0, source.shape[1], _CHUNK_ROWS):
+                chunk = slice(start, start + _CHUNK_ROWS)
+                np.matmul(source[:, chunk], matrices, out=out[:, chunk])
+        else:
+            matrices = np.ascontiguousarray(columns.transpose(2, 0, 1))[:, None]
+            shape = (rows, 1 << (num_qubits - _BLOCK_QUBITS - window), dim, 1 << window)
+            np.matmul(matrices, state.reshape(shape), out=spare.reshape(shape))
+        state, spare = spare, state
+    return state
+
+
 def run_ops(num_qubits: int, gates, angles):
     """Apply gates to |0...0> with pre-evaluated angles, as ``bound_angles`` gives them.
 
@@ -232,14 +353,17 @@ def run_ops(num_qubits: int, gates, angles):
     table = angles.ndim == 2
     half = np.divide(angles.T, 2.0, order="C")  # one C-ordered row of B half angles per gate
     cos, sin = np.cos(half), np.sin(half, out=half)
-    if not table:  # one state: Python scalars keep the per-gate arithmetic cheap
-        cos, sin = cos.tolist(), sin.tolist()
-    state = np.zeros((1 << num_qubits, angles.shape[0] if table else 1), dtype=complex)
+    fused, rows = num_qubits >= _FUSED_QUBITS, angles.shape[0] if table else 1
+    # One state runs as the one-row table when fused; gate by gate, Python
+    # scalars keep its per-gate arithmetic cheap.
+    if not table:
+        cos, sin = (cos[:, None], sin[:, None]) if fused else (cos.tolist(), sin.tolist())
+    ops = ((_MATRICES[g.kind](c, s), g.targets[0], g.controls) for g, c, s in zip(gates, cos, sin))
+    if fused:
+        states = _run_blocks(num_qubits, gates, list(ops), rows)
+        return states if table else Statevector(num_qubits, states[0])
+    state = np.zeros((1 << num_qubits, rows), dtype=complex)
     state[0] = 1.0
-    ops = (
-        (_MATRICES[g.kind](c, s), g.targets[0], g.controls)
-        for g, c, s in zip(gates, cos, sin)
-    )
     _apply(state, num_qubits, ops)
     return np.ascontiguousarray(state.T) if table else Statevector(num_qubits, state[:, 0])
 
@@ -286,11 +410,22 @@ def _expectations(rows: np.ndarray, observable: PauliObservable) -> np.ndarray:
     return total.real
 
 
-def _draws(probs: np.ndarray, shots: int, seed: int | None, *task: int) -> np.ndarray:
-    """Basis indices of ``shots`` draws against renormalised ``probs`` from the (seed, *task) stream."""
+def _cdf(probs: np.ndarray) -> np.ndarray:
+    """The CDF that ``Generator.choice`` searches for ``p=probs / probs.sum()``: the
+    cumulative sum of the renormalised probabilities, divided by its last entry."""
+    cdf = np.cumsum(probs / probs.sum())
+    if not np.isfinite(cdf[-1]):  # ``choice`` rejects such p; a search would draw index 0
+        raise CircuitError("outcome probabilities are not finite")
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _draws(cdf: np.ndarray, shots: int, seed: int | None, *task: int) -> np.ndarray:
+    """Basis indices of ``shots`` draws from the (seed, *task) stream, searched in a ``_cdf``:
+    the indices ``choice`` draws from that stream, without rebuilding the CDF per call."""
     if shots < 1:
         raise CircuitError("shots must be a positive integer")
-    return derive_rng(seed, *task).choice(probs.shape[0], size=shots, p=probs / probs.sum())
+    return cdf.searchsorted(derive_rng(seed, *task).random(shots), side="right")
 
 
 def _sampled_expectations(rows: np.ndarray, observable: PauliObservable, shots: int, seeds) -> np.ndarray:
@@ -308,7 +443,7 @@ def _sampled_expectations(rows: np.ndarray, observable: PauliObservable, shots: 
             continue
         probs = np.abs(_rotated(rows, string, _MEASUREMENT_ROTATIONS)) ** 2
         for b, seed in enumerate(seeds):
-            outcomes = _draws(probs[b], shots, seed, term_index)
+            outcomes = _draws(_cdf(probs[b]), shots, seed, term_index)
             parity = np.zeros(shots, dtype=np.int64)
             for qubit, ch in enumerate(string):
                 if ch != "I":
@@ -324,13 +459,9 @@ def expectation(state: Statevector, observable: PauliObservable) -> float:
 
 def sample_state(state: Statevector, shots: int, seed: int | None = None) -> QuasiDistribution:
     """Empirical outcome frequencies from a seeded draw against |amp|^2."""
-    outcomes = _draws(state.probabilities(), shots, seed)
+    outcomes = _draws(_cdf(state.probabilities()), shots, seed)
     values, counts = np.unique(outcomes, return_counts=True)
-    freqs = {
-        index_to_bitstring(int(i), state.num_qubits): float(c) / shots
-        for i, c in zip(values, counts)
-    }
-    return QuasiDistribution(freqs, shots)
+    return QuasiDistribution(_outcome_dict(values, counts / shots, state.num_qubits), shots)
 
 
 def estimator(
@@ -365,12 +496,6 @@ def sampler(
     state = run_ops(circuit.num_qubits, circuit.gates, bound_angles(circuit, values))
     if shots is None:
         probs = state.probabilities()
-        return QuasiDistribution(
-            {
-                index_to_bitstring(i, state.num_qubits): float(p)
-                for i, p in enumerate(probs)
-                if p > 0.0
-            },
-            None,
-        )
+        outcomes = np.flatnonzero(probs > 0.0)
+        return QuasiDistribution(_outcome_dict(outcomes, probs[outcomes], state.num_qubits), None)
     return sample_state(state, shots, seed)

@@ -13,9 +13,11 @@ import numpy as np
 from qmlkit import (
     Dataset,
     EstimatorQnn,
+    Gate,
     PauliObservable,
     VqcModel,
     real_amplitudes_ansatz,
+    run,
     vqc_fit,
     vqc_predict,
     zz_feature_map,
@@ -87,3 +89,13 @@ def test_run_ops_holds_two_angle_tables_for_4096_rows():
     # states, their scratch and their row-major copy, and slack for each
     # gate's matrix entries.
     assert _peak_bytes(lambda: run_ops(2, circuit.gates, angles)) < 2.5 * angles.nbytes + 3 * states_bytes
+
+
+def test_fused_run_of_16_qubits_holds_two_states():
+    n = 16
+    circuit = real_amplitudes_ansatz(n, 2)
+    circuit = circuit.bind(np.random.default_rng(4).uniform(-np.pi, np.pi, circuit.num_parameters))
+    circuit = circuit.extend([Gate.cx(0, n - 1), Gate.cz(n - 1, 0)])  # gates wider than a block
+    run(circuit)  # first-call allocations (BLAS buffers, imports) stay out of the count
+    # The state and the buffer its blocks are written into; a third state would read 3.
+    assert _peak_bytes(lambda: run(circuit)) <= 2.25 * 16 * 2**n

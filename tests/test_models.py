@@ -13,7 +13,10 @@ from qmlkit import (
     ModelFormatError,
     OptimizerConfig,
     Parameter,
+    PauliObservable,
     SvmModel,
+    VqcModel,
+    VqrModel,
     derive_rng,
     kernel_matrix,
     load_model,
@@ -125,6 +128,20 @@ def test_exact_training_gradient_matches_finite_difference(monkeypatch, fit):
 
 
 # --- VQR -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("shots", [None, 32])
+def test_vqc_predict_on_zero_rows_is_empty(shots):
+    feature_map, ansatz = zz_feature_map(2, 1), real_amplitudes_ansatz(2, 1)
+    model = VqcModel(feature_map, ansatz, np.full(ansatz.num_parameters, 0.3))
+    labels, probs = vqc_predict(model, np.zeros((0, 2)), shots=shots, seed=1)
+    assert labels.shape == (0,) and probs.shape == (0, 2)
+
+
+def test_vqr_predict_on_zero_rows_is_empty():
+    feature_map, ansatz = zz_feature_map(2, 1), real_amplitudes_ansatz(2, 1)
+    model = VqrModel(feature_map, ansatz, np.full(ansatz.num_parameters, 0.3), PauliObservable.z_on(0, 2))
+    assert vqr_predict(model, np.zeros((0, 2))).shape == (0,)
 
 
 def test_vqr_fits_cosine():

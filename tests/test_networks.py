@@ -304,3 +304,15 @@ def test_outputs_across_row_block_boundaries(monkeypatch, kind, shots):
     monkeypatch.setattr(simulator, "_BATCH_AMPLITUDES", 2 * gates)
     assert len(simulator._row_blocks(2, gates, 5)) == 3
     assert_outputs_equal_forward_rows(qnn, inputs, weights, shots, seeds, expected)
+
+
+@pytest.mark.parametrize("shots", [None, 64])
+@pytest.mark.parametrize("kind", sorted(BATCH_QNNS))
+def test_zero_input_rows_give_empty_outputs_and_jacobians(kind, shots):
+    qnn = BATCH_QNNS[kind](True)
+    inputs, weights = np.zeros((0, 2)), np.array([0.1, 0.2, 0.3])
+    outputs = qnn._outputs(inputs, weights, shots, [])
+    assert outputs.shape == (0, qnn.output_dim) and outputs.dtype == float
+    input_jacs, weight_jacs = qnn._jacobians(inputs, weights, shots, [])
+    assert input_jacs.shape == (0, qnn.output_dim, 2)
+    assert weight_jacs.shape == (0, qnn.output_dim, 3)

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,11 +21,13 @@ from qmlkit import (
     expectation,
     index_to_bitstring,
     bitstring_to_index,
+    real_amplitudes_ansatz,
     run,
     sampler,
 )
 from qmlkit.circuits import bound_angles
-from qmlkit.simulator import run_ops
+from qmlkit import simulator
+from qmlkit.simulator import _blocks, _cdf, _draws, derive_rng, run_ops, sample_state
 
 from .helpers import dense_state, random_bound_circuit, random_observable, random_supported_circuit
 
@@ -269,3 +275,115 @@ def test_batch_equals_its_rows_byte_for_byte(num_qubits):
             assert states.shape == (batch, 2**num_qubits) and states.flags.c_contiguous
             for state, row in zip(states, rows):
                 assert state.tobytes() == run_ops(num_qubits, circuit.gates, row).amplitudes.tobytes()
+
+
+def _windowed(num_qubits: int) -> Circuit:
+    """Gates on every window of four consecutive qubits (a multi-control CRY in each),
+    and gates spanning more than four qubits, among them a CX from qubit 0 to the last."""
+    last = num_qubits - 1
+    gates = [Gate.h(q) for q in range(num_qubits)]
+    for w in range(num_qubits - 3):
+        gates += [
+            Gate.ry(0.3 + w, w), Gate.cx(w, w + 3), Gate.rx(-0.7 * w, w + 1),
+            Gate.cry(1.1 - w, [(w, 1), (w + 1, 0), (w + 3, 1)], w + 2), Gate.rz(0.2 * w, w + 3),
+        ]
+    gates += [Gate.cx(0, last), Gate.cry(0.9, [(q, q % 2) for q in range(1, last)], 0), Gate.cz(last, 1)]
+    return Circuit(num_qubits).extend(gates)
+
+
+def test_blocks_start_at_every_window_and_wide_gates_run_alone():
+    for num_qubits in range(5, 11):
+        blocks = _blocks(num_qubits, _windowed(num_qubits).gates)
+        assert {w for w, _ in blocks} == set(range(num_qubits - 3)) | {None}
+        assert all(len(indices) == 1 for w, indices in blocks if w is None)
+
+
+@pytest.fixture
+def fuse_from_5_qubits(monkeypatch):
+    """Run circuits of 5 qubits or more as fused blocks, as wider ones run by default."""
+    monkeypatch.setattr(simulator, "_FUSED_QUBITS", 5)
+
+
+def test_fused_run_matches_dense_oracle(fuse_from_5_qubits):
+    rng = np.random.default_rng(37)
+    for num_qubits in range(5, 11):
+        for circuit in (_windowed(num_qubits), random_bound_circuit(rng, num_qubits, max_gates=24)):
+            diff = np.max(np.abs(run(circuit).amplitudes - dense_state(circuit)))
+            assert diff <= 1e-12
+
+
+@pytest.mark.parametrize("num_qubits", [7, 10, 14])
+def test_fused_batch_equals_its_rows_byte_for_byte(num_qubits, fuse_from_5_qubits):
+    rng = np.random.default_rng(700 + num_qubits)
+    circuits = [_parameterized(rng, _windowed(num_qubits)), real_amplitudes_ansatz(num_qubits, 2)]
+    circuits += [_parameterized(rng, random_bound_circuit(rng, num_qubits, max_gates=30)) for _ in range(2)]
+    for circuit in circuits:
+        for batch in (0, 1, 2, 3, 17):
+            values = rng.uniform(-np.pi, np.pi, (batch, circuit.num_parameters))
+            states = run_ops(num_qubits, circuit.gates, bound_angles(circuit, values))
+            assert states.shape == (batch, 2**num_qubits) and states.flags.c_contiguous
+            for state, v in zip(states, values):
+                row = run_ops(num_qubits, circuit.gates, bound_angles(circuit, v))
+                assert state.tobytes() == row.amplitudes.tobytes()
+
+
+_THREADS_SCRIPT = """
+import hashlib, sys
+import numpy as np
+from qmlkit import Gate, real_amplitudes_ansatz, run
+n = int(sys.argv[1])
+circuit = real_amplitudes_ansatz(n, 2)
+circuit = circuit.bind(np.random.default_rng(n).uniform(-np.pi, np.pi, circuit.num_parameters))
+circuit = circuit.extend([Gate.cx(0, n - 1), Gate.cry(0.4, [(1, 1), (n - 2, 0)], n // 2), Gate.h(n - 1)])
+print(hashlib.sha256(run(circuit).amplitudes.tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.parametrize("num_qubits", [14, 18])
+def test_fused_run_is_byte_identical_on_one_and_two_blas_threads(num_qubits):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", _THREADS_SCRIPT, str(num_qubits)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        digests.add(out.stdout.strip())
+    assert len(digests) == 1
+
+
+def test_shot_modes_reject_non_finite_probabilities():
+    circuit = Circuit(2).extend([Gate.h(0), Gate.ry(Parameter("t"), 1)])
+    with pytest.raises(CircuitError, match="not finite"):
+        sampler(circuit, [np.nan], shots=8, seed=0)
+    with pytest.raises(CircuitError, match="not finite"):
+        estimator(circuit, PauliObservable(((1.0, "ZZ"),)), [np.nan], shots=8, seed=0)
+
+
+def test_draws_reproduce_choice_for_seeds_0_to_4():
+    rng = np.random.default_rng(11)
+    for num_qubits in (1, 3, 8):
+        probs = rng.uniform(size=2**num_qubits) ** 3
+        probs[rng.uniform(size=probs.size) < 0.3] = 0.0
+        probs[0] = 0.1  # at least one outcome is possible
+        for seed in range(5):
+            drawn = _draws(_cdf(probs), 2000, seed, 4, 2)
+            chosen = derive_rng(seed, 4, 2).choice(probs.size, size=2000, p=probs / probs.sum())
+            assert drawn.dtype == chosen.dtype and np.array_equal(drawn, chosen)
+
+
+@pytest.mark.parametrize("num_qubits", range(1, 11))
+def test_bitstring_keys_equal_the_per_outcome_dicts(num_qubits):
+    rng = np.random.default_rng(num_qubits)
+    circuit = random_bound_circuit(rng, num_qubits, max_gates=3 * num_qubits)
+    probs = run(circuit).probabilities()
+    exact = sampler(circuit, [])
+    expected = {index_to_bitstring(i, num_qubits): float(p) for i, p in enumerate(probs) if p > 0.0}
+    assert list(exact.probabilities.items()) == list(expected.items())
+    drawn = sample_state(run(circuit), 300, seed=num_qubits)
+    outcomes = derive_rng(num_qubits).choice(probs.size, size=300, p=probs / probs.sum())
+    values, counts = np.unique(outcomes, return_counts=True)
+    expected = {index_to_bitstring(int(i), num_qubits): float(c) / 300 for i, c in zip(values, counts)}
+    assert list(drawn.probabilities.items()) == list(expected.items())
