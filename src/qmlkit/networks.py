@@ -43,6 +43,21 @@ def identity_interpret(bitstring: str) -> int:
     return bitstring_to_index(bitstring)
 
 
+def _index_bins(interpret, num_qubits: int) -> np.ndarray | None:
+    """Every outcome index's bucket under ``identity_interpret`` (the index) or
+    ``parity_interpret`` (the parity of its bits), by index arithmetic; None for any
+    other interpret."""
+    indices = np.arange(2**num_qubits)
+    if interpret is identity_interpret:
+        return indices
+    if interpret is not parity_interpret:
+        return None
+    parity = np.zeros_like(indices)
+    for q in range(num_qubits):
+        parity ^= (indices >> q) & 1
+    return parity
+
+
 class _QnnBase:
     """Input/weight partition plus the one forward and backward pass.
 
@@ -190,15 +205,18 @@ class SamplerQnn(_QnnBase):
             raise CircuitError("output_dim is required with a custom interpret function")
         self.interpret = interpret
         self.output_dim = int(output_dim)
-        bins = []
-        for index in range(2**circuit.num_qubits):
-            bucket = interpret(index_to_bitstring(index, circuit.num_qubits))
+        n, bins = circuit.num_qubits, _index_bins(interpret, circuit.num_qubits)
+        # A custom interpret is called on every outcome; the library's own are called only on
+        # the first outcome out of range, if any, for the error.
+        custom = []
+        for index in range(2**n) if bins is None else np.flatnonzero(bins >= self.output_dim)[:1].tolist():
+            bucket = interpret(index_to_bitstring(index, n))
             if not isinstance(bucket, (int, np.integer)) or not 0 <= bucket < self.output_dim:
                 raise CircuitError(
                     f"interpret maps outcome {index} to {bucket!r}, outside [0, {self.output_dim})"
                 )
-            bins.append(int(bucket))
-        self._bins = np.array(bins)
+            custom.append(int(bucket))
+        self._bins = np.array(custom) if bins is None else bins
 
     def _readout(self, states: np.ndarray, shots: int | None, seeds) -> np.ndarray:
         probs, d = np.abs(states) ** 2, self.output_dim

@@ -17,39 +17,43 @@ per-gate reshape; fixed gates, and all gates of a single state, keep scalar
 entries. Intermediate products go to one scratch buffer the size of the
 states, so a gate allocates nothing: per-gate temporaries of half the state
 made a fresh process fault in about 250 MB of new pages during its first
-20-qubit circuit. Pauli terms reuse the loop on one copy of the rows per
-term: an exact expectation applies X, Y or Z; a sampled one applies the H or
-S-dagger-then-H basis rotations and reads each drawn outcome's eigenvalue
-from the parity of its index bits. ``bound_angles`` evaluates the angles and
-``run_ops`` feeds the loop.
+20-qubit circuit. ``bound_angles`` evaluates the angles and ``run_ops``
+feeds the loop. A circuit of only H, X, CX, CZ, RY and CRY gates keeps a real
+state, so it runs in float64: half the bytes, and a block product a quarter
+of the flops. Any RX or RZ makes it complex128. Callers get complex128 rows
+either way, converted once at the end.
 
 That loop is the whole path for circuits of fewer than 10 qubits. Wider
 circuits pass over the state once per block of gates on at most K = 4
 consecutive qubits instead of about three times per gate. A gate joins the
 first block, from the last one that touches its qubits on, whose qubits then
 still lie within K consecutive qubits: no later block touches the gate's
-qubits, so moving it earlier commutes. Else it opens a new block. Each
-block's 2^K x 2^K matrix, one per state, is the loop run on identity
-columns. The states, held as (B, 2^n) rows (one state is the one-row case),
-are multiplied by it in one stacked ``matmul`` into a second buffer, and the
-two buffers swap roles. A gate spanning more than K qubits runs through the
-loop in place, with the second buffer as scratch. The product goes to BLAS
-because, applied elementwise, a d x d block would take d^2 = 256 passes over
-the state, one per matrix entry, which saves nothing against three passes
-per gate. A block on qubits 0 to 3 multiplies chunks of 256 rows per state,
-which keeps OpenBLAS on one thread and off a second thread's 8 MB buffer.
-Each state's products are separate BLAS calls of one shape, so a batch's
-rows equal their one-state runs byte for byte. Fused amplitudes differ from
-the gate-by-gate loop's in their low bits: at most 3.5e-16 on 400 random
-circuits of 5 to 14 qubits. The 98 gates of
-``real_amplitudes_ansatz(20, 2)`` become 17 blocks, which run in 0.15 s
-instead of 1.0 s on a 2-core host. A block's matrices cost each of its gates 2^(2K) = 256 amplitudes per
-state, which narrow states do not win back. On the same host,
-``real_amplitudes_ansatz(n, 2)`` and ``zz_feature_map(n, 2)`` ran fused in
-1.2 to 5.8 times the loop's time at 5 to 8 qubits (one state to 400 rows),
-in 0.6 to 1.5 times at 9, in 0.5 to 1.3 times at 10 (one state the slowest,
-by 0.1 to 0.5 ms) and in 0.2 to 1.0 times from 11 on; hence the switch at 10
-qubits.
+qubits, so moving it earlier commutes. Else it opens a new block. Each block's
+2^K x 2^K matrix, one per state, is the loop run on identity columns. The
+states, held as (B, 2^n) rows (one state is the one-row case), are multiplied
+by it in one stacked ``matmul`` into a second buffer, and the two buffers swap
+roles. A gate spanning more than K qubits runs through the loop in place, with
+the second buffer as scratch. The product goes to BLAS because, applied
+elementwise, a d x d block would take d^2 = 256 passes over the state, one per
+matrix entry, which saves nothing against three passes per gate. A block on
+qubits 0 to 3 multiplies chunks of 256 rows per state, which keeps OpenBLAS on
+one thread and off a second thread's 8 MB buffer. Each state's products are
+separate BLAS calls of one shape, so a batch's rows equal their one-state runs
+byte for byte. Fused amplitudes differ from the gate-by-gate loop's in their
+low bits: at most 3.5e-16 on 400 random circuits of 5 to 14 qubits. The 98
+gates of ``real_amplitudes_ansatz(20, 2)`` become 17 blocks, which run in
+0.05 s in float64 (0.13 s with an RZ appended) instead of 1.0 s gate by gate
+on a 2-core host. A block's matrices cost each of its gates 2^(2K) = 256
+amplitudes per state, which narrow states do not win back. On the same host,
+``real_amplitudes_ansatz(n, 2)`` and ``zz_feature_map(n, 2)`` ran fused in 1.2
+to 5.8 times the loop's time at 5 to 8 qubits (one state to 400 rows), in 0.6
+to 1.5 times at 9, in 0.5 to 1.3 times at 10 (one state the slowest, by 0.1 to
+0.5 ms) and in 0.2 to 1.0 times from 11 on; hence the switch at 10 qubits.
+
+Exact Pauli terms take no copy: Z/I terms fold their Z signs into one
+|psi|^2, and a term with X or Y sums conj(psi) times a flipped view of psi.
+Shot-mode terms rotate one copy per basis (H, or S-dagger then H) through the
+loop and read each drawn outcome's eigenvalue from the parity of its bits.
 
 Callers that stream states (the shift rule, the networks' rows) prepare
 them in blocks of at most ``_BATCH_AMPLITUDES`` = 2^18 amplitudes (4 MiB),
@@ -201,8 +205,9 @@ _MATRICES = {
     "RY": lambda c, s: (c, -s, s, c), "CRY": lambda c, s: (c, -s, s, c),
     "RZ": lambda c, s: (c - 1j * s, 0.0, 0.0, c + 1j * s),
 }
-# Per Pauli character: the matrices that apply it, and the rotations into its eigenbasis.
-_PAULIS = {"X": (_X,), "Y": ((0.0, -1j, 1j, 0.0),), "Z": (_Z,)}
+# Kinds whose matrices are real: circuits of only these run in float64.
+_REAL_KINDS = frozenset({"H", "X", "CX", "CZ", "RY", "CRY"})
+# Per Pauli character, the rotations into its eigenbasis.
 _MEASUREMENT_ROTATIONS = {"X": (_H,), "Y": ((1.0, 0.0, 0.0, -1j), _H)}
 # Callers that stream many rows prepare them in blocks of at most this many
 # amplitudes (and angles), and at least one row.
@@ -300,9 +305,9 @@ def _blocks(num_qubits: int, gates) -> list[tuple[int | None, list[int]]]:
     ]
 
 
-def _run_blocks(num_qubits: int, gates, ops: list, rows: int) -> np.ndarray:
-    """``rows`` states of more than ``_BLOCK_QUBITS`` qubits, as (B, 2^n) rows, from
-    the ``(matrix, target, controls)`` op of each gate, rotations with (B,) entries.
+def _run_blocks(num_qubits: int, gates, ops: list, rows: int, dtype) -> np.ndarray:
+    """``rows`` states of more than ``_BLOCK_QUBITS`` qubits, as (B, 2^n) ``dtype`` rows,
+    from the ``(matrix, target, controls)`` op of each gate, rotations with (B,) entries.
 
     Each block's (B, 2^K, 2^K) matrices are ``_apply`` run on identity columns,
     and one stacked ``matmul`` per block writes the rows into a second buffer;
@@ -310,14 +315,14 @@ def _run_blocks(num_qubits: int, gates, ops: list, rows: int) -> np.ndarray:
     the rows' transpose, with the other buffer as its scratch.
     """
     dim = 1 << _BLOCK_QUBITS
-    state = np.zeros((rows, 1 << num_qubits), dtype=complex)
+    state = np.zeros((rows, 1 << num_qubits), dtype=dtype)
     state[:, 0] = 1.0
     spare = np.empty_like(state)
     for window, indices in _blocks(num_qubits, gates):
         if window is None:
             _apply(state.T, num_qubits, [ops[k] for k in indices], spare.T)
             continue
-        columns = np.zeros((dim, dim, rows), dtype=complex)
+        columns = np.zeros((dim, dim, rows), dtype=dtype)
         columns[np.arange(dim), np.arange(dim)] = 1.0
         _apply(columns, _BLOCK_QUBITS, [
             (matrix, target - window, tuple((q - window, bit) for q, bit in controls))
@@ -341,9 +346,9 @@ def _run_blocks(num_qubits: int, gates, ops: list, rows: int) -> np.ndarray:
 def run_ops(num_qubits: int, gates, angles):
     """Apply gates to |0...0> with pre-evaluated angles, as ``bound_angles`` gives them.
 
-    A ``(G,)`` angle vector gives one ``Statevector``; a ``(B, G)`` table
-    gives B states as C-contiguous ``(B, 2^n)`` amplitude rows. Angles of
-    non-rotation gates are ignored.
+    A ``(G,)`` angle vector gives one ``Statevector``; a ``(B, G)`` table gives B
+    states as C-contiguous ``(B, 2^n)`` complex rows, simulated in float64 when every
+    gate is of ``_REAL_KINDS``. Angles of non-rotation gates are ignored.
     """
     if num_qubits > MAX_QUBITS:
         raise CircuitError(
@@ -359,13 +364,16 @@ def run_ops(num_qubits: int, gates, angles):
     if not table:
         cos, sin = (cos[:, None], sin[:, None]) if fused else (cos.tolist(), sin.tolist())
     ops = ((_MATRICES[g.kind](c, s), g.targets[0], g.controls) for g, c, s in zip(gates, cos, sin))
-    if fused:
-        states = _run_blocks(num_qubits, gates, list(ops), rows)
-        return states if table else Statevector(num_qubits, states[0])
-    state = np.zeros((1 << num_qubits, rows), dtype=complex)
-    state[0] = 1.0
-    _apply(state, num_qubits, ops)
-    return np.ascontiguousarray(state.T) if table else Statevector(num_qubits, state[:, 0])
+    dtype = float if all(g.kind in _REAL_KINDS for g in gates) else complex
+    if fused:  # (B, 2^n) rows; the spare buffer is gone before they are converted
+        states = _run_blocks(num_qubits, gates, list(ops), rows, dtype)
+    else:
+        states = np.zeros((1 << num_qubits, rows), dtype=dtype)
+        states[0] = 1.0
+        _apply(states, num_qubits, ops)
+        states = states.T
+    states = np.asarray(states, dtype=complex, order="C")
+    return states if table else Statevector(num_qubits, states[0])
 
 
 def _row_blocks(num_qubits: int, num_gates: int, rows: int) -> list[slice]:
@@ -389,25 +397,45 @@ def _check_width(rows: np.ndarray, observable: PauliObservable) -> None:
         raise CircuitError(f"observable width {observable.num_qubits} != state width {width}")
 
 
-def _rotated(rows: np.ndarray, string: str, matrices: dict) -> np.ndarray:
-    """Copy of (B, 2^n) amplitude rows with ``matrices[ch]`` applied, in order, on each qubit.
-    The loop runs on its (2^n, B) transpose: rows stay C-contiguous, and these exact or
-    real-scaled products round alike in any layout."""
+def _rotated(rows: np.ndarray, string: str) -> np.ndarray:
+    """Copy of (B, 2^n) amplitude rows rotated, on each qubit, into the eigenbasis of its
+    Pauli character. The loop runs on its (2^n, B) transpose: rows stay C-contiguous, and
+    these exact or real-scaled products round alike in any layout."""
     out = rows.copy()
-    _apply(out.T, len(string), ((m, q, ()) for q, ch in enumerate(string) for m in matrices.get(ch, ())))
+    _apply(out.T, len(string),
+           ((m, q, ()) for q, ch in enumerate(string) for m in _MEASUREMENT_ROTATIONS.get(ch, ())))
     return out
 
 
+def _signed_sums(values: np.ndarray, qubits) -> np.ndarray:
+    """Each row's sum of (B, 2^n) ``values``, entry i times -1 per set bit of i on ``qubits``:
+    one fold per qubit, highest first, takes the differences across that bit."""
+    for q in sorted(qubits, reverse=True):
+        pairs = values.reshape(len(values), -1, 2, 1 << q)
+        values = pairs[:, :, 0] - pairs[:, :, 1]
+    return values.reshape(len(values), -1).sum(axis=1)
+
+
 def _expectations(rows: np.ndarray, observable: PauliObservable) -> np.ndarray:
-    """Exact <row|O|row> of each of (B, 2^n) C-contiguous amplitude rows. A term's rotated copy
-    is conjugated in place and contracted with the rows in one batched ``matmul``, which sums
-    each row's products as ``np.vdot`` of the row and its rotated copy does."""
+    """Exact <row|O|row> of each of (B, 2^n) amplitude rows. Z/I terms share one |row|^2 and
+    fold in their Z signs. A term with X or Y sums conj(psi_k) psi_(k with its X, Y bits
+    flipped), a flipped view, with its Z and Y signs folded in, times (-i)^(Y count)."""
     _check_width(rows, observable)
-    total = np.zeros(len(rows), dtype=complex)
-    for coeff, string in observable.terms:
-        rotated = _rotated(rows, string, _PAULIS)
-        total += coeff * np.matmul(np.conjugate(rotated, out=rotated)[:, None], rows[:, :, None])[:, 0, 0]
-    return total.real
+    n, total = observable.num_qubits, np.zeros(len(rows))
+    diagonal = [(c, s) for c, s in observable.terms if not s.strip("IZ")]
+    if diagonal:  # freed before any X/Y term's products
+        probs = np.square(rows.real)
+        probs += np.square(rows.imag)
+        for coeff, string in diagonal:
+            total += coeff * _signed_sums(probs, [q for q, ch in enumerate(string) if ch == "Z"])
+        del probs
+    view = rows.reshape((len(rows),) + (2,) * n)  # qubit q is axis n - q
+    for coeff, string in (term for term in observable.terms if term[1].strip("IZ")):
+        products = np.conjugate(view)
+        products *= np.flip(view, [n - q for q, ch in enumerate(string) if ch in "XY"])
+        signed = _signed_sums(products.reshape(rows.shape), [q for q, ch in enumerate(string) if ch in "YZ"])
+        total += coeff * ((-1j) ** string.count("Y") * signed).real
+    return total
 
 
 def _cdf(probs: np.ndarray) -> np.ndarray:
@@ -429,27 +457,29 @@ def _draws(cdf: np.ndarray, shots: int, seed: int | None, *task: int) -> np.ndar
 
 
 def _sampled_expectations(rows: np.ndarray, observable: PauliObservable, shots: int, seeds) -> np.ndarray:
-    """Shot-based expectation of each of (B, 2^n) amplitude rows: each term measured in its own
-    rotated basis with the full shot budget, row b drawing from the (seeds[b], term index)
-    stream, so results do not depend on evaluation order. A drawn outcome's eigenvalue is +-1
-    by the parity of its bits on the term's non-identity qubits."""
+    """Shot-based expectation of each of (B, 2^n) amplitude rows: each term measured with the
+    full shot budget, row b drawing from the (seeds[b], term index) stream, so results do not
+    depend on evaluation order. Terms with the same X and Y characters share one rotated copy
+    (none for Z/I terms) and one CDF per row. A drawn outcome's eigenvalue is +-1 by the
+    parity of its bits on the term's non-identity qubits."""
     _check_width(rows, observable)
     if shots < 1:
         raise CircuitError("shots must be a positive integer")
-    total = np.zeros(len(rows))
-    for term_index, (coeff, string) in enumerate(observable.terms):
-        if all(ch == "I" for ch in string):
-            total += coeff
-            continue
-        probs = np.abs(_rotated(rows, string, _MEASUREMENT_ROTATIONS)) ** 2
+    bases: dict[str, list[int]] = {}
+    for term_index, (_, string) in enumerate(observable.terms):
+        if string.strip("I"):
+            bases.setdefault("".join(ch if ch in "XY" else "I" for ch in string), []).append(term_index)
+    means = np.ones((len(observable.terms), len(rows)))  # an identity term reads 1 on every shot
+    for basis, term_indices in bases.items():
+        probs = np.abs(_rotated(rows, basis) if basis.strip("I") else rows) ** 2
         for b, seed in enumerate(seeds):
-            outcomes = _draws(_cdf(probs[b]), shots, seed, term_index)
-            parity = np.zeros(shots, dtype=np.int64)
-            for qubit, ch in enumerate(string):
-                if ch != "I":
-                    parity ^= (outcomes >> qubit) & 1
-            total[b] += coeff * float((1.0 - 2.0 * parity).mean())
-    return total
+            cdf = _cdf(probs[b])
+            for term_index in term_indices:
+                outcomes, string = _draws(cdf, shots, seed, term_index), observable.terms[term_index][1]
+                parity = np.bitwise_xor.reduce([(outcomes >> q) & 1 for q, ch in enumerate(string) if ch != "I"])
+                means[term_index, b] = (1.0 - 2.0 * parity).mean()
+        probs = cdf = None  # freed before the next basis's rotated copy
+    return sum((coeff * mean for (coeff, _), mean in zip(observable.terms, means)), np.zeros(len(rows)))
 
 
 def expectation(state: Statevector, observable: PauliObservable) -> float:

@@ -283,3 +283,20 @@ def dense_state(circuit: Circuit) -> np.ndarray:
     for gate in circuit.gates:
         state = dense_gate_unitary(gate, circuit.num_qubits) @ state
     return state
+
+
+_PAULI_MATRICES = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    "Y": np.array([[0.0, -1j], [1j, 0.0]]),
+    "Z": np.diag([1.0, -1.0]).astype(complex),
+}
+
+
+def dense_expectation(amplitudes: np.ndarray, observable) -> float:
+    """<psi|O|psi> with each Pauli string built as a dense Kronecker product."""
+    total = 0.0
+    for coeff, string in observable.terms:
+        matrix = _kron_qubits([_PAULI_MATRICES[ch] for ch in string])
+        total += coeff * np.vdot(amplitudes, matrix @ amplitudes).real
+    return total

@@ -3,12 +3,16 @@
 Callers that prepare many states of one circuit run them in row blocks of at
 most 2^18 amplitudes (the simulator's budget), so their peak traced
 allocation is bounded by a constant times ``max(state bytes, budget
-bytes)``, however many rows or shifted states they evaluate.
+bytes)``, however many rows or shifted states they evaluate. At 16 qubits,
+``run``, ``estimator`` and ``sampler`` are held to their measured multiples
+of the state's bytes.
 """
 
 import tracemalloc
 
 import numpy as np
+
+import pytest
 
 from qmlkit import (
     Dataset,
@@ -16,8 +20,10 @@ from qmlkit import (
     Gate,
     PauliObservable,
     VqcModel,
+    estimator,
     real_amplitudes_ansatz,
     run,
+    sampler,
     vqc_fit,
     vqc_predict,
     zz_feature_map,
@@ -99,3 +105,38 @@ def test_fused_run_of_16_qubits_holds_two_states():
     run(circuit)  # first-call allocations (BLAS buffers, imports) stay out of the count
     # The state and the buffer its blocks are written into; a third state would read 3.
     assert _peak_bytes(lambda: run(circuit)) <= 2.25 * 16 * 2**n
+
+
+def _sixteen_qubit_calls() -> dict:
+    n = 16
+    circuit = real_amplitudes_ansatz(n, 2)
+    weights = np.random.default_rng(5).uniform(-np.pi, np.pi, circuit.num_parameters)
+    real = circuit.bind(weights)
+    observable = PauliObservable((
+        (1.0, "Z" * n), (0.7, "I" * 3 + "X" + "I" * (n - 4)), (0.5, "I" * (n - 2) + "ZI"),
+    ))
+    return {
+        "run_real": lambda: run(real),
+        "run_complex": lambda: run(real.append(Gate.rz(0.3, 0))),
+        "estimator_exact": lambda: estimator(circuit, observable, weights),
+        "estimator_shots": lambda: estimator(circuit, observable, weights, shots=4096, seed=1),
+        "sampler_shots": lambda: sampler(circuit, weights, shots=4096, seed=1),
+    }
+
+
+# Peak traced bytes as multiples of the 16-qubit state's 1 MiB, as measured; each may
+# grow by at most 0.1. A real circuit holds its float64 state and spare buffer (0.5 each),
+# then the complex result beside the float64 state; a complex one holds its state and
+# spare buffer. Exact Pauli terms hold |state|^2 or one product array beside the state;
+# shot-mode terms with an X hold one rotated copy and its scratch.
+@pytest.mark.parametrize("name, measured", [
+    ("run_real", 1.51),
+    ("run_complex", 2.04),
+    ("estimator_exact", 2.13),
+    ("estimator_shots", 3.32),
+    ("sampler_shots", 2.50),
+])
+def test_16_qubit_peaks_as_multiples_of_the_state(name, measured):
+    call = _sixteen_qubit_calls()[name]
+    call()  # first-call allocations (BLAS buffers, imports) stay out of the count
+    assert _peak_bytes(call) <= (measured + 0.1) * 16 * 2**16

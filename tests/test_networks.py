@@ -138,6 +138,20 @@ def test_interpret_totality_enforced_at_construction():
         SamplerQnn(circuit, [], [], interpret=lambda bits: -1, output_dim=4)
 
 
+@pytest.mark.parametrize("num_qubits", range(1, 13))
+def test_library_interpret_bins_equal_the_per_outcome_loop(num_qubits):
+    circuit = Circuit(num_qubits)
+    for interpret, output_dim in ((identity_interpret, 2**num_qubits), (parity_interpret, 2)):
+        expected = np.array([interpret(simulator.index_to_bitstring(i, num_qubits)) for i in range(2**num_qubits)])
+        bins = SamplerQnn(circuit, [], [], interpret, output_dim)._bins
+        assert bins.dtype == expected.dtype and np.array_equal(bins, expected)
+    # Out of range, the library's own interprets name the first outcome, as the loop did.
+    with pytest.raises(CircuitError, match=r"outcome 1 to 1, outside \[0, 1\)"):
+        SamplerQnn(circuit, [], [], parity_interpret, 1)
+    with pytest.raises(CircuitError, match=rf"outcome {2**num_qubits - 1} to {2**num_qubits - 1}, outside"):
+        SamplerQnn(circuit, [], [], identity_interpret, 2**num_qubits - 1)
+
+
 def test_identity_interpret_default_output_dim():
     circuit = Circuit(2).append(Gate.h(0)).append(Gate.cx(0, 1))
     qnn = SamplerQnn(circuit, [], [])

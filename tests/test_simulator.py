@@ -27,9 +27,13 @@ from qmlkit import (
 )
 from qmlkit.circuits import bound_angles
 from qmlkit import simulator
-from qmlkit.simulator import _blocks, _cdf, _draws, derive_rng, run_ops, sample_state
+from qmlkit.simulator import (
+    _blocks, _cdf, _draws, _expectations, _rotated, _sampled_expectations, derive_rng, run_ops, sample_state,
+)
 
-from .helpers import dense_state, random_bound_circuit, random_observable, random_supported_circuit
+from .helpers import (
+    dense_expectation, dense_state, random_bound_circuit, random_observable, random_supported_circuit,
+)
 
 Z = PauliObservable(((1.0, "Z"),))
 X = PauliObservable(((1.0, "X"),))
@@ -327,6 +331,8 @@ def test_fused_batch_equals_its_rows_byte_for_byte(num_qubits, fuse_from_5_qubit
                 assert state.tobytes() == row.amplitudes.tobytes()
 
 
+# One real circuit (float64 block products) and the same circuit made complex by an
+# appended RX and RZ (complex128 block products).
 _THREADS_SCRIPT = """
 import hashlib, sys
 import numpy as np
@@ -335,7 +341,8 @@ n = int(sys.argv[1])
 circuit = real_amplitudes_ansatz(n, 2)
 circuit = circuit.bind(np.random.default_rng(n).uniform(-np.pi, np.pi, circuit.num_parameters))
 circuit = circuit.extend([Gate.cx(0, n - 1), Gate.cry(0.4, [(1, 1), (n - 2, 0)], n // 2), Gate.h(n - 1)])
-print(hashlib.sha256(run(circuit).amplitudes.tobytes()).hexdigest())
+for extra in ([], [Gate.rx(0.3, 1), Gate.rz(-0.6, n - 2)]):
+    print(hashlib.sha256(run(circuit.extend(extra)).amplitudes.tobytes()).hexdigest())
 """
 
 
@@ -351,7 +358,7 @@ def test_fused_run_is_byte_identical_on_one_and_two_blas_threads(num_qubits):
             env=env, capture_output=True, text=True, check=True,
         )
         digests.add(out.stdout.strip())
-    assert len(digests) == 1
+    assert len(digests) == 1 and len(digests.pop().split()) == 2
 
 
 def test_shot_modes_reject_non_finite_probabilities():
@@ -387,3 +394,92 @@ def test_bitstring_keys_equal_the_per_outcome_dicts(num_qubits):
     values, counts = np.unique(outcomes, return_counts=True)
     expected = {index_to_bitstring(int(i), num_qubits): float(c) / 300 for i, c in zip(values, counts)}
     assert list(drawn.probabilities.items()) == list(expected.items())
+
+
+def _real(circuit: Circuit) -> Circuit:
+    """``circuit`` without its RX and RZ gates."""
+    return Circuit(circuit.num_qubits).extend([g for g in circuit.gates if g.kind not in ("RX", "RZ")])
+
+
+@pytest.mark.parametrize("num_qubits", range(1, 15))
+def test_real_circuit_matches_its_complex_copy_and_the_dense_oracle(num_qubits):
+    rng = np.random.default_rng(900 + num_qubits)
+    for _ in range(4):
+        circuit = _real(random_bound_circuit(rng, num_qubits, max_gates=6 * num_qubits))
+        if num_qubits > 2:  # a multi-controlled CRY on 0- and 1-valued controls
+            circuit = circuit.append(Gate.cry(0.7, [(0, 1), (num_qubits - 1, 0)], 1))
+        state = run(circuit).amplitudes
+        # RZ(0) is the identity; it makes the whole circuit run in complex128.
+        complex_state = run(circuit.append(Gate.rz(0.0, 0))).amplitudes
+        assert state.dtype == complex and state.flags.c_contiguous
+        assert np.max(np.abs(state - complex_state)) <= 1e-15
+        if num_qubits <= 10:
+            assert np.max(np.abs(state - dense_state(circuit))) <= 1e-12
+
+
+@pytest.mark.parametrize("num_qubits", [3, 7, 10, 12])
+def test_only_real_circuits_run_in_float64_and_all_return_complex_rows(monkeypatch, num_qubits):
+    dtypes = []
+    apply = simulator._apply
+    monkeypatch.setattr(simulator, "_apply", lambda state, *args: dtypes.append(state.dtype) or apply(state, *args))
+    circuit = real_amplitudes_ansatz(num_qubits, 1).extend([Gate.h(0), Gate.cz(0, 1), Gate.x(1)])
+    values = np.random.default_rng(num_qubits).uniform(-np.pi, np.pi, (3, circuit.num_parameters))
+    for extra, dtype in (([], np.float64), ([Gate.rx(0.2, 0)], np.complex128), ([Gate.rz(0.2, 1)], np.complex128)):
+        full = circuit.extend(extra)
+        dtypes.clear()
+        for angles in (bound_angles(full, values), bound_angles(full, values[0])):
+            out = run_ops(num_qubits, full.gates, angles)
+            states = out if angles.ndim == 2 else out.amplitudes[None]
+            assert states.dtype == np.complex128 and states.flags.c_contiguous
+        assert dtypes and set(dtypes) == {np.dtype(dtype)}
+
+
+_MIXED_STRINGS = ("XYZ", "YYY", "ZXY", "IYX", "XXX")
+
+
+@pytest.mark.parametrize("num_qubits", range(1, 9))
+def test_exact_expectations_of_mixed_strings_match_the_dense_oracle(num_qubits):
+    rng = np.random.default_rng(950 + num_qubits)
+    circuits = [random_bound_circuit(rng, num_qubits, max_gates=4 * num_qubits) for _ in range(3)]
+    circuits.append(_real(circuits[0]))
+    rows = np.stack([run(c).amplitudes for c in circuits])
+    observables = [PauliObservable(((0.8, "Y" * num_qubits),)), random_observable(rng, num_qubits, "IXYZ", 4)]
+    observables.append(PauliObservable(tuple(
+        (0.5 - 0.1 * k, "".join(s[q % 3] for q in range(num_qubits))) for k, s in enumerate(_MIXED_STRINGS)
+    ) + ((0.3, "I" * num_qubits), (-0.4, "Z" * num_qubits))))
+    for obs in observables:
+        values = _expectations(rows, obs)
+        for row, value in zip(rows, values):
+            assert value == expectation(simulator.Statevector(num_qubits, row), obs)
+            assert abs(value - dense_expectation(row, obs)) <= 1e-12
+
+
+def _per_term_sampled_expectations(rows, observable, shots, seeds):
+    """Shot-mode expectations with one rotated copy, |amplitude|^2 and CDF per term and row."""
+    total = np.zeros(len(rows))
+    for term_index, (coeff, string) in enumerate(observable.terms):
+        if set(string) == {"I"}:
+            total += coeff
+            continue
+        probs = np.abs(_rotated(rows, string)) ** 2
+        for b, seed in enumerate(seeds):
+            outcomes = _draws(_cdf(probs[b]), shots, seed, term_index)
+            signs = np.ones(shots)
+            for qubit, ch in enumerate(string):
+                if ch != "I":
+                    signs *= 1.0 - 2.0 * ((outcomes >> qubit) & 1)
+            total[b] += coeff * float(signs.mean())
+    return total
+
+
+@pytest.mark.parametrize("num_qubits", [1, 3, 6])
+def test_sampled_terms_sharing_a_basis_draw_the_per_term_values_byte_for_byte(num_qubits):
+    rng = np.random.default_rng(980 + num_qubits)
+    rows = np.stack([run(random_bound_circuit(rng, num_qubits, max_gates=20)).amplitudes for _ in range(3)])
+    strings = ["Z" * num_qubits, "I" * num_qubits, "X" + "Z" * (num_qubits - 1), "X" + "I" * (num_qubits - 1)]
+    strings += ["Y" * num_qubits, "I" * (num_qubits - 1) + "Z", "Y" * num_qubits]
+    strings += ["".join(rng.choice(list("IXYZ"), num_qubits)) for _ in range(4)]
+    obs = PauliObservable(tuple((float(rng.uniform(-1, 1)), s) for s in strings))
+    for shots, seeds in ((64, [1, 2, 3]), (500, [7, 7, 40])):
+        expected = _per_term_sampled_expectations(rows, obs, shots, seeds)
+        assert _sampled_expectations(rows, obs, shots, seeds).tobytes() == expected.tobytes()
