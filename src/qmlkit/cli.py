@@ -4,8 +4,9 @@ gradient checks, and Bayesian queries.
 Every run takes a seed (default 0) and is reproducible: the same flags give
 byte-identical output files. Exact simulation is the default everywhere;
 ``--shots`` opts into sampling. Exit codes: 0 success, 2 usage, input
-validation or a file that cannot be read or written, 3 domain failure
-(non-convergence, unsupported evidence or parameters), 1 internal error.
+validation (a parameter the shift rule cannot differentiate included) or a
+file that cannot be read or written, 3 domain failure (non-convergence,
+impossible evidence, failed gradient check), 1 internal error.
 """
 
 from __future__ import annotations

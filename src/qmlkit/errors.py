@@ -10,7 +10,7 @@ class CircuitError(QmlkitError, ValueError):
 
 
 class UnsupportedParameterError(QmlkitError, ValueError):
-    """A parameter enters a gate angle in a form the shift rule cannot handle."""
+    """A parameter feeds a CRY angle, which the two-term shift rule cannot differentiate."""
 
     def __init__(self, parameter_name: str, reason: str):
         super().__init__(f"parameter {parameter_name!r} is not shift-differentiable: {reason}")

@@ -1,7 +1,8 @@
 """Gradient engines for parameterized circuit functions.
 
 Three routes with different trade-offs: the shift rule gives exact
-gradients for pure rotation angles, simultaneous perturbation gives cheap
+gradients for every RX, RY and RZ angle expression (it moves the gate's
+angle and applies the chain rule), simultaneous perturbation gives cheap
 stochastic estimates for anything evaluable, and central finite differences
 serve as the slow, assumption-free cross-check.
 """
@@ -14,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .circuits import Circuit, Parameter, bound_angles
+from .circuits import AngleExpr, Circuit, Parameter, bound_angles
 from .errors import CircuitError, UnsupportedParameterError
 from .simulator import (
     PauliObservable,
@@ -26,8 +27,6 @@ from .simulator import (
     run_ops,
     _sampled_expectations,
 )
-
-_UNIT_TOL = 1e-12
 
 
 def _check_shift(shift: float) -> None:
@@ -67,31 +66,28 @@ class SpsaGradientConfig:
 
 
 def _occurrence_map(circuit: Circuit, wrt: Sequence[Parameter]) -> dict[Parameter, list[int]]:
-    """Gate indices where each requested parameter occurs as a pure rotation.
+    """Gate indices where each requested parameter occurs, each gate once.
 
-    A supported occurrence is a single-factor angle with |coefficient*scale|
-    equal to 1 on an RX, RY or RZ gate; scaled, product-form or CRY
-    occurrences of a requested parameter are rejected by name (the CRY
-    generator has three eigenvalues, so the two-term rule does not hold).
+    A CRY occurrence of a requested parameter is rejected by name: the CRY
+    generator has three eigenvalues, so the two-term rule does not hold.
     """
     occurrences: dict[Parameter, list[int]] = {p: [] for p in wrt}  # keyed by identity
     for index, gate in enumerate(circuit.gates):
-        if gate.angle is None:
-            continue
-        for p in gate.angle.parameters:
+        for p in dict.fromkeys(gate.angle.parameters if gate.angle else ()):
             if p not in occurrences:
                 continue
             if gate.kind == "CRY":
                 raise UnsupportedParameterError(p.name, "parameter occurs in a CRY angle")
-            if len(gate.angle.factors) != 1:
-                raise UnsupportedParameterError(p.name, "parameter occurs in a product-form angle")
-            _, scale, _ = gate.angle.factors[0]
-            if abs(abs(gate.angle.coefficient * scale) - 1.0) > _UNIT_TOL:
-                raise UnsupportedParameterError(
-                    p.name, "angle coefficient magnitude differs from 1"
-                )
             occurrences[p].append(index)
     return occurrences
+
+
+def _slope(angle: AngleExpr, param: Parameter, env) -> np.ndarray | float:
+    """d angle / d param at ``env``: one term per factor that holds ``param`` (the product rule)."""
+    return sum(
+        AngleExpr(angle.coefficient * scale, angle.factors[:k] + angle.factors[k + 1:]).evaluate(env)
+        for k, (_, scale, p) in enumerate(angle.factors) if p is param
+    )
 
 
 def shift_rule_jacobian(
@@ -107,9 +103,11 @@ def shift_rule_jacobian(
     tasks)``, returning (B, output_dim): amplitude row b is table row ``rows[b]`` under task
     ``tasks[b]``. One ``(P,)`` row is read one ``Statevector`` at a time by ``evaluate(state,
     task)``, returning a 1-d array. Tasks are numbered per row, so callers can derive
-    independent RNG streams, and run over the parameters, then each one's gates, +shift
-    before -shift: a task's state moves only that gate's angle, and the gates' differences
-    are summed (the product rule). All rows' shifted states are prepared in row blocks.
+    independent RNG streams, and run over the parameters, then each one's gates, in pairs:
+    a task's state moves only that gate's angle, by ``shift`` in the direction the
+    parameter's increase moves it, then against it. Each gate's difference quotient is
+    scaled by the size of its slope d angle / d parameter and the gates' terms are summed
+    (the chain and product rules). All rows' shifted states are prepared in row blocks.
     Returns (len(wrt), output_dim) for a row and (R, len(wrt), output_dim) for a table.
     """
     _check_shift(shift)
@@ -121,30 +119,27 @@ def shift_rule_jacobian(
     values = np.asarray(values, dtype=float)
     if not params:
         return np.zeros(values.shape[:-1] + (0, 0))
-    tasks = [
-        (k, gate, circuit.parameters.index(p), delta)
-        for k, p in enumerate(params)
-        for gate in occurrences[p]
-        for delta in (shift, -shift)
-    ]
-    owners, gates, columns, deltas = map(np.array, zip(*tasks))
+    pairs = [(k, gate) for k, p in enumerate(params) for gate in occurrences[p]]
+    owners, gates = map(np.array, zip(*pairs))
     table, n = np.atleast_2d(values), circuit.num_qubits
     read = evaluate if values.ndim == 2 else lambda states, rows, task: [
         evaluate(Statevector(n, amplitudes), k) for amplitudes, k in zip(states, task.tolist())]
+    env = dict(zip(circuit.parameters, table.T))  # the rows' parameter values, as bound_angles reads them
+    slopes = np.empty((len(table), len(pairs)))  # d angle / d parameter, per row and occurrence
+    for j, (k, gate) in enumerate(pairs):
+        slopes[:, j] = _slope(circuit.gates[gate].angle, params[k], env)
+    steps = np.where(slopes < 0, -shift, shift)  # each pair's first angle move
     base = bound_angles(circuit, table)  # each row's unshifted angles, evaluated once
-    blocks = []
-    for block in _row_blocks(n, len(circuit.gates), len(table) * len(tasks)):
-        rows, task = np.divmod(np.arange(len(table) * len(tasks))[block], len(tasks))
-        every = np.arange(len(rows))
-        shifted = table[rows]
+    tasks, blocks = 2 * len(pairs), []
+    for block in _row_blocks(n, len(circuit.gates), len(table) * tasks):
+        rows, task = np.divmod(np.arange(len(table) * tasks)[block], tasks)
         angles = base[rows]
-        shifted[every, columns[task]] += deltas[task]
-        angles[every, gates[task]] = bound_angles(circuit, shifted)[every, gates[task]]
+        angles[np.arange(len(rows)), gates[task // 2]] += np.where(task % 2, -1.0, 1.0) * steps[rows, task // 2]
         blocks.append(np.asarray(read(run_ops(n, circuit.gates, angles), rows, task), dtype=float))
     outputs = np.concatenate(blocks).reshape(len(table), -1, 2, blocks[0].shape[1])
-    terms = (outputs[:, :, 0] - outputs[:, :, 1]) / (2.0 * math.sin(shift))
+    terms = (outputs[:, :, 0] - outputs[:, :, 1]) / (2.0 * math.sin(shift)) * np.abs(slopes)[:, :, None]
     jacobian = np.zeros((len(table), len(params), terms.shape[2]))
-    np.add.at(jacobian, (slice(None), owners[::2]), terms)  # occurrences add up in gate order
+    np.add.at(jacobian, (slice(None), owners), terms)  # occurrences add up in gate order
     return jacobian if values.ndim == 2 else jacobian[0]
 
 

@@ -131,9 +131,9 @@ class _QnnBase:
         """Shift-rule Jacobians (d output / d input, d output / d weight) of one row.
 
         The input Jacobian is None when the network was built with
-        ``input_gradients=False`` (the usual setting while training, where
-        data parameters may sit in non-shiftable encodings). Shifted state k
-        reads out from ``derive_seed(seed, k)`` in shot mode.
+        ``input_gradients=False``, the usual setting while training, which
+        skips the input parameters' shifted states. Shifted state k reads out
+        from ``derive_seed(seed, k)`` in shot mode.
         """
         input_jac, weight_jac = self._jacobians([inputs], weights, shots, [seed])
         return (None if input_jac is None else input_jac[0]), weight_jac[0]

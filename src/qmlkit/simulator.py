@@ -40,15 +40,8 @@ qubits 0 to 3 multiplies chunks of 256 rows per state, which keeps OpenBLAS on
 one thread and off a second thread's 8 MB buffer. Each state's products are
 separate BLAS calls of one shape, so a batch's rows equal their one-state runs
 byte for byte. Fused amplitudes differ from the gate-by-gate loop's in their
-low bits: at most 3.5e-16 on 400 random circuits of 5 to 14 qubits. The 98
-gates of ``real_amplitudes_ansatz(20, 2)`` become 17 blocks, which run in
-0.05 s in float64 (0.13 s with an RZ appended) instead of 1.0 s gate by gate
-on a 2-core host. A block's matrices cost each of its gates 2^(2K) = 256
-amplitudes per state, which narrow states do not win back. On the same host,
-``real_amplitudes_ansatz(n, 2)`` and ``zz_feature_map(n, 2)`` ran fused in 1.2
-to 5.8 times the loop's time at 5 to 8 qubits (one state to 400 rows), in 0.6
-to 1.5 times at 9, in 0.5 to 1.3 times at 10 (one state the slowest, by 0.1 to
-0.5 ms) and in 0.2 to 1.0 times from 11 on; hence the switch at 10 qubits.
+low bits. A block's matrices cost each of its gates 2^(2K) = 256 amplitudes
+per state, which narrow states do not win back; hence the switch at 10 qubits.
 
 Exact Pauli terms take no copy: Z/I terms fold their Z signs into one
 |psi|^2, and a term with X or Y sums conj(psi) times a flipped view of psi.
@@ -57,9 +50,7 @@ loop and read each drawn outcome's eigenvalue from the parity of its bits.
 
 Callers that stream states (the shift rule, the networks' rows) prepare
 them in blocks of at most ``_BATCH_AMPLITUDES`` = 2^18 amplitudes (4 MiB),
-16 rows at 14 qubits. On a 2-core host a 14-qubit backward of 56 shifted
-states takes 0.15 s in such blocks, against 0.13 s and 3.5 times the memory
-in one batch and 0.26 s in blocks of two rows.
+16 rows at 14 qubits.
 
 Bit ordering is little-endian throughout: qubit 0 is the least significant
 bit of a basis index, and outcome bitstrings put qubit 0 first (the most

@@ -21,11 +21,15 @@ def random_supported_circuit(
     max_qubits: int = 3,
     max_params: int = 6,
     max_gates: int = 10,
+    general_angles: bool = False,
 ) -> tuple[Circuit, np.ndarray]:
     """Random circuit whose every parameter occurrence is shift-differentiable.
 
     Parameters may repeat across gates (multi-occurrence product rule) and
-    enter with either sign.
+    enter with either sign. With ``general_angles`` a parameterised angle may
+    also be scaled, offset, or a product of two factors (of two parameters or
+    of one parameter twice); without it the draws are those of the unit
+    angles alone.
     """
     n = int(rng.integers(1, max_qubits + 1)) if num_qubits is None else num_qubits
     num_gates = int(rng.integers(3, max_gates + 1))
@@ -55,12 +59,32 @@ def random_supported_circuit(
                 angle = AngleExpr(sign, ((0.0, 1.0, p),))
             else:
                 angle = AngleExpr(1.0, ((0.0, sign, p),))
+            if general_angles:
+                others = [q for q in params if q is not p] or [p]
+                angle = _general_angle(rng, angle, p, others[int(rng.integers(len(others)))])
         circuit = circuit.append(Gate(kind, (int(rng.integers(n)),), angle=angle))
     if not circuit.parameters:
         p = Parameter("p0")
         circuit = circuit.append(Gate.ry(p, int(rng.integers(n))))
     values = rng.uniform(-np.pi, np.pi, circuit.num_parameters)
     return circuit, values
+
+
+def _general_angle(rng: np.random.Generator, unit: AngleExpr, p: Parameter, q: Parameter) -> AngleExpr:
+    """``unit``, or a scaled, offset, or two-factor angle of ``p`` (times ``q``, or ``p`` again)."""
+
+    def factor(param: Parameter) -> tuple[float, float, Parameter]:
+        return float(rng.uniform(-1.0, 1.0)), float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)), param
+
+    coefficient = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0))
+    form = int(rng.integers(5))
+    if form == 0:
+        return unit
+    if form == 1:  # scaled, no offset
+        return AngleExpr(coefficient, ((0.0, float(rng.uniform(0.5, 2.0)), p),))
+    if form == 2:  # offset and scaled
+        return AngleExpr(coefficient, (factor(p),))
+    return AngleExpr(coefficient, (factor(p), factor(q if form == 3 else p)))
 
 
 def random_bound_circuit(rng: np.random.Generator, num_qubits: int, max_gates: int = 12) -> Circuit:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qmlkit import circuit_to_dict, kernel_entry, real_amplitudes_ansatz, zz_feature_map
-from qmlkit.cli import main
+from qmlkit.cli import GRADCHECK_TOLERANCE, main
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -408,12 +408,25 @@ def test_gradcheck_ry_chain(tmp_path, capsys):
     assert report["parameters"] == 4
 
 
-def test_gradcheck_product_angle_exits_2(tmp_path, capsys):
+def test_gradcheck_product_angle_exits_0(tmp_path, capsys):
     path = tmp_path / "zz.json"
     path.write_text(json.dumps(circuit_to_dict(zz_feature_map(2, 1))))
-    code, _, err = run_cli(capsys, "gradcheck", "--circuit", str(path))
+    code, stdout, _ = run_cli(capsys, "gradcheck", "--circuit", str(path), "--values", "0.4,-1.3")
+    assert code == 0
+    report = json.loads(stdout.strip())
+    assert report["max_deviation"] < GRADCHECK_TOLERANCE
+    assert report["parameters"] == 2
+
+
+def test_gradcheck_cry_parameter_exits_2(tmp_path, capsys):
+    from qmlkit import Circuit, Gate, Parameter
+
+    circuit = Circuit(2).extend([Gate.h(0), Gate.cry(Parameter("theta"), [(0, 1)], 1)])
+    path = tmp_path / "cry.json"
+    path.write_text(json.dumps(circuit_to_dict(circuit)))
+    code, _, err = run_cli(capsys, "gradcheck", "--circuit", str(path), "--values", "0.7")
     assert code == 2
-    assert "x0" in err or "x1" in err
+    assert "theta" in json.loads(err)["error"]
 
 
 def test_gradcheck_non_numeric_value_exits_2(tmp_path, capsys):

@@ -15,10 +15,12 @@ from qmlkit import (
     SpsaGradientConfig,
     Statevector,
     UnsupportedParameterError,
+    compile_network,
     estimator,
     expectation,
     finite_difference,
     param_shift_gradient,
+    real_amplitudes_ansatz,
     run,
     spsa_gradient,
     zz_feature_map,
@@ -26,7 +28,7 @@ from qmlkit import (
 from qmlkit.circuits import bound_angles
 from qmlkit.gradients import shift_rule_jacobian
 
-from .helpers import random_observable, random_supported_circuit
+from .helpers import random_network, random_observable, random_supported_circuit
 
 Z = PauliObservable(((1.0, "Z"),))
 
@@ -65,18 +67,24 @@ def test_negative_sign_occurrence():
     assert grad[0] == pytest.approx(-math.sin(0.7), abs=1e-8)
 
 
-def test_product_form_parameter_rejected_by_name():
-    circuit = zz_feature_map(2, 1)
-    with pytest.raises(UnsupportedParameterError) as info:
-        param_shift_gradient(GradientRequest(circuit, PauliObservable(((1.0, "ZI"),)), [0.1, 0.2]))
-    assert info.value.parameter_name in ("x0", "x1")
+def test_product_form_parameter_matches_finite_difference():
+    # The pair angle 2(pi - x0)(pi - x1) moves with both parameters (chain and product rules).
+    circuit, observable = zz_feature_map(2, 1), PauliObservable(((1.0, "ZI"), (0.5, "XY")))
+    for values in ([0.1, 0.2], [-1.3, 2.4]):
+        grad = param_shift_gradient(GradientRequest(circuit, observable, values))
+        oracle = finite_difference(lambda v: estimator(circuit, observable, v), values, 1e-5)
+        assert np.max(np.abs(grad - oracle)) < 1e-4
 
 
-def test_scaled_parameter_rejected():
+def test_scaled_parameter_matches_analytic_and_finite_difference():
     theta = Parameter("t")
     circuit = Circuit(1).append(Gate.ry(AngleExpr(2.0, ((0.0, 1.0, theta),)), 0))
-    with pytest.raises(UnsupportedParameterError):
-        param_shift_gradient(GradientRequest(circuit, Z, [0.1]))
+    for value in (0.1, -0.9):
+        grad = param_shift_gradient(GradientRequest(circuit, Z, [value]))
+        # f = cos(2 t).
+        assert grad[0] == pytest.approx(-2.0 * math.sin(2.0 * value), abs=1e-8)
+        oracle = finite_difference(lambda v: estimator(circuit, Z, v), [value], 1e-5)
+        assert abs(grad[0] - oracle[0]) < 1e-4
 
 
 def test_cry_parameter_rejected():
@@ -89,6 +97,26 @@ def test_cry_parameter_rejected():
     with pytest.raises(UnsupportedParameterError) as info:
         param_shift_gradient(GradientRequest(circuit, PauliObservable(((1.0, "XI"),)), [0.7]))
     assert info.value.parameter_name == "t"
+
+
+def test_library_circuits_are_differentiable():
+    rng = np.random.default_rng(53)
+    zz = zz_feature_map(3, 2)
+    circuits = [
+        zz,
+        real_amplitudes_ansatz(3, 2),
+        zz.compose(real_amplitudes_ansatz(3, 1)),
+        zz.bind_partial({zz.parameters[1]: 0.4}),
+        compile_network(random_network(rng, max_nodes=3)),
+    ]
+    for circuit in circuits:
+        observable = random_observable(rng, circuit.num_qubits)
+        values = rng.uniform(-np.pi, np.pi, circuit.num_parameters)
+        jacobian = shift_rule_jacobian(circuit, values, lambda state, task: [expectation(state, observable)])
+        assert jacobian.shape[0] == circuit.num_parameters
+        if circuit.num_parameters:
+            oracle = finite_difference(lambda v: estimator(circuit, observable, v), values, 1e-5)
+            assert np.max(np.abs(jacobian[:, 0] - oracle)) < 1e-4
 
 
 def test_affine_offset_is_differentiable():
@@ -111,10 +139,11 @@ def test_degenerate_or_non_finite_shift_rejected(shift):
         shift_rule_jacobian(ry_circuit(), [0.3], lambda state, task: [expectation(state, Z)], shift=shift)
 
 
-def test_matches_finite_difference_on_random_circuits():
+@pytest.mark.parametrize("general_angles", [False, True], ids=["unit_angles", "general_angles"])
+def test_matches_finite_difference_on_random_circuits(general_angles):
     rng = np.random.default_rng(41)
     for _ in range(30):
-        circuit, values = random_supported_circuit(rng)
+        circuit, values = random_supported_circuit(rng, general_angles=general_angles)
         observable = random_observable(rng, circuit.num_qubits)
         grad = param_shift_gradient(GradientRequest(circuit, observable, values))
         oracle = finite_difference(
@@ -123,10 +152,11 @@ def test_matches_finite_difference_on_random_circuits():
         assert np.max(np.abs(grad - oracle)) < 1e-4
 
 
-def test_shift_invariance():
+@pytest.mark.parametrize("general_angles", [False, True], ids=["unit_angles", "general_angles"])
+def test_shift_invariance(general_angles):
     rng = np.random.default_rng(43)
     for _ in range(15):
-        circuit, values = random_supported_circuit(rng)
+        circuit, values = random_supported_circuit(rng, general_angles=general_angles)
         observable = random_observable(rng, circuit.num_qubits)
         g_half = param_shift_gradient(GradientRequest(circuit, observable, values, shift=math.pi / 2))
         g_third = param_shift_gradient(GradientRequest(circuit, observable, values, shift=math.pi / 3))

@@ -330,3 +330,39 @@ def test_zero_input_rows_give_empty_outputs_and_jacobians(kind, shots):
     input_jacs, weight_jacs = qnn._jacobians(inputs, weights, shots, [])
     assert input_jacs.shape == (0, qnn.output_dim, 2)
     assert weight_jacs.shape == (0, qnn.output_dim, 3)
+
+
+ZZ_QNNS = {
+    "estimator": lambda circuit: EstimatorQnn(
+        circuit, [PauliObservable.z_on(0, 4), PauliObservable(((1.0, "XZIY"), (0.5, "IIZZ")))],
+        range(4), range(4, circuit.num_parameters),
+    ),
+    "sampler": lambda circuit: SamplerQnn(circuit, range(4), range(4, circuit.num_parameters), parity_interpret, 2),
+}
+
+
+def zz_qnn_point(kind: str):
+    """A network on the ZZ encoding with its trainable ansatz, and one (inputs, weights) point."""
+    qnn = ZZ_QNNS[kind](zz_feature_map(4, 2).compose(real_amplitudes_ansatz(4, 1)))
+    rng = np.random.default_rng(83)
+    return qnn, rng.uniform(-np.pi, np.pi, 4), rng.uniform(-np.pi, np.pi, qnn.circuit.num_parameters - 4)
+
+
+@pytest.mark.parametrize("kind", sorted(ZZ_QNNS))
+def test_zz_encoding_jacobians_match_finite_difference(kind):
+    qnn, inputs, weights = zz_qnn_point(kind)
+    input_jac, weight_jac = qnn.backward(inputs, weights)
+    for o in range(qnn.output_dim):
+        oracle = finite_difference(lambda v: qnn.forward(v, weights)[o], inputs, 1e-5)
+        assert np.max(np.abs(input_jac[o] - oracle)) < 1e-6
+        oracle = finite_difference(lambda v: qnn.forward(inputs, v)[o], weights, 1e-5)
+        assert np.max(np.abs(weight_jac[o] - oracle)) < 1e-6
+
+
+@pytest.mark.parametrize("kind", sorted(ZZ_QNNS))
+def test_zz_encoding_shot_backward_is_deterministic(kind):
+    qnn, inputs, weights = zz_qnn_point(kind)
+    first = qnn.backward(inputs, weights, shots=128, seed=17)
+    second = qnn.backward(inputs, weights, shots=128, seed=17)
+    assert first[0].shape == (qnn.output_dim, 4)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(first, second))
