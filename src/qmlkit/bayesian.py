@@ -18,9 +18,9 @@ from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from .circuits import Circuit, Gate
+from .circuits import Circuit, Gate, bound_angles
 from .errors import CircuitError, ModelFormatError, NoSupportError
-from .simulator import MAX_QUBITS, _cdf, _draws, run
+from .simulator import MAX_QUBITS, _cdf, _draws, _probabilities, run_ops
 
 _SAMPLE_BATCH = 4096
 
@@ -194,7 +194,8 @@ def rejection_inference(
     if shots < 1:
         raise CircuitError("shots must be a positive integer")
     consistent, hit = _matcher(bn, query.evidence), _matcher(bn, query.assignment)
-    cdf = _cdf(run(compile_network(bn)).probabilities())  # one CDF for every batch
+    circuit = compile_network(bn)  # one CDF for every batch, from the circuit's real state
+    cdf = _cdf(_probabilities(run_ops(circuit.num_qubits, circuit.gates, bound_angles(circuit, ()))))
     accepted = 0
     hits = 0
     for batch_index, start in enumerate(range(0, shots, _SAMPLE_BATCH)):

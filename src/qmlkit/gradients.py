@@ -100,15 +100,16 @@ def shift_rule_jacobian(
     """Occurrence-summed shift-rule Jacobian of a vector-valued state functional.
 
     An ``(R, P)`` table of ``values`` is read a block at a time by ``evaluate(states, rows,
-    tasks)``, returning (B, output_dim): amplitude row b is table row ``rows[b]`` under task
-    ``tasks[b]``. One ``(P,)`` row is read one ``Statevector`` at a time by ``evaluate(state,
-    task)``, returning a 1-d array. Tasks are numbered per row, so callers can derive
-    independent RNG streams, and run over the parameters, then each one's gates, in pairs:
-    a task's state moves only that gate's angle, by ``shift`` in the direction the
-    parameter's increase moves it, then against it. Each gate's difference quotient is
-    scaled by the size of its slope d angle / d parameter and the gates' terms are summed
-    (the chain and product rules). All rows' shifted states are prepared in row blocks.
-    Returns (len(wrt), output_dim) for a row and (R, len(wrt), output_dim) for a table.
+    tasks)``, returning (B, output_dim): complex amplitude row b is table row ``rows[b]``
+    under task ``tasks[b]``. One ``(P,)`` row is read one complex ``Statevector`` at a time
+    by ``evaluate(state, task)``, returning a 1-d array. Tasks are numbered per row, so
+    callers can derive independent RNG streams, and run over the parameters, then each
+    one's gates, in pairs: a task's state moves only that gate's angle, by ``shift`` in the
+    direction the parameter's increase moves it, then against it. Each gate's difference
+    quotient is scaled by the size of its slope d angle / d parameter and the gates' terms
+    are summed (the chain and product rules). All rows' shifted states are prepared in row
+    blocks. Returns (len(wrt), output_dim) for a row, (R, len(wrt), output_dim) for a table
+    and (0, len(wrt), 0), with no ``evaluate`` call, for a table of no rows.
     """
     _check_shift(shift)
     params = list(circuit.parameters if wrt is None else wrt)
@@ -117,8 +118,8 @@ def shift_rule_jacobian(
         if not occurrences[p]:
             raise CircuitError(f"parameter {p.name!r} does not occur in the circuit")
     values = np.asarray(values, dtype=float)
-    if not params:
-        return np.zeros(values.shape[:-1] + (0, 0))
+    if not params or (values.ndim == 2 and not len(values)):  # (R, 0, 0) or (0, P, 0)
+        return np.zeros(values.shape[:-1] + (len(params), 0))
     pairs = [(k, gate) for k, p in enumerate(params) for gate in occurrences[p]]
     owners, gates = map(np.array, zip(*pairs))
     table, n = np.atleast_2d(values), circuit.num_qubits
@@ -135,7 +136,9 @@ def shift_rule_jacobian(
         rows, task = np.divmod(np.arange(len(table) * tasks)[block], tasks)
         angles = base[rows]
         angles[np.arange(len(rows)), gates[task // 2]] += np.where(task % 2, -1.0, 1.0) * steps[rows, task // 2]
-        blocks.append(np.asarray(read(run_ops(n, circuit.gates, angles), rows, task), dtype=float))
+        # Unnamed, so that no block's states outlive its callback.
+        blocks.append(np.asarray(read(np.asarray(run_ops(n, circuit.gates, angles), dtype=complex), rows, task),
+                                 dtype=float))
     outputs = np.concatenate(blocks).reshape(len(table), -1, 2, blocks[0].shape[1])
     terms = (outputs[:, :, 0] - outputs[:, :, 1]) / (2.0 * math.sin(shift)) * np.abs(slopes)[:, :, None]
     jacobian = np.zeros((len(table), len(params), terms.shape[2]))

@@ -100,8 +100,8 @@ def kernel_matrix(
 
     Every sample's state is prepared once, each side's rows in one batched
     ``run_ops`` call, and the fidelities come from one product,
-    ``|A* B^T|^2`` clipped to [0, 1]; the states take
-    ``rows * 2^n`` complex amplitudes (``rows + cols`` with ``Y``). With
+    ``|A* B^T|^2`` clipped to [0, 1]; the states take ``rows * 2^n``
+    amplitudes (``rows + cols`` with ``Y``), float64 for a real feature map. With
     ``Y`` absent the matrix is symmetric: the upper triangle is mirrored and
     the diagonal is exactly 1 in exact mode. Shot mode draws entry (i, j),
     upper triangle only when symmetric, as ``Binomial(shots, F_ij) / shots``

@@ -27,6 +27,7 @@ from .simulator import (
     _draws,
     _expectations,
     index_to_bitstring,
+    _probabilities,
     _row_blocks,
     run_ops,
     _sampled_expectations,
@@ -219,7 +220,7 @@ class SamplerQnn(_QnnBase):
         self._bins = np.array(custom) if bins is None else bins
 
     def _readout(self, states: np.ndarray, shots: int | None, seeds) -> np.ndarray:
-        probs, d = np.abs(states) ** 2, self.output_dim
+        probs, d = _probabilities(states), self.output_dim
         if shots is not None:
             return np.array([np.bincount(self._bins[_draws(_cdf(p), shots, seed)], minlength=d) / shots
                              for p, seed in zip(probs, seeds)])

@@ -20,8 +20,10 @@ made a fresh process fault in about 250 MB of new pages during its first
 20-qubit circuit. ``bound_angles`` evaluates the angles and ``run_ops``
 feeds the loop. A circuit of only H, X, CX, CZ, RY and CRY gates keeps a real
 state, so it runs in float64: half the bytes, and a block product a quarter
-of the flops. Any RX or RZ makes it complex128. Callers get complex128 rows
-either way, converted once at the end.
+of the flops. Any RX or RZ makes it complex128. Rows keep that dtype: the
+library's own readers measure float64 rows as they are. Only amplitudes that
+leave the library are complex128: ``run``'s ``Statevector`` and the states
+``shift_rule_jacobian`` hands its callback.
 
 That loop is the whole path for circuits of fewer than 10 qubits. Wider
 circuits pass over the state once per block of gates on at most K = 4
@@ -123,7 +125,7 @@ class Statevector:
     amplitudes: np.ndarray
 
     def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
+        return _probabilities(self.amplitudes)
 
     def inner(self, other: "Statevector") -> complex:
         """The overlap <self|other>."""
@@ -337,9 +339,9 @@ def _run_blocks(num_qubits: int, gates, ops: list, rows: int, dtype) -> np.ndarr
 def run_ops(num_qubits: int, gates, angles):
     """Apply gates to |0...0> with pre-evaluated angles, as ``bound_angles`` gives them.
 
-    A ``(G,)`` angle vector gives one ``Statevector``; a ``(B, G)`` table gives B
-    states as C-contiguous ``(B, 2^n)`` complex rows, simulated in float64 when every
-    gate is of ``_REAL_KINDS``. Angles of non-rotation gates are ignored.
+    A ``(G,)`` angle vector gives one state's ``(2^n,)`` amplitudes; a ``(B, G)`` table
+    gives B states as C-contiguous ``(B, 2^n)`` rows. They are float64 when every gate is
+    of ``_REAL_KINDS`` and complex128 otherwise. Angles of non-rotation gates are ignored.
     """
     if num_qubits > MAX_QUBITS:
         raise CircuitError(
@@ -356,15 +358,14 @@ def run_ops(num_qubits: int, gates, angles):
         cos, sin = (cos[:, None], sin[:, None]) if fused else (cos.tolist(), sin.tolist())
     ops = ((_MATRICES[g.kind](c, s), g.targets[0], g.controls) for g, c, s in zip(gates, cos, sin))
     dtype = float if all(g.kind in _REAL_KINDS for g in gates) else complex
-    if fused:  # (B, 2^n) rows; the spare buffer is gone before they are converted
+    if fused:
         states = _run_blocks(num_qubits, gates, list(ops), rows, dtype)
     else:
         states = np.zeros((1 << num_qubits, rows), dtype=dtype)
         states[0] = 1.0
         _apply(states, num_qubits, ops)
-        states = states.T
-    states = np.asarray(states, dtype=complex, order="C")
-    return states if table else Statevector(num_qubits, states[0])
+        states = np.ascontiguousarray(states.T)
+    return states if table else states[0]
 
 
 def _row_blocks(num_qubits: int, num_gates: int, rows: int) -> list[slice]:
@@ -379,7 +380,8 @@ def run(circuit: Circuit) -> Statevector:
     if circuit.parameters:
         names = ", ".join(p.name for p in circuit.parameters)
         raise CircuitError(f"cannot run circuit with unbound parameters: {names}")
-    return run_ops(circuit.num_qubits, circuit.gates, bound_angles(circuit, ()))
+    amplitudes = run_ops(circuit.num_qubits, circuit.gates, bound_angles(circuit, ()))
+    return Statevector(circuit.num_qubits, np.asarray(amplitudes, dtype=complex))
 
 
 def _check_width(rows: np.ndarray, observable: PauliObservable) -> None:
@@ -390,9 +392,9 @@ def _check_width(rows: np.ndarray, observable: PauliObservable) -> None:
 
 def _rotated(rows: np.ndarray, string: str) -> np.ndarray:
     """Copy of (B, 2^n) amplitude rows rotated, on each qubit, into the eigenbasis of its
-    Pauli character. The loop runs on its (2^n, B) transpose: rows stay C-contiguous, and
-    these exact or real-scaled products round alike in any layout."""
-    out = rows.copy()
+    Pauli character, complex only for a Y. The loop runs on its (2^n, B) transpose: rows
+    stay C-contiguous, and these exact or real-scaled products round alike in any layout."""
+    out = rows.astype(complex if "Y" in string else rows.dtype)
     _apply(out.T, len(string),
            ((m, q, ()) for q, ch in enumerate(string) for m in _MEASUREMENT_ROTATIONS.get(ch, ())))
     return out
@@ -408,15 +410,16 @@ def _signed_sums(values: np.ndarray, qubits) -> np.ndarray:
 
 
 def _expectations(rows: np.ndarray, observable: PauliObservable) -> np.ndarray:
-    """Exact <row|O|row> of each of (B, 2^n) amplitude rows. Z/I terms share one |row|^2 and
-    fold in their Z signs. A term with X or Y sums conj(psi_k) psi_(k with its X, Y bits
+    """Exact <row|O|row> of each of (B, 2^n) real or complex amplitude rows. Z/I terms share
+    one |row|^2 and fold in their Z signs. A term with X or Y sums conj(psi_k) psi_(k with its X, Y bits
     flipped), a flipped view, with its Z and Y signs folded in, times (-i)^(Y count)."""
     _check_width(rows, observable)
     n, total = observable.num_qubits, np.zeros(len(rows))
     diagonal = [(c, s) for c, s in observable.terms if not s.strip("IZ")]
     if diagonal:  # freed before any X/Y term's products
         probs = np.square(rows.real)
-        probs += np.square(rows.imag)
+        if np.iscomplexobj(rows):
+            probs += np.square(rows.imag)
         for coeff, string in diagonal:
             total += coeff * _signed_sums(probs, [q for q, ch in enumerate(string) if ch == "Z"])
         del probs
@@ -429,10 +432,17 @@ def _expectations(rows: np.ndarray, observable: PauliObservable) -> np.ndarray:
     return total
 
 
+def _probabilities(amplitudes: np.ndarray) -> np.ndarray:
+    """|amplitude|^2 in one new array; of real amplitudes, the bits of ``np.abs(a + 0j) ** 2``."""
+    probs = np.abs(amplitudes)
+    return np.square(probs, out=probs)
+
+
 def _cdf(probs: np.ndarray) -> np.ndarray:
     """The CDF that ``Generator.choice`` searches for ``p=probs / probs.sum()``: the
-    cumulative sum of the renormalised probabilities, divided by its last entry."""
-    cdf = np.cumsum(probs / probs.sum())
+    cumulative sum of the renormalised probabilities, divided by its last entry, in one new array."""
+    cdf = np.divide(probs, probs.sum())
+    np.cumsum(cdf, out=cdf)
     if not np.isfinite(cdf[-1]):  # ``choice`` rejects such p; a search would draw index 0
         raise CircuitError("outcome probabilities are not finite")
     cdf /= cdf[-1]
@@ -448,11 +458,11 @@ def _draws(cdf: np.ndarray, shots: int, seed: int | None, *task: int) -> np.ndar
 
 
 def _sampled_expectations(rows: np.ndarray, observable: PauliObservable, shots: int, seeds) -> np.ndarray:
-    """Shot-based expectation of each of (B, 2^n) amplitude rows: each term measured with the
+    """Shot-based expectation of each of (B, 2^n) real or complex rows: each term measured with the
     full shot budget, row b drawing from the (seeds[b], term index) stream, so results do not
     depend on evaluation order. Terms with the same X and Y characters share one rotated copy
     (none for Z/I terms) and one CDF per row. A drawn outcome's eigenvalue is +-1 by the
-    parity of its bits on the term's non-identity qubits."""
+    parity of its bits on the term's non-identity qubits, folded into one array."""
     _check_width(rows, observable)
     if shots < 1:
         raise CircuitError("shots must be a positive integer")
@@ -462,13 +472,14 @@ def _sampled_expectations(rows: np.ndarray, observable: PauliObservable, shots: 
             bases.setdefault("".join(ch if ch in "XY" else "I" for ch in string), []).append(term_index)
     means = np.ones((len(observable.terms), len(rows)))  # an identity term reads 1 on every shot
     for basis, term_indices in bases.items():
-        probs = np.abs(_rotated(rows, basis) if basis.strip("I") else rows) ** 2
+        probs = _probabilities(_rotated(rows, basis) if basis.strip("I") else rows)
         for b, seed in enumerate(seeds):
             cdf = _cdf(probs[b])
             for term_index in term_indices:
-                outcomes, string = _draws(cdf, shots, seed, term_index), observable.terms[term_index][1]
-                parity = np.bitwise_xor.reduce([(outcomes >> q) & 1 for q, ch in enumerate(string) if ch != "I"])
-                means[term_index, b] = (1.0 - 2.0 * parity).mean()
+                outcomes, parity = _draws(cdf, shots, seed, term_index), 0
+                for q in [q for q, ch in enumerate(observable.terms[term_index][1]) if ch != "I"]:
+                    parity ^= outcomes >> q  # bit 0 of the XOR of the shifts is the bits' parity
+                means[term_index, b] = (1.0 - 2.0 * (parity & 1)).mean()
         probs = cdf = None  # freed before the next basis's rotated copy
     return sum((coeff * mean for (coeff, _), mean in zip(observable.terms, means)), np.zeros(len(rows)))
 
@@ -478,11 +489,15 @@ def expectation(state: Statevector, observable: PauliObservable) -> float:
     return float(_expectations(state.amplitudes[None], observable)[0])
 
 
+def _frequencies(probs: np.ndarray, num_qubits: int, shots: int, seed: int | None) -> QuasiDistribution:
+    """Empirical outcome frequencies of ``shots`` seeded draws against ``probs``."""
+    values, counts = np.unique(_draws(_cdf(probs), shots, seed), return_counts=True)
+    return QuasiDistribution(_outcome_dict(values, counts / shots, num_qubits), shots)
+
+
 def sample_state(state: Statevector, shots: int, seed: int | None = None) -> QuasiDistribution:
     """Empirical outcome frequencies from a seeded draw against |amp|^2."""
-    outcomes = _draws(_cdf(state.probabilities()), shots, seed)
-    values, counts = np.unique(outcomes, return_counts=True)
-    return QuasiDistribution(_outcome_dict(values, counts / shots, state.num_qubits), shots)
+    return _frequencies(state.probabilities(), state.num_qubits, shots, seed)
 
 
 def estimator(
@@ -497,10 +512,10 @@ def estimator(
     Exact mode (``shots`` None) evaluates the Pauli sum directly; shot mode
     measures each term from the stream of (seed, term index).
     """
-    state = run_ops(circuit.num_qubits, circuit.gates, bound_angles(circuit, values))
+    row = run_ops(circuit.num_qubits, circuit.gates, bound_angles(circuit, values))[None]
     if shots is None:
-        return expectation(state, observable)
-    return float(_sampled_expectations(state.amplitudes[None], observable, shots, [seed])[0])
+        return float(_expectations(row, observable)[0])
+    return float(_sampled_expectations(row, observable, shots, [seed])[0])
 
 
 def sampler(
@@ -514,9 +529,8 @@ def sampler(
     Exact mode reports squared amplitude magnitudes for every nonzero
     outcome; shot mode reports empirical frequencies from a seeded draw.
     """
-    state = run_ops(circuit.num_qubits, circuit.gates, bound_angles(circuit, values))
+    probs = _probabilities(run_ops(circuit.num_qubits, circuit.gates, bound_angles(circuit, values)))
     if shots is None:
-        probs = state.probabilities()
         outcomes = np.flatnonzero(probs > 0.0)
-        return QuasiDistribution(_outcome_dict(outcomes, probs[outcomes], state.num_qubits), None)
-    return sample_state(state, shots, seed)
+        return QuasiDistribution(_outcome_dict(outcomes, probs[outcomes], circuit.num_qubits), None)
+    return _frequencies(probs, circuit.num_qubits, shots, seed)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from qmlkit import (
     rejection_inference,
     run,
 )
+from qmlkit import bayesian, simulator
 
 from .helpers import enumerate_joint, random_network
 
@@ -256,3 +258,30 @@ def test_exact_inference_refuses_more_than_twenty_nodes():
     bn = BayesianNetwork(tuple(BayesNode(f"n{i}", (), {"": 0.5}) for i in range(21)))
     with pytest.raises(CircuitError, match="enumeration limit"):
         exact_inference(bn, Query("n0", 1))
+
+
+def test_rejection_inference_reads_the_real_state_as_its_complex_copy(monkeypatch):
+    rng = np.random.default_rng(260)
+    cases = []
+    for n in (1, 2, 5, 9, 10, 14):  # the widest two run as fused blocks
+        nodes = []
+        for i in range(n):
+            parents = tuple(f"n{j}" for j in range(max(0, i - 2), i))
+            cpt = {"".join(bits): float(rng.uniform(0.1, 0.9)) for bits in itertools.product("01", repeat=len(parents))}
+            nodes.append(BayesNode(f"n{i}", parents, cpt))
+        evidence = {"n0": 1} if n > 1 else {}
+        cases.append((BayesianNetwork(tuple(nodes)), Query(f"n{n - 1}", 1, evidence), int(rng.integers(100))))
+    dtypes, native = [], simulator.run_ops
+
+    def spy(*args):
+        states = native(*args)
+        dtypes.append(states.dtype)
+        return states
+
+    monkeypatch.setattr(bayesian, "run_ops", spy)
+    results = [rejection_inference(bn, query, shots=3000, seed=seed) for bn, query, seed in cases]
+    assert set(dtypes) == {np.dtype(np.float64)}
+    # The same reader fed run()'s complex amplitudes.
+    monkeypatch.setattr(bayesian, "run_ops", lambda *args: native(*args).astype(complex))
+    for result, (bn, query, seed) in zip(results, cases):
+        assert rejection_inference(bn, query, shots=3000, seed=seed) == result

@@ -286,3 +286,31 @@ def test_shift_rule_over_a_table_reads_rows_in_order_and_equals_its_rows():
         row = shift_rule_jacobian(circuit, values, lambda state, task: evaluate_row(state, i, task))
         assert jacobians[i].tobytes() == row.tobytes()
         assert np.all(row[:, 1] == 0.0)
+
+
+def test_shift_rule_over_a_table_of_no_rows_is_empty():
+    circuit = real_amplitudes_ansatz(2, 1)
+    calls = []
+    empty = np.zeros((0, circuit.num_parameters))
+    jacobian = shift_rule_jacobian(circuit, empty, lambda *args: calls.append(args))
+    assert jacobian.shape == (0, circuit.num_parameters, 0) and not calls
+    jacobian = shift_rule_jacobian(circuit, empty, lambda *args: calls.append(args), wrt=circuit.parameters[1:3])
+    assert jacobian.shape == (0, 2, 0) and not calls
+
+
+def test_shift_rule_callbacks_get_complex_amplitudes_of_real_circuits():
+    circuit = real_amplitudes_ansatz(3, 1)  # a real circuit: simulated in float64
+    values = np.random.default_rng(48).uniform(-np.pi, np.pi, (2, circuit.num_parameters))
+    seen = []
+
+    def evaluate_block(states, rows, tasks):
+        seen.append((states.dtype, states.flags.c_contiguous))
+        return np.zeros((len(states), 1))
+
+    def evaluate_row(state, task):
+        seen.append((state.amplitudes.dtype, state.amplitudes.flags.c_contiguous))
+        return np.zeros(1)
+
+    shift_rule_jacobian(circuit, values, evaluate_block)
+    shift_rule_jacobian(circuit, values[0], evaluate_row)
+    assert len(seen) > 1 and set(seen) == {(np.dtype(np.complex128), True)}

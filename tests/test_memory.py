@@ -5,7 +5,8 @@ most 2^18 amplitudes (the simulator's budget), so their peak traced
 allocation is bounded by a constant times ``max(state bytes, budget
 bytes)``, however many rows or shifted states they evaluate. At 16 qubits,
 ``run``, ``estimator`` and ``sampler`` are held to their measured multiples
-of the state's bytes.
+of the complex state's bytes, and at 20 qubits the shot estimator to twice
+them.
 """
 
 import tracemalloc
@@ -124,19 +125,37 @@ def _sixteen_qubit_calls() -> dict:
     }
 
 
-# Peak traced bytes as multiples of the 16-qubit state's 1 MiB, as measured; each may
-# grow by at most 0.1. A real circuit holds its float64 state and spare buffer (0.5 each),
-# then the complex result beside the float64 state; a complex one holds its state and
-# spare buffer. Exact Pauli terms hold |state|^2 or one product array beside the state;
-# shot-mode terms with an X hold one rotated copy and its scratch.
+# Peak traced bytes as multiples of the 16-qubit complex state's 1 MiB, as measured; each
+# may grow by at most 0.1. A real circuit holds its float64 state and spare buffer (0.5
+# each), then ``run``'s complex result beside the float64 state; a complex one holds its
+# state and spare buffer. The estimator and sampler read the float64 state itself: exact
+# Pauli terms hold |state|^2 or one product array beside it, shot-mode terms with an X
+# one real rotated copy, then its |amplitude|^2 and one CDF.
 @pytest.mark.parametrize("name, measured", [
     ("run_real", 1.51),
     ("run_complex", 2.04),
-    ("estimator_exact", 2.13),
-    ("estimator_shots", 3.32),
-    ("sampler_shots", 2.50),
+    ("estimator_exact", 1.38),
+    ("estimator_shots", 1.70),
+    ("sampler_shots", 1.44),
 ])
 def test_16_qubit_peaks_as_multiples_of_the_state(name, measured):
     call = _sixteen_qubit_calls()[name]
     call()  # first-call allocations (BLAS buffers, imports) stay out of the count
     assert _peak_bytes(call) <= (measured + 0.1) * 16 * 2**16
+
+
+def test_20_qubit_real_estimator_and_sampler_peaks():
+    n = 20
+    circuit = real_amplitudes_ansatz(n, 2)
+    weights = np.random.default_rng(6).uniform(-np.pi, np.pi, circuit.num_parameters)
+    observable = PauliObservable(((1.0, "Z" * n), (0.7, "I" * 5 + "X" + "I" * (n - 6)), (0.5, "I" * (n - 2) + "ZI")))
+    state_bytes = 16 * 2**n
+    # The shot estimator is held to twice the complex state; the others to their
+    # measured multiples (1.38 and 1.00) plus 0.1.
+    for call, bound in (
+        (lambda: estimator(circuit, observable, weights, shots=4096, seed=1), 2.0),
+        (lambda: estimator(circuit, observable, weights), 1.48),
+        (lambda: sampler(circuit, weights, shots=4096, seed=1), 1.11),
+    ):
+        call()  # first-call allocations stay out of the count
+        assert _peak_bytes(call) <= bound * state_bytes

@@ -17,10 +17,12 @@ from qmlkit import (
     Gate,
     Parameter,
     PauliObservable,
+    SamplerQnn,
     estimator,
     expectation,
     index_to_bitstring,
     bitstring_to_index,
+    parity_interpret,
     real_amplitudes_ansatz,
     run,
     sampler,
@@ -278,7 +280,8 @@ def test_batch_equals_its_rows_byte_for_byte(num_qubits):
             states = run_ops(num_qubits, circuit.gates, angles)
             assert states.shape == (batch, 2**num_qubits) and states.flags.c_contiguous
             for state, row in zip(states, rows):
-                assert state.tobytes() == run_ops(num_qubits, circuit.gates, row).amplitudes.tobytes()
+                single = run_ops(num_qubits, circuit.gates, row)
+                assert state.dtype == single.dtype and state.tobytes() == single.tobytes()
 
 
 def _windowed(num_qubits: int) -> Circuit:
@@ -328,7 +331,7 @@ def test_fused_batch_equals_its_rows_byte_for_byte(num_qubits, fuse_from_5_qubit
             assert states.shape == (batch, 2**num_qubits) and states.flags.c_contiguous
             for state, v in zip(states, values):
                 row = run_ops(num_qubits, circuit.gates, bound_angles(circuit, v))
-                assert state.tobytes() == row.amplitudes.tobytes()
+                assert state.dtype == row.dtype and state.tobytes() == row.tobytes()
 
 
 # One real circuit (float64 block products) and the same circuit made complex by an
@@ -418,7 +421,7 @@ def test_real_circuit_matches_its_complex_copy_and_the_dense_oracle(num_qubits):
 
 
 @pytest.mark.parametrize("num_qubits", [3, 7, 10, 12])
-def test_only_real_circuits_run_in_float64_and_all_return_complex_rows(monkeypatch, num_qubits):
+def test_only_real_circuits_run_and_return_float64_rows_and_run_returns_complex(monkeypatch, num_qubits):
     dtypes = []
     apply = simulator._apply
     monkeypatch.setattr(simulator, "_apply", lambda state, *args: dtypes.append(state.dtype) or apply(state, *args))
@@ -428,10 +431,47 @@ def test_only_real_circuits_run_in_float64_and_all_return_complex_rows(monkeypat
         full = circuit.extend(extra)
         dtypes.clear()
         for angles in (bound_angles(full, values), bound_angles(full, values[0])):
-            out = run_ops(num_qubits, full.gates, angles)
-            states = out if angles.ndim == 2 else out.amplitudes[None]
-            assert states.dtype == np.complex128 and states.flags.c_contiguous
+            states = run_ops(num_qubits, full.gates, angles)
+            assert states.shape == angles.shape[:-1] + (2**num_qubits,)
+            assert states.dtype == dtype and states.flags.c_contiguous
         assert dtypes and set(dtypes) == {np.dtype(dtype)}
+        bound = full.bind(values[0])
+        state = run(bound).amplitudes
+        assert state.dtype == np.complex128 and state.flags.c_contiguous
+        row = run_ops(num_qubits, bound.gates, bound_angles(bound, ()))
+        assert state.tobytes() == row.astype(np.complex128).tobytes()
+
+
+@pytest.mark.parametrize("num_qubits", range(1, 15))
+def test_readers_of_real_rows_equal_them_fed_run_amplitudes(num_qubits):
+    rng = np.random.default_rng(1000 + num_qubits)
+    for _ in range(2):
+        circuit = _real(random_bound_circuit(rng, num_qubits, max_gates=6 * num_qubits))
+        if num_qubits > 2:  # a multi-controlled CRY on 0- and 1-valued controls
+            circuit = circuit.append(Gate.cry(0.7, [(0, 1), (num_qubits - 1, 0)], 1))
+        state = run(circuit)
+        assert run_ops(num_qubits, circuit.gates, bound_angles(circuit, ())).dtype == np.float64
+        observable = PauliObservable(
+            random_observable(rng, num_qubits, "IXYZ", 4).terms + ((0.5, "Z" * num_qubits),)
+        )
+        seed = int(rng.integers(1000))
+        shot = estimator(circuit, observable, [], shots=300, seed=seed)
+        assert shot == float(_sampled_expectations(state.amplitudes[None], observable, 300, [seed])[0])
+        assert abs(estimator(circuit, observable, []) - expectation(state, observable)) <= 1e-15
+        assert sampler(circuit, [], shots=300, seed=seed) == sample_state(state, 300, seed)
+        probs = state.probabilities()
+        exact = {index_to_bitstring(i, num_qubits): float(p) for i, p in enumerate(probs) if p > 0.0}
+        assert sampler(circuit, []).probabilities == exact
+        # The sampler network on the same state followed by one RY layer.
+        layer = Circuit(num_qubits).extend([Gate.ry(Parameter(f"w{q}"), q) for q in range(num_qubits)])
+        qnn_circuit = circuit.compose(layer)
+        weights = rng.uniform(-np.pi, np.pi, num_qubits)
+        amplitudes = run(qnn_circuit.bind(weights)).amplitudes[None]
+        for interpret, dim in ((parity_interpret, 2), (None, None)):
+            qnn = SamplerQnn(qnn_circuit, [], range(num_qubits), interpret=interpret, output_dim=dim)
+            for shots in (None, 300):
+                out = qnn.forward([], weights, shots=shots, seed=seed)
+                assert out.tobytes() == qnn._readout(amplitudes, shots, [seed])[0].tobytes()
 
 
 _MIXED_STRINGS = ("XYZ", "YYY", "ZXY", "IYX", "XXX")
