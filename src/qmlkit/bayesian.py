@@ -195,7 +195,8 @@ def rejection_inference(
         raise CircuitError("shots must be a positive integer")
     consistent, hit = _matcher(bn, query.evidence), _matcher(bn, query.assignment)
     circuit = compile_network(bn)  # one CDF for every batch, from the circuit's real state
-    cdf = _cdf(_probabilities(run_ops(circuit.num_qubits, circuit.gates, bound_angles(circuit, ()))))
+    probs = _probabilities(run_ops(circuit.num_qubits, circuit.gates, bound_angles(circuit, ())))
+    cdf = _cdf(probs, out=probs)
     accepted = 0
     hits = 0
     for batch_index, start in enumerate(range(0, shots, _SAMPLE_BATCH)):

@@ -222,7 +222,7 @@ class SamplerQnn(_QnnBase):
     def _readout(self, states: np.ndarray, shots: int | None, seeds) -> np.ndarray:
         probs, d = _probabilities(states), self.output_dim
         if shots is not None:
-            return np.array([np.bincount(self._bins[_draws(_cdf(p), shots, seed)], minlength=d) / shots
+            return np.array([np.bincount(self._bins[_draws(_cdf(p, out=p), shots, seed)], minlength=d) / shots
                              for p, seed in zip(probs, seeds)])
         # Bucket b * d + bin sums row b's probabilities in index order, as a per-row bincount does.
         buckets = (self._bins + d * np.arange(len(probs))[:, None]).ravel()

@@ -7,52 +7,28 @@ safe to call concurrently. Measurement reads C-contiguous (B, 2^n) amplitude
 rows, a block of prepared states at a time, as the shift rule and the networks
 hold them; ``expectation`` and ``sample_state`` are its one-``Statevector`` cases.
 
-One in-place gate loop does all the state updates, for one state or a
-batch of B states of one circuit. Every gate kind maps to a 2x2 target
-matrix (CX to X, CZ to Z, CRY to RY), and its (qubit, bit) controls select a
-basic-index slice of the states viewed as ``(2,) * n + (B,)``, so no index
-arrays or caches are built. The batch axis is innermost, so a rotation's
-matrix entries are (B,) rows that broadcast against every slice with no
-per-gate reshape; fixed gates, and all gates of a single state, keep scalar
-entries. Intermediate products go to one scratch buffer the size of the
-states, so a gate allocates nothing: per-gate temporaries of half the state
-made a fresh process fault in about 250 MB of new pages during its first
-20-qubit circuit. ``bound_angles`` evaluates the angles and ``run_ops``
-feeds the loop. A circuit of only H, X, CX, CZ, RY and CRY gates keeps a real
-state, so it runs in float64: half the bytes, and a block product a quarter
-of the flops. Any RX or RZ makes it complex128. Rows keep that dtype: the
-library's own readers measure float64 rows as they are. Only amplitudes that
-leave the library are complex128: ``run``'s ``Statevector`` and the states
-``shift_rule_jacobian`` hands its callback.
+One in-place gate loop (``_apply``) updates one state or a batch of B states
+of one circuit: each gate's 2x2 target matrix (CX's is X, CZ's Z, CRY's RY)
+acts on a basic-index slice of the states viewed as ``(2,) * n + (B,)``, with
+(B,) rows of rotation entries. Circuits of only H, X, CX, CZ, RY and CRY gates
+run in float64, others in complex128; only amplitudes that leave the library
+(``run``'s ``Statevector``, ``shift_rule_jacobian``'s callback) are converted.
 
-That loop is the whole path for circuits of fewer than 10 qubits. Wider
-circuits pass over the state once per block of gates on at most K = 4
-consecutive qubits instead of about three times per gate. A gate joins the
-first block, from the last one that touches its qubits on, whose qubits then
-still lie within K consecutive qubits: no later block touches the gate's
-qubits, so moving it earlier commutes. Else it opens a new block. Each block's
-2^K x 2^K matrix, one per state, is the loop run on identity columns. The
-states, held as (B, 2^n) rows (one state is the one-row case), are multiplied
-by it in one stacked ``matmul`` into a second buffer, and the two buffers swap
-roles. A gate spanning more than K qubits runs through the loop in place, with
-the second buffer as scratch. The product goes to BLAS because, applied
-elementwise, a d x d block would take d^2 = 256 passes over the state, one per
-matrix entry, which saves nothing against three passes per gate. A block on
-qubits 0 to 3 multiplies chunks of 256 rows per state, which keeps OpenBLAS on
-one thread and off a second thread's 8 MB buffer. Each state's products are
-separate BLAS calls of one shape, so a batch's rows equal their one-state runs
-byte for byte. Fused amplitudes differ from the gate-by-gate loop's in their
-low bits. A block's matrices cost each of its gates 2^(2K) = 256 amplitudes
-per state, which narrow states do not win back; hence the switch at 10 qubits.
+From 10 qubits, one state buffer is updated once per block of gates on at most
+K = 4 consecutive qubits (``_blocks``). A block's 2^K x 2^K matrix per state is
+the loop run on identity columns; each state's products with it are separate
+BLAS calls of one shape, so batch rows equal their one-state runs byte for
+byte. Runs of blocks within the lowest 15 qubits go over each row's
+2^15-amplitude pieces in turn through two piece buffers, higher blocks a
+piece's worth of columns at a time, and a gate spanning more than K qubits
+runs the loop slice by slice: no other state-sized array is made.
 
-Exact Pauli terms take no copy: Z/I terms fold their Z signs into one
-|psi|^2, and a term with X or Y sums conj(psi) times a flipped view of psi.
-Shot-mode terms rotate one copy per basis (H, or S-dagger then H) through the
-loop and read each drawn outcome's eigenvalue from the parity of its bits.
-
-Callers that stream states (the shift rule, the networks' rows) prepare
-them in blocks of at most ``_BATCH_AMPLITUDES`` = 2^18 amplitudes (4 MiB),
-16 rows at 14 qubits.
+Exact Z/I terms fold their Z signs into the squares of the state's halves, and
+X/Y terms sum conj(psi) times a flipped view of psi. Shot-mode terms rotate one
+copy per basis (H, or S-dagger then H) slice by slice, square real copies and
+build CDFs in place, and read each outcome's eigenvalue from its bits' parity.
+Streaming callers (the shift rule, the networks' rows) prepare states in blocks
+of at most ``_BATCH_AMPLITUDES`` = 2^18 amplitudes (4 MiB).
 
 Bit ordering is little-endian throughout: qubit 0 is the least significant
 bit of a basis index, and outcome bitstrings put qubit 0 first (the most
@@ -62,6 +38,7 @@ basis index 1 and bitstring "10".
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -207,25 +184,24 @@ _MEASUREMENT_ROTATIONS = {"X": (_H,), "Y": ((1.0, 0.0, 0.0, -1j), _H)}
 _BATCH_AMPLITUDES = 1 << 18
 # Circuits of at least ``_FUSED_QUBITS`` qubits run as fused blocks of gates on
 # at most ``_BLOCK_QUBITS`` consecutive qubits; narrower circuits run gate by
-# gate, which was faster below 10 qubits (see the module docstring).
+# gate, as they do not win back a block's 2^(2K) amplitudes per gate.
 _BLOCK_QUBITS = 4
 _FUSED_QUBITS = 10
 # Rows per state of one product by a block on qubits 0 to K - 1: small enough
 # that OpenBLAS runs it on one thread.
 _CHUNK_ROWS = 256
+# Blocks within the lowest 15 qubits run over each row's 2^15-amplitude pieces in turn.
+_PIECE_QUBITS = 15
 
 
-def _apply(state: np.ndarray, num_qubits: int, ops, scratch: np.ndarray | None = None) -> None:
-    """Apply each ``(matrix, target, controls)`` of ``ops`` in place to a (2^n, B)
-    state: the 2x2 matrix acts on ``target`` where every (qubit, bit) control matches.
+def _apply(view: np.ndarray, num_qubits: int, ops, scratch: np.ndarray | None = None) -> None:
+    """Apply each ``(matrix, target, controls)`` of ``ops`` in place to a ``(2,) * n + (B,)``
+    view of states: the 2x2 matrix acts on ``target`` where every (qubit, bit) control matches.
 
-    Qubit q is axis n - 1 - q of the ``(2,) * n + (B,)`` view; fixing axes
-    with integers keeps every slice a view, even when all n qubit axes are
-    fixed. Two slices of ``scratch``, an array of the state's shape (a new
-    one by default), hold the intermediate products.
-    """
-    view = state.reshape((2,) * num_qubits + state.shape[1:])
-    scratch = np.empty_like(view) if scratch is None else scratch.reshape(view.shape)
+    Qubit q is axis n - 1 - q (of length 1 where a caller's slice fixed it); integer indices
+    keep every slice a view. Two blocks at the start of the flat ``scratch`` (by default a
+    new one the size of ``view``) hold a gate's intermediate products."""
+    scratch = np.empty(view.size, view.dtype) if scratch is None else scratch
     last = num_qubits - 1
     for (m00, m01, m10, m11), target, controls in ops:
         index = [slice(None)] * view.ndim
@@ -251,18 +227,36 @@ def _apply(state: np.ndarray, num_qubits: int, ops, scratch: np.ndarray | None =
                 else:
                     half *= factor
             continue
-        # Contiguous blocks of scratch with lo's shape: one fixed axis per
-        # control, after the axis that picks the block.
-        block = (0,) * len(controls)
-        lo_part = np.multiply(lo, m10, scratch[(0,) + block])
+        parts = scratch[:2 * lo.size].reshape((2,) + lo.shape)
+        lo_part = np.multiply(lo, m10, parts[0])
         if type(m00) is not np.ndarray and m00 == 0 and m11 == 0:
             np.multiply(hi, m01, lo)
             hi[...] = lo_part
         else:
             lo *= m00
-            lo += np.multiply(hi, m01, scratch[(1,) + block])
+            lo += np.multiply(hi, m01, parts[1])
             hi *= m11
             hi += lo_part
+
+
+def _apply_sliced(rows: np.ndarray, num_qubits: int, ops, scratch: np.ndarray) -> None:
+    """``_apply`` of ``ops`` in place on C-contiguous (B, 2^n) rows, an op and a slice at a time.
+    A slice spans a group of rows, the op's qubits and as many of its lowest other qubits as
+    keep its two blocks within the flat ``scratch``; its higher other qubits take each of their
+    values in turn. The ops' real or imaginary entries round alike however the rows are sliced."""
+    room, last = scratch.size // 2, num_qubits - 1
+    for matrix, target, controls in ops:
+        free = sorted(set(range(num_qubits)) - {target, *(q for q, _ in controls)})
+        group = max(1, room >> len(free))
+        fixed = free[(room // group).bit_length() - 1:]
+        for start in range(0, len(rows), group):
+            entries = tuple(m[start:start + group] if type(m) is np.ndarray else m for m in matrix)
+            view = rows[start:start + group].T.reshape((2,) * num_qubits + (-1,))
+            for bits in itertools.product((0, 1), repeat=len(fixed)):
+                index = [slice(None)] * view.ndim
+                for q, bit in zip(fixed, bits):
+                    index[last - q] = slice(bit, bit + 1)
+                _apply(view[tuple(index)], num_qubits, [(entries, target, controls)], scratch)
 
 
 def _blocks(num_qubits: int, gates) -> list[tuple[int | None, list[int]]]:
@@ -298,41 +292,68 @@ def _blocks(num_qubits: int, gates) -> list[tuple[int | None, list[int]]]:
     ]
 
 
-def _run_blocks(num_qubits: int, gates, ops: list, rows: int, dtype) -> np.ndarray:
-    """``rows`` states of more than ``_BLOCK_QUBITS`` qubits, as (B, 2^n) ``dtype`` rows,
-    from the ``(matrix, target, controls)`` op of each gate, rotations with (B,) entries.
-
-    Each block's (B, 2^K, 2^K) matrices are ``_apply`` run on identity columns,
-    and one stacked ``matmul`` per block writes the rows into a second buffer;
-    the two buffers then swap roles. A wide gate runs ``_apply`` in place on
-    the rows' transpose, with the other buffer as its scratch.
-    """
+def _block_matrices(window: int, block_ops, rows: int, dtype) -> np.ndarray:
+    """(B, 2^K, 2^K) matrices of a block of ``(matrix, target, controls)`` ops on the K qubits
+    from ``window`` on: ``_apply`` run on identity columns, transposed for window 0."""
     dim = 1 << _BLOCK_QUBITS
+    columns = np.zeros((dim, dim, rows), dtype=dtype)
+    columns[np.arange(dim), np.arange(dim)] = 1.0
+    _apply(columns.reshape((2,) * _BLOCK_QUBITS + (dim, rows)), _BLOCK_QUBITS, [
+        (matrix, target - window, tuple((q - window, bit) for q, bit in controls))
+        for matrix, target, controls in block_ops
+    ])
+    return np.ascontiguousarray(columns.transpose((2, 1, 0) if window == 0 else (2, 0, 1)))
+
+
+def _run_pieces(state: np.ndarray, run: list, buffers: np.ndarray) -> None:
+    """Apply a ``run`` of ``(window, matrices)`` blocks to each contiguous piece of each row in
+    turn: the first product reads the piece, the next ones alternate between the two
+    ``buffers``, and the last writes the piece. Window 0 multiplies chunks of (2^K,) rows by
+    the transposed matrix, a window w > 0 the matrix by each (2^K, 2^w) slice."""
+    dim, pieces = 1 << _BLOCK_QUBITS, buffers[:, :state.shape[1]]
+    for b, row in enumerate(state):
+        for piece in row.reshape(-1, pieces.shape[1]):
+            source = piece
+            for k, (window, matrices) in enumerate(run):
+                out = piece if 0 < k == len(run) - 1 else pieces[k % 2]
+                if window == 0:
+                    shape = (-1, min(_CHUNK_ROWS, piece.size // dim), dim)
+                    np.matmul(source.reshape(shape), matrices[b], out=out.reshape(shape))
+                else:
+                    shape = (-1, dim, 1 << window)
+                    np.matmul(matrices[b], source.reshape(shape), out=out.reshape(shape))
+                source = out
+            if len(run) == 1:
+                piece[...] = pieces[0]
+
+
+def _run_blocks(num_qubits: int, gates, ops: list, rows: int, dtype) -> np.ndarray:
+    """``rows`` states of more than ``_BLOCK_QUBITS`` qubits, as (B, 2^n) ``dtype`` rows, from
+    each gate's ``(matrix, target, controls)`` op. Blocks within a piece go to ``_run_pieces``
+    in runs whose matrices hold at most half as many numbers as the states."""
     state = np.zeros((rows, 1 << num_qubits), dtype=dtype)
     state[:, 0] = 1.0
-    spare = np.empty_like(state)
-    for window, indices in _blocks(num_qubits, gates):
+    buffers, run = np.empty((2, 1 << _PIECE_QUBITS), dtype=dtype), []
+    for window, indices in _blocks(num_qubits, gates) + [(None, [])]:  # the empty last block ends a run
+        block_ops = [ops[k] for k in indices]
+        if window is not None and window + _BLOCK_QUBITS <= _PIECE_QUBITS:
+            run.append((window, _block_matrices(window, block_ops, rows, dtype)))
+            if (len(run) + 1) << (2 * _BLOCK_QUBITS + 1) <= 1 << num_qubits:
+                continue
+        if run:
+            _run_pieces(state, run, buffers)
+            run = []
         if window is None:
-            _apply(state.T, num_qubits, [ops[k] for k in indices], spare.T)
-            continue
-        columns = np.zeros((dim, dim, rows), dtype=dtype)
-        columns[np.arange(dim), np.arange(dim)] = 1.0
-        _apply(columns, _BLOCK_QUBITS, [
-            (matrix, target - window, tuple((q - window, bit) for q, bit in controls))
-            for matrix, target, controls in (ops[k] for k in indices)
-        ])
-        if window == 0:  # (2^(n-K), 2^K) rows times the transposed matrix, a chunk at a time
-            matrices = np.ascontiguousarray(columns.transpose(2, 1, 0))
-            shape = (rows, 1 << (num_qubits - _BLOCK_QUBITS), dim)
-            source, out = state.reshape(shape), spare.reshape(shape)
-            for start in range(0, source.shape[1], _CHUNK_ROWS):
-                chunk = slice(start, start + _CHUNK_ROWS)
-                np.matmul(source[:, chunk], matrices, out=out[:, chunk])
-        else:
-            matrices = np.ascontiguousarray(columns.transpose(2, 0, 1))[:, None]
-            shape = (rows, 1 << (num_qubits - _BLOCK_QUBITS - window), dim, 1 << window)
-            np.matmul(matrices, state.reshape(shape), out=spare.reshape(shape))
-        state, spare = spare, state
+            _apply_sliced(state, num_qubits, block_ops, buffers[0])
+        elif window + _BLOCK_QUBITS > _PIECE_QUBITS:
+            matrices = _block_matrices(window, block_ops, rows, dtype)
+            out = buffers[0].reshape(1 << _BLOCK_QUBITS, -1)
+            for b, row in enumerate(state):
+                for outer in row.reshape(-1, 1 << _BLOCK_QUBITS, 1 << window):
+                    for start in range(0, 1 << window, out.shape[1]):
+                        part = outer[:, start:start + out.shape[1]]
+                        np.matmul(matrices[b], part, out=out)
+                        part[...] = out
     return state
 
 
@@ -363,7 +384,7 @@ def run_ops(num_qubits: int, gates, angles):
     else:
         states = np.zeros((1 << num_qubits, rows), dtype=dtype)
         states[0] = 1.0
-        _apply(states, num_qubits, ops)
+        _apply(states.reshape((2,) * num_qubits + (rows,)), num_qubits, ops)
         states = np.ascontiguousarray(states.T)
     return states if table else states[0]
 
@@ -392,11 +413,11 @@ def _check_width(rows: np.ndarray, observable: PauliObservable) -> None:
 
 def _rotated(rows: np.ndarray, string: str) -> np.ndarray:
     """Copy of (B, 2^n) amplitude rows rotated, on each qubit, into the eigenbasis of its
-    Pauli character, complex only for a Y. The loop runs on its (2^n, B) transpose: rows
-    stay C-contiguous, and these exact or real-scaled products round alike in any layout."""
+    Pauli character, complex only for a Y, by ``_apply_sliced`` with a scratch of at most a
+    piece: these exact or real-scaled products round alike in any layout."""
     out = rows.astype(complex if "Y" in string else rows.dtype)
-    _apply(out.T, len(string),
-           ((m, q, ()) for q, ch in enumerate(string) for m in _MEASUREMENT_ROTATIONS.get(ch, ())))
+    ops = [(m, q, ()) for q, ch in enumerate(string) for m in _MEASUREMENT_ROTATIONS.get(ch, ())]
+    _apply_sliced(out, len(string), ops, np.empty(min(out.size, 1 << _PIECE_QUBITS), out.dtype))
     return out
 
 
@@ -409,20 +430,31 @@ def _signed_sums(values: np.ndarray, qubits) -> np.ndarray:
     return values.reshape(len(values), -1).sum(axis=1)
 
 
+def _squares(amplitudes: np.ndarray) -> np.ndarray:
+    """real^2 + imag^2 of ``amplitudes`` in one new float array."""
+    squares = np.square(amplitudes.real)
+    if np.iscomplexobj(amplitudes):
+        squares += np.square(amplitudes.imag)
+    return squares
+
+
 def _expectations(rows: np.ndarray, observable: PauliObservable) -> np.ndarray:
-    """Exact <row|O|row> of each of (B, 2^n) real or complex amplitude rows. Z/I terms share
-    one |row|^2 and fold in their Z signs. A term with X or Y sums conj(psi_k) psi_(k with its X, Y bits
+    """Exact <row|O|row> of each of (B, 2^n) real or complex amplitude rows. A Z/I term folds
+    its Z signs into |row|^2, the first (highest) fold straight from the squares of the two
+    halves across that qubit. A term with X or Y sums conj(psi_k) psi_(k with its X, Y bits
     flipped), a flipped view, with its Z and Y signs folded in, times (-i)^(Y count)."""
     _check_width(rows, observable)
     n, total = observable.num_qubits, np.zeros(len(rows))
-    diagonal = [(c, s) for c, s in observable.terms if not s.strip("IZ")]
-    if diagonal:  # freed before any X/Y term's products
-        probs = np.square(rows.real)
-        if np.iscomplexobj(rows):
-            probs += np.square(rows.imag)
-        for coeff, string in diagonal:
-            total += coeff * _signed_sums(probs, [q for q, ch in enumerate(string) if ch == "Z"])
-        del probs
+    for coeff, string in (term for term in observable.terms if not term[1].strip("IZ")):
+        qubits = [q for q, ch in enumerate(string) if ch == "Z"]
+        if qubits:  # the first fold, across the highest Z qubit, from the halves' squares
+            pairs = rows.reshape(len(rows), -1, 2, 1 << qubits.pop())
+            squares = _squares(pairs[:, :, 0])
+            squares -= _squares(pairs[:, :, 1])
+        else:
+            squares = _squares(rows)
+        total += coeff * _signed_sums(squares, qubits)
+        del squares  # freed before the next term's squares and any X/Y term's products
     view = rows.reshape((len(rows),) + (2,) * n)  # qubit q is axis n - q
     for coeff, string in (term for term in observable.terms if term[1].strip("IZ")):
         products = np.conjugate(view)
@@ -438,10 +470,16 @@ def _probabilities(amplitudes: np.ndarray) -> np.ndarray:
     return np.square(probs, out=probs)
 
 
-def _cdf(probs: np.ndarray) -> np.ndarray:
+def _owned_probabilities(amplitudes: np.ndarray) -> np.ndarray:
+    """``_probabilities`` of amplitudes the caller owns, squared in place when float64."""
+    return np.square(amplitudes, out=amplitudes) if amplitudes.dtype == float else _probabilities(amplitudes)
+
+
+def _cdf(probs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The CDF that ``Generator.choice`` searches for ``p=probs / probs.sum()``: the
-    cumulative sum of the renormalised probabilities, divided by its last entry, in one new array."""
-    cdf = np.divide(probs, probs.sum())
+    cumulative sum of the renormalised probabilities, divided by its last entry, in one new
+    array or in ``out``; a caller passes ``out=probs`` only for an array it owns."""
+    cdf = np.divide(probs, probs.sum(), out=out)
     np.cumsum(cdf, out=cdf)
     if not np.isfinite(cdf[-1]):  # ``choice`` rejects such p; a search would draw index 0
         raise CircuitError("outcome probabilities are not finite")
@@ -472,9 +510,9 @@ def _sampled_expectations(rows: np.ndarray, observable: PauliObservable, shots: 
             bases.setdefault("".join(ch if ch in "XY" else "I" for ch in string), []).append(term_index)
     means = np.ones((len(observable.terms), len(rows)))  # an identity term reads 1 on every shot
     for basis, term_indices in bases.items():
-        probs = _probabilities(_rotated(rows, basis) if basis.strip("I") else rows)
+        probs = _owned_probabilities(_rotated(rows, basis)) if basis.strip("I") else _probabilities(rows)
         for b, seed in enumerate(seeds):
-            cdf = _cdf(probs[b])
+            cdf = _cdf(probs[b], out=probs[b])
             for term_index in term_indices:
                 outcomes, parity = _draws(cdf, shots, seed, term_index), 0
                 for q in [q for q, ch in enumerate(observable.terms[term_index][1]) if ch != "I"]:
@@ -490,8 +528,9 @@ def expectation(state: Statevector, observable: PauliObservable) -> float:
 
 
 def _frequencies(probs: np.ndarray, num_qubits: int, shots: int, seed: int | None) -> QuasiDistribution:
-    """Empirical outcome frequencies of ``shots`` seeded draws against ``probs``."""
-    values, counts = np.unique(_draws(_cdf(probs), shots, seed), return_counts=True)
+    """Empirical outcome frequencies of ``shots`` seeded draws against ``probs``, an array
+    the caller owns: its CDF is built in place."""
+    values, counts = np.unique(_draws(_cdf(probs, out=probs), shots, seed), return_counts=True)
     return QuasiDistribution(_outcome_dict(values, counts / shots, num_qubits), shots)
 
 
@@ -529,7 +568,7 @@ def sampler(
     Exact mode reports squared amplitude magnitudes for every nonzero
     outcome; shot mode reports empirical frequencies from a seeded draw.
     """
-    probs = _probabilities(run_ops(circuit.num_qubits, circuit.gates, bound_angles(circuit, values)))
+    probs = _owned_probabilities(run_ops(circuit.num_qubits, circuit.gates, bound_angles(circuit, values)))
     if shots is None:
         outcomes = np.flatnonzero(probs > 0.0)
         return QuasiDistribution(_outcome_dict(outcomes, probs[outcomes], circuit.num_qubits), None)

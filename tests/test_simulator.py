@@ -364,6 +364,93 @@ def test_fused_run_is_byte_identical_on_one_and_two_blas_threads(num_qubits):
     assert len(digests) == 1 and len(digests.pop().split()) == 2
 
 
+def _interleaved(num_qubits: int) -> Circuit:
+    """Layers whose fused blocks interleave windows inside a 2^15-amplitude piece (up to
+    11 at 16 qubits), the top window, and a CX and a controlled RY spanning more than four
+    qubits."""
+    n, gates = num_qubits, [Gate.h(q) for q in range(num_qubits)]
+    for r in range(3):
+        gates += [Gate.ry(0.4 + 0.3 * q - r, q) for q in range(n)]
+        gates += [Gate.cx(q, q + 1) for q in range(n - 1)]
+        gates += [
+            Gate.cry(0.8 - r, [(r, 1), (n - 7 + r, 0)], n - 2 - r), Gate.cx(n - 1 - r, r),
+            Gate.rx(0.5 * r - 0.2, n - 4 + r), Gate.rz(0.3 + r, 3 + r),
+        ]
+    return Circuit(n).extend(gates)
+
+
+def _interleaves(windows: list, top: int) -> bool:
+    inside = [i for i, w in enumerate(windows) if w is not None and w < top]
+    others = [i for i, w in enumerate(windows) if w is None or w >= top]
+    return {None, top} <= set(windows) and any(inside[0] < i < inside[-1] for i in others)
+
+
+def test_pieces_of_16_qubits_match_the_gate_loop_and_batch_rows_their_one_state_runs(monkeypatch):
+    n = 16
+    circuit = _interleaved(n)
+    assert _interleaves([w for w, _ in _blocks(n, circuit.gates)], 12)
+    for full in (circuit, _real(circuit)):
+        angles = bound_angles(full, ())
+        fused = run_ops(n, full.gates, angles)
+        with monkeypatch.context() as patch:
+            patch.setattr(simulator, "_FUSED_QUBITS", n + 1)
+            loop = run_ops(n, full.gates, angles)
+        assert fused.dtype == loop.dtype and np.max(np.abs(fused - loop)) <= 1e-15
+    rng = np.random.default_rng(16)
+    parameterized = _parameterized(rng, circuit)
+    for batch in (0, 1, 3, 17):
+        values = rng.uniform(-np.pi, np.pi, (batch, parameterized.num_parameters))
+        states = run_ops(n, parameterized.gates, bound_angles(parameterized, values))
+        assert states.shape == (batch, 2**n) and states.flags.c_contiguous
+        for state, v in zip(states, values):
+            row = run_ops(n, parameterized.gates, bound_angles(parameterized, v))
+            assert state.dtype == row.dtype and state.tobytes() == row.tobytes()
+
+
+def test_readers_of_16_qubit_states_leave_their_inputs_unchanged():
+    n = 16
+    circuit = _parameterized(np.random.default_rng(17), _interleaved(n))
+    values = np.random.default_rng(18).uniform(-np.pi, np.pi, circuit.num_parameters)
+    observable = PauliObservable(((1.0, "Z" * n), (0.6, "XY" + "I" * (n - 3) + "X"), (-0.3, "I" * n)))
+    state = run(circuit.bind(values))
+    real = _real(circuit.bind(values))
+    rows = run_ops(n, real.gates, bound_angles(real, ()))[None]  # float64
+    inputs = [values.copy(), state.amplitudes.copy(), rows.copy()]
+    for call in (
+        lambda: _expectations(rows, observable),
+        lambda: _sampled_expectations(rows, observable, 64, [3]),
+        lambda: estimator(circuit, observable, values),
+        lambda: estimator(circuit, observable, values, shots=64, seed=3),
+        lambda: sampler(circuit, values),
+        lambda: sampler(circuit, values, shots=64, seed=3),
+        lambda: expectation(state, observable),
+        lambda: sample_state(state, 64, seed=3),
+        lambda: _rotated(state.amplitudes[None], "XYZ" * 5 + "X"),
+    ):
+        first = call()
+        assert np.array_equal(first, call()) if isinstance(first, np.ndarray) else first == call()
+        assert [a.tobytes() for a in (values, state.amplitudes, rows)] == [a.tobytes() for a in inputs]
+
+
+def test_small_pieces_match_the_dense_oracle_and_rotate_as_whole_states(monkeypatch):
+    """Pieces of 2^7 amplitudes put 8- and 9-qubit blocks above and inside a piece, and
+    slice a 9-qubit CX and the rotated copies."""
+    rng = np.random.default_rng(19)
+    for n in (8, 9):
+        circuit = _interleaved(n)
+        strings = ["".join(rng.choice(list("IXYZ"), n)) for _ in range(3)] + ["X" * n, "I" * (n - 1) + "Y"]
+        rows = np.stack([run(random_bound_circuit(rng, n, max_gates=3 * n)).amplitudes for _ in range(3)])
+        whole = [_rotated(rows, string) for string in strings]
+        with monkeypatch.context() as patch:
+            patch.setattr(simulator, "_PIECE_QUBITS", 7)
+            patch.setattr(simulator, "_FUSED_QUBITS", 5)
+            assert _interleaves([w for w, _ in _blocks(n, circuit.gates)], n - 4)
+            for full in (circuit, _real(circuit)):
+                assert np.max(np.abs(run(full).amplitudes - dense_state(full))) <= 1e-12
+            for string, rotated in zip(strings, whole):
+                assert _rotated(rows, string).tobytes() == rotated.tobytes()
+
+
 def test_shot_modes_reject_non_finite_probabilities():
     circuit = Circuit(2).extend([Gate.h(0), Gate.ry(Parameter("t"), 1)])
     with pytest.raises(CircuitError, match="not finite"):
