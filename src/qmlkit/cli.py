@@ -4,9 +4,9 @@ gradient checks, and Bayesian queries.
 Every run takes a seed (default 0) and is reproducible: the same flags give
 byte-identical output files. Exact simulation is the default everywhere;
 ``--shots`` opts into sampling. Exit codes: 0 success, 2 usage, input
-validation (a parameter the shift rule cannot differentiate included) or a
-file that cannot be read or written, 3 domain failure (non-convergence,
-impossible evidence, failed gradient check), 1 internal error.
+validation or a file that cannot be read or written, 3 domain failure
+(non-convergence, impossible evidence, failed gradient check), 1 internal
+error. ``gradcheck`` differentiates every rotation angle, CRY included.
 """
 
 from __future__ import annotations
@@ -22,13 +22,7 @@ import numpy as np
 
 from .bayesian import Query, exact_inference, network_from_dict, rejection_inference
 from .circuits import Circuit, circuit_from_dict, real_amplitudes_ansatz, zz_feature_map
-from .errors import (
-    CircuitError,
-    DataError,
-    ModelFormatError,
-    NoSupportError,
-    UnsupportedParameterError,
-)
+from .errors import CircuitError, DataError, ModelFormatError, NoSupportError
 from .gradients import GradientRequest, finite_difference, param_shift_gradient
 from .kernels import kernel_matrix
 from .models import (
@@ -141,28 +135,16 @@ def cmd_gen_data(args) -> int:
         raise CliError("--noise must be finite and nonnegative")
     rng = derive_rng(args.seed)
     rows = []
-    if args.kind == "blobs":
-        # Under the default zz_feature_map(2, 2), (+-pi/4, +-pi/4) map to one
-        # state up to a global phase; (+-pi/2, +-pi/2) overlap with fidelity 0.396.
-        centers = {1: (math.pi / 2, math.pi / 2), -1: (-math.pi / 2, -math.pi / 2)}
-        for i in range(args.samples):
-            label = 1 if i % 2 == 0 else -1
-            cx, cy = centers[label]
-            jitter = rng.normal(0.0, args.noise, 2) if args.noise > 0 else np.zeros(2)
-            rows.append([_float_cell(cx + jitter[0]), _float_cell(cy + jitter[1]), label])
-    else:  # xor
-        corners = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
-        for i in range(args.samples):
-            sx, sy = corners[i % 4]
-            label = sx * sy
-            jitter = rng.normal(0.0, args.noise, 2) if args.noise > 0 else np.zeros(2)
-            rows.append(
-                [
-                    _float_cell(sx * math.pi / 2 + jitter[0]),
-                    _float_cell(sy * math.pi / 2 + jitter[1]),
-                    label,
-                ]
-            )
+    # Row i sits at (sx pi/2, sy pi/2) for the i-th sign pair in turn: blobs alternate two
+    # centres labelled sx, xor cycles four corners labelled sx * sy. Under the default
+    # zz_feature_map(2, 2), (+-pi/4, +-pi/4) map to one state up to a global phase;
+    # (+-pi/2, +-pi/2) overlap with fidelity 0.396.
+    signs = [(1, 1), (-1, -1)] if args.kind == "blobs" else [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+    for i in range(args.samples):
+        sx, sy = signs[i % len(signs)]
+        jitter = rng.normal(0.0, args.noise, 2) if args.noise > 0 else np.zeros(2)
+        rows.append([_float_cell(sx * math.pi / 2 + jitter[0]), _float_cell(sy * math.pi / 2 + jitter[1]),
+                     sx if args.kind == "blobs" else sx * sy])
     _write_csv(args.out, ["f0", "f1", "label"], rows)
     _emit({"written": args.out, "samples": args.samples, "kind": args.kind})
     return EXIT_OK
@@ -439,7 +421,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, DataError, ModelFormatError, CircuitError, UnsupportedParameterError, OSError) as exc:
+    except (CliError, DataError, ModelFormatError, CircuitError, OSError) as exc:
         return _fail(str(exc), EXIT_USAGE)
     except (DomainFailure, NoSupportError) as exc:
         return _fail(str(exc), EXIT_DOMAIN)

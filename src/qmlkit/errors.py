@@ -10,7 +10,8 @@ class CircuitError(QmlkitError, ValueError):
 
 
 class UnsupportedParameterError(QmlkitError, ValueError):
-    """A parameter feeds a CRY angle, which the two-term shift rule cannot differentiate."""
+    """A parameter the shift rule cannot differentiate. Kept public for callers that catch it;
+    the library raises it nowhere, since every rotation angle, CRY included, has a rule."""
 
     def __init__(self, parameter_name: str, reason: str):
         super().__init__(f"parameter {parameter_name!r} is not shift-differentiable: {reason}")

@@ -1,8 +1,9 @@
 """Gradient engines for parameterized circuit functions.
 
 Three routes with different trade-offs: the shift rule gives exact
-gradients for every RX, RY and RZ angle expression (it moves the gate's
-angle and applies the chain rule), simultaneous perturbation gives cheap
+gradients for every angle expression of every rotation gate (it moves the
+gate's angle, by the two-term rule for RX, RY and RZ and the four-term rule
+for CRY, and applies the chain rule), simultaneous perturbation gives cheap
 stochastic estimates for anything evaluable, and central finite differences
 serve as the slow, assumption-free cross-check.
 """
@@ -16,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .circuits import AngleExpr, Circuit, Parameter, bound_angles
-from .errors import CircuitError, UnsupportedParameterError
+from .errors import CircuitError
 from .simulator import (
     PauliObservable,
     Statevector,
@@ -65,20 +66,19 @@ class SpsaGradientConfig:
             raise CircuitError("resamples must be at least 1")
 
 
-def _occurrence_map(circuit: Circuit, wrt: Sequence[Parameter]) -> dict[Parameter, list[int]]:
-    """Gate indices where each requested parameter occurs, each gate once.
+# The four-term rule of a CRY angle, whose generator has eigenvalues 0 and +-1/2 (Anselmetti et
+# al. 2021): (shift, divisor) pairs (pi/2, 1/d+) and (3 pi/2, -1/d-), d+- = (sqrt 2 +- 1) / (4 sqrt 2).
+_ROOT2 = math.sqrt(2.0)
+_CRY_RULE = ((math.pi / 2, 4.0 * _ROOT2 / (_ROOT2 + 1.0)), (1.5 * math.pi, -4.0 * _ROOT2 / (_ROOT2 - 1.0)))
 
-    A CRY occurrence of a requested parameter is rejected by name: the CRY
-    generator has three eigenvalues, so the two-term rule does not hold.
-    """
+
+def _occurrence_map(circuit: Circuit, wrt: Sequence[Parameter]) -> dict[Parameter, list[int]]:
+    """Gate indices where each requested parameter occurs, each gate once."""
     occurrences: dict[Parameter, list[int]] = {p: [] for p in wrt}  # keyed by identity
     for index, gate in enumerate(circuit.gates):
         for p in dict.fromkeys(gate.angle.parameters if gate.angle else ()):
-            if p not in occurrences:
-                continue
-            if gate.kind == "CRY":
-                raise UnsupportedParameterError(p.name, "parameter occurs in a CRY angle")
-            occurrences[p].append(index)
+            if p in occurrences:
+                occurrences[p].append(index)
     return occurrences
 
 
@@ -103,13 +103,16 @@ def shift_rule_jacobian(
     tasks)``, returning (B, output_dim): complex amplitude row b is table row ``rows[b]``
     under task ``tasks[b]``. One ``(P,)`` row is read one complex ``Statevector`` at a time
     by ``evaluate(state, task)``, returning a 1-d array. Tasks are numbered per row, so
-    callers can derive independent RNG streams, and run over the parameters, then each
-    one's gates, in pairs: a task's state moves only that gate's angle, by ``shift`` in the
-    direction the parameter's increase moves it, then against it. Each gate's difference
-    quotient is scaled by the size of its slope d angle / d parameter and the gates' terms
-    are summed (the chain and product rules). All rows' shifted states are prepared in row
-    blocks. Returns (len(wrt), output_dim) for a row, (R, len(wrt), output_dim) for a table
-    and (0, len(wrt), 0), with no ``evaluate`` call, for a table of no rows.
+    callers can derive independent RNG streams, and run over the parameters in ``wrt``
+    order, then each one's gates, then each gate's (shift, divisor) pairs, two tasks a
+    pair: one pair, (``shift``, 2 sin ``shift``), for an RX, RY or RZ gate and two, the
+    four-term rule's (pi/2, 1/d+) and (3 pi/2, -1/d-), for a CRY gate. A task's state moves
+    only that gate's angle, by the pair's shift in the direction the parameter's increase
+    moves it, then against it. Each pair's difference over its divisor is scaled by the
+    size of the gate's slope d angle / d parameter and the terms are summed (the chain and
+    product rules). All rows' shifted states are prepared in row blocks. Returns
+    (len(wrt), output_dim) for a row, (R, len(wrt), output_dim) for a table and
+    (0, len(wrt), 0), with no ``evaluate`` call, for a table of no rows.
     """
     _check_shift(shift)
     params = list(circuit.parameters if wrt is None else wrt)
@@ -120,16 +123,18 @@ def shift_rule_jacobian(
     values = np.asarray(values, dtype=float)
     if not params or (values.ndim == 2 and not len(values)):  # (R, 0, 0) or (0, P, 0)
         return np.zeros(values.shape[:-1] + (len(params), 0))
-    pairs = [(k, gate) for k, p in enumerate(params) for gate in occurrences[p]]
-    owners, gates = map(np.array, zip(*pairs))
+    two_term = ((shift, 2.0 * math.sin(shift)),)
+    pairs = [(k, gate, s, divisor) for k, p in enumerate(params) for gate in occurrences[p]
+             for s, divisor in (_CRY_RULE if circuit.gates[gate].kind == "CRY" else two_term)]
+    owners, gates, shifts, divisors = map(np.array, zip(*pairs))
     table, n = np.atleast_2d(values), circuit.num_qubits
     read = evaluate if values.ndim == 2 else lambda states, rows, task: [
         evaluate(Statevector(n, amplitudes), k) for amplitudes, k in zip(states, task.tolist())]
     env = dict(zip(circuit.parameters, table.T))  # the rows' parameter values, as bound_angles reads them
-    slopes = np.empty((len(table), len(pairs)))  # d angle / d parameter, per row and occurrence
-    for j, (k, gate) in enumerate(pairs):
+    slopes = np.empty((len(table), len(pairs)))  # d angle / d parameter, per row and pair
+    for j, (k, gate, _, _) in enumerate(pairs):
         slopes[:, j] = _slope(circuit.gates[gate].angle, params[k], env)
-    steps = np.where(slopes < 0, -shift, shift)  # each pair's first angle move
+    steps = np.where(slopes < 0, -shifts, shifts)  # each pair's first angle move
     base = bound_angles(circuit, table)  # each row's unshifted angles, evaluated once
     tasks, blocks = 2 * len(pairs), []
     for block in _row_blocks(n, len(circuit.gates), len(table) * tasks):
@@ -140,14 +145,16 @@ def shift_rule_jacobian(
         blocks.append(np.asarray(read(np.asarray(run_ops(n, circuit.gates, angles), dtype=complex), rows, task),
                                  dtype=float))
     outputs = np.concatenate(blocks).reshape(len(table), -1, 2, blocks[0].shape[1])
-    terms = (outputs[:, :, 0] - outputs[:, :, 1]) / (2.0 * math.sin(shift)) * np.abs(slopes)[:, :, None]
+    terms = (outputs[:, :, 0] - outputs[:, :, 1]) / divisors[:, None] * np.abs(slopes)[:, :, None]
     jacobian = np.zeros((len(table), len(params), terms.shape[2]))
     np.add.at(jacobian, (slice(None), owners), terms)  # occurrences add up in gate order
     return jacobian if values.ndim == 2 else jacobian[0]
 
 
 def param_shift_gradient(request: GradientRequest) -> np.ndarray:
-    """Exact gradient of the expectation value via the two-point shift rule.
+    """Exact gradient of the expectation value via the shift rule: two shifted points
+    per RX, RY or RZ occurrence of a parameter, at ``request.shift``, and four per CRY
+    occurrence, at the fixed shifts pi/2 and 3 pi/2.
 
     Shot mode evaluates each shifted point with its own derived seed, so the
     estimate is deterministic for a given master seed.
@@ -181,13 +188,8 @@ def spsa_gradient(
     c = config.perturbation
     estimate = np.zeros_like(point)
     for k in range(config.resamples):
-        rng = derive_rng(config.seed, k)
-        delta = rng.integers(0, 2, size=point.size) * 2.0 - 1.0
-        f_plus = float(f(point + c * delta))
-        f_minus = float(f(point - c * delta))
-        if not (math.isfinite(f_plus) and math.isfinite(f_minus)):
-            raise ValueError("objective returned a non-finite value")
-        estimate += (f_plus - f_minus) / (2.0 * c * delta)
+        delta = _rademacher(config.seed, k, point.size)
+        estimate += _central_difference(f, point, c * delta) / (2.0 * c * delta)
     return estimate / config.resamples
 
 
@@ -204,9 +206,20 @@ def finite_difference(
     for i in range(point.size):
         offset = np.zeros_like(point)
         offset[i] = step
-        f_plus = float(f(point + offset))
-        f_minus = float(f(point - offset))
-        if not (math.isfinite(f_plus) and math.isfinite(f_minus)):
-            raise ValueError("objective returned a non-finite value")
-        gradient[i] = (f_plus - f_minus) / (2.0 * step)
+        gradient[i] = _central_difference(f, point, offset) / (2.0 * step)
     return gradient
+
+
+def _rademacher(seed: int | None, k: int, size: int) -> np.ndarray:
+    """A direction of ``size`` random signs +-1 drawn from the (seed, k) stream."""
+    return derive_rng(seed, k).integers(0, 2, size=size) * 2.0 - 1.0
+
+
+def _central_difference(f: Callable[[np.ndarray], float], point: np.ndarray, offset: np.ndarray) -> float:
+    """f(point + offset) - f(point - offset), the plus side evaluated first; a non-finite
+    value raises ValueError."""
+    f_plus = float(f(point + offset))
+    f_minus = float(f(point - offset))
+    if not (math.isfinite(f_plus) and math.isfinite(f_minus)):
+        raise ValueError("objective returned a non-finite value")
+    return f_plus - f_minus

@@ -227,6 +227,13 @@ def vqr_predict(model: VqrModel, features) -> np.ndarray:
     return qnn._outputs(features, model.trained_weights, None, [None] * len(features))[:, 0]
 
 
+def _movable(y: np.ndarray, alpha: np.ndarray, C: float) -> tuple[np.ndarray, np.ndarray]:
+    """SMO's (up, low) masks: the coordinates whose y * alpha can still rise, and fall, in the box."""
+    up = ((y > 0) & (alpha < C - 1e-12)) | ((y < 0) & (alpha > 1e-12))
+    low = ((y > 0) & (alpha > 1e-12)) | ((y < 0) & (alpha < C - 1e-12))
+    return up, low
+
+
 def _smo_solve(
     K: np.ndarray, y: np.ndarray, C: float, tol: float = 1e-3, max_updates: int = 100_000
 ) -> tuple[np.ndarray, float, bool]:
@@ -241,8 +248,7 @@ def _smo_solve(
     grad = -np.ones(m)  # Q @ alpha - 1 at alpha = 0
     converged = False
     for _ in range(max_updates):
-        up = ((y > 0) & (alpha < C - 1e-12)) | ((y < 0) & (alpha > 1e-12))
-        low = ((y > 0) & (alpha > 1e-12)) | ((y < 0) & (alpha < C - 1e-12))
+        up, low = _movable(y, alpha, C)
         score = -y * grad
         if not up.any() or not low.any():
             converged = True
@@ -275,8 +281,7 @@ def _smo_solve(
         bias = float(np.mean(y[unbounded] - decision[unbounded]))
     else:
         score = -y * (Q @ alpha - 1.0)
-        up = ((y > 0) & (alpha < C - 1e-12)) | ((y < 0) & (alpha > 1e-12))
-        low = ((y > 0) & (alpha > 1e-12)) | ((y < 0) & (alpha < C - 1e-12))
+        up, low = _movable(y, alpha, C)
         hi = np.max(score[up]) if up.any() else 0.0
         lo = np.min(score[low]) if low.any() else 0.0
         bias = float((hi + lo) / 2.0)

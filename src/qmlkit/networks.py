@@ -27,6 +27,7 @@ from .simulator import (
     _draws,
     _expectations,
     index_to_bitstring,
+    _parity,
     _probabilities,
     _row_blocks,
     run_ops,
@@ -51,12 +52,7 @@ def _index_bins(interpret, num_qubits: int) -> np.ndarray | None:
     indices = np.arange(2**num_qubits)
     if interpret is identity_interpret:
         return indices
-    if interpret is not parity_interpret:
-        return None
-    parity = np.zeros_like(indices)
-    for q in range(num_qubits):
-        parity ^= (indices >> q) & 1
-    return parity
+    return _parity(indices, range(num_qubits)) if interpret is parity_interpret else None
 
 
 class _QnnBase:
@@ -65,9 +61,9 @@ class _QnnBase:
     A subclass sets ``output_dim`` and supplies ``_readout(states, shots, seeds)``:
     the (B, output_dim) outputs of (B, 2^n) amplitude rows, row b seeded by ``seeds[b]``.
     Both passes take input rows beside one weight vector and read states a block at a
-    time: ``_outputs`` every row's state, ``_jacobians`` every row's shifted states, each
-    parameter's +shift then -shift state per gate it feeds. ``forward`` and ``backward``
-    are their one-row cases.
+    time: ``_outputs`` every row's state, ``_jacobians`` every row's shifted states, the
+    weights' then the inputs', in one shift rule. ``forward`` and ``backward`` are their
+    one-row cases.
     """
 
     output_dim: int
@@ -104,23 +100,24 @@ class _QnnBase:
         ])
 
     def _jacobians(self, rows, weights, shots: int | None, seeds):
-        """One shift rule over all rows for each of (R, outputs, inputs), None without
-        ``input_gradients``, and (R, outputs, weights); row i's shifted state k
-        reads out from ``derive_seed(seeds[i], k)`` in shot mode."""
+        """(R, outputs, inputs), None without ``input_gradients``, and (R, outputs, weights)
+        from one shift rule over all rows, whose tasks run over the weights, then the
+        inputs; row i's shifted state k reads out from ``derive_seed(seeds[i], k)`` in shot
+        mode, so no two of a row's shifted states share a stream."""
         values = self._values(rows, weights)
+        indices = self.weight_params + (self.input_params if self.input_gradients else ())
 
         def evaluate(states: np.ndarray, rows: np.ndarray, tasks: np.ndarray) -> np.ndarray:
             task_seeds = None if shots is None else [derive_seed(seeds[i], k) for i, k in zip(rows, tasks)]
             return self._readout(states, shots, task_seeds)
 
-        def jacobian(indices: tuple[int, ...]) -> np.ndarray:
-            if not indices or not len(values):
-                return np.zeros((len(values), self.output_dim, len(indices)))
+        if indices and len(values):
             wrt = [self.circuit.parameters[i] for i in indices]
-            return shift_rule_jacobian(self.circuit, values, evaluate, wrt=wrt).transpose(0, 2, 1)
-
-        weight_jac = jacobian(self.weight_params)
-        return (jacobian(self.input_params) if self.input_gradients else None), weight_jac
+            jacobian = shift_rule_jacobian(self.circuit, values, evaluate, wrt=wrt).transpose(0, 2, 1)
+        else:
+            jacobian = np.zeros((len(values), self.output_dim, len(indices)))
+        w = len(self.weight_params)
+        return (jacobian[:, :, w:] if self.input_gradients else None), jacobian[:, :, :w]
 
     def forward(self, inputs, weights, shots: int | None = None, seed: int | None = None) -> np.ndarray:
         """One output vector: expectation values, or bucket probabilities summing to 1."""
@@ -133,8 +130,9 @@ class _QnnBase:
 
         The input Jacobian is None when the network was built with
         ``input_gradients=False``, the usual setting while training, which
-        skips the input parameters' shifted states. Shifted state k reads out
-        from ``derive_seed(seed, k)`` in shot mode.
+        skips the input parameters' shifted states. The shifted states run
+        over the weights, then the inputs, and shifted state k reads out from
+        ``derive_seed(seed, k)`` in shot mode.
         """
         input_jac, weight_jac = self._jacobians([inputs], weights, shots, [seed])
         return (None if input_jac is None else input_jac[0]), weight_jac[0]

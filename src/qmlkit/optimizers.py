@@ -4,7 +4,9 @@ Gradient descent and ADAM run one descent loop over a gradient callable (or
 finite differences) and differ only in the step they take; SPSA needs only
 function evaluations and decaying gain sequences. All three share the
 stopping rule: run until the iteration cap, or until the best value improves
-by less than ``tolerance`` for five consecutive iterations.
+by less than ``tolerance`` for five consecutive iterations. A non-finite
+objective value after the initial point ends any run at once, on every route
+(a supplied gradient, finite differences or SPSA), unconverged.
 """
 
 from __future__ import annotations
@@ -15,8 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .gradients import finite_difference
-from .simulator import derive_rng
+from .gradients import _central_difference, _rademacher, finite_difference
 
 _KINDS = ("gd", "adam", "spsa")
 _PLATEAU_ITERATIONS = 5
@@ -82,8 +83,13 @@ class OptimizeResult:
     converged: bool = False
 
 
+class _NonFinite(Exception):
+    """The objective returned a non-finite value, which ends the run."""
+
+
 class _Tracker:
-    """Counts evaluations, tracks the running best, and applies the plateau rule."""
+    """Counts evaluations, tracks the running best, and applies the plateau rule; a
+    non-finite objective value raises ``_NonFinite``."""
 
     def __init__(self, objective: Callable[[np.ndarray], float], tolerance: float):
         self.objective = objective
@@ -93,19 +99,17 @@ class _Tracker:
         self.best_value = math.inf
         self.best_point: np.ndarray | None = None
         self.plateau = 0
-        self.aborted = False
 
     def __call__(self, point: np.ndarray) -> float:
         self.evaluations += 1
         value = float(self.objective(np.asarray(point, dtype=float)))
         if not math.isfinite(value):
-            self.aborted = True
+            raise _NonFinite
         return value
 
     def advance(self, point: np.ndarray) -> bool:
-        """Evaluate and record a new iterate; True when the run stops (non-finite or plateau)."""
-        value = self(point)
-        return self.aborted or self.record(point, value)
+        """Evaluate and record a new iterate; True when the plateau rule says stop."""
+        return self.record(point, self(point))
 
     def record(self, point: np.ndarray, value: float) -> bool:
         """Append one iterate; True when the plateau rule says stop."""
@@ -135,29 +139,23 @@ def minimize(
     """
     point = np.asarray(initial, dtype=float).copy()
     tracker = _Tracker(objective, config.tolerance)
-    first = tracker(point)
-    if not math.isfinite(first):
-        raise ValueError("objective is not finite at the initial point")
-    tracker.record(point, first)
-    if point.size == 0:
-        return OptimizeResult(point, first, tracker.history, tracker.evaluations, True)
-
     if gradient is None:
         gradient = lambda v: finite_difference(tracker, v, 1e-5)
-
-    if config.kind == "spsa":
-        converged = _spsa_loop(tracker, point, config)
-    else:
-        converged = _descent_loop(tracker, gradient, point, config)
+    try:
+        tracker.record(point, tracker(point))
+        if point.size == 0:
+            return OptimizeResult(point, tracker.best_value, tracker.history, tracker.evaluations, True)
+        if config.kind == "spsa":
+            converged = _spsa_loop(tracker, point, config)
+        else:
+            converged = _descent_loop(tracker, gradient, point, config)
+    except _NonFinite:
+        if not tracker.history:
+            raise ValueError("objective is not finite at the initial point") from None
+        converged = False
 
     assert tracker.best_point is not None
-    return OptimizeResult(
-        tracker.best_point,
-        tracker.best_value,
-        tracker.history,
-        tracker.evaluations,
-        converged and not tracker.aborted,
-    )
+    return OptimizeResult(tracker.best_point, tracker.best_value, tracker.history, tracker.evaluations, converged)
 
 
 def _descent_loop(tracker: _Tracker, gradient, point: np.ndarray, config: OptimizerConfig) -> bool:
@@ -166,7 +164,7 @@ def _descent_loop(tracker: _Tracker, gradient, point: np.ndarray, config: Optimi
     v = np.zeros_like(point)
     for t in range(1, config.max_iterations + 1):
         g = np.asarray(gradient(point), dtype=float)
-        if tracker.aborted or not np.all(np.isfinite(g)):
+        if not np.all(np.isfinite(g)):
             return False
         if config.kind == "adam":
             m = config.adam_beta1 * m + (1.0 - config.adam_beta1) * g
@@ -177,7 +175,7 @@ def _descent_loop(tracker: _Tracker, gradient, point: np.ndarray, config: Optimi
         else:
             point = point - config.learning_rate * g
         if tracker.advance(point):
-            return not tracker.aborted
+            return True
     return False
 
 
@@ -186,13 +184,8 @@ def _spsa_loop(tracker: _Tracker, point: np.ndarray, config: OptimizerConfig) ->
     gain_a = config.spsa_a
     for k in range(config.max_iterations):
         c_k = config.spsa_c / (k + 1.0) ** config.spsa_gamma
-        rng = derive_rng(config.seed, k)
-        delta = rng.integers(0, 2, size=point.size) * 2.0 - 1.0
-        f_plus = tracker(point + c_k * delta)
-        f_minus = tracker(point - c_k * delta)
-        if tracker.aborted:
-            return False
-        g = (f_plus - f_minus) / (2.0 * c_k * delta)
+        delta = _rademacher(config.seed, k, point.size)
+        g = _central_difference(tracker, point, c_k * delta) / (2.0 * c_k * delta)
         if gain_a is None:
             # First-sample calibration: make the first update roughly 0.1 per component.
             magnitude = float(np.mean(np.abs(g)))
@@ -200,5 +193,5 @@ def _spsa_loop(tracker: _Tracker, point: np.ndarray, config: OptimizerConfig) ->
         a_k = gain_a / (k + 1.0 + stability) ** config.spsa_alpha
         point = point - a_k * g
         if tracker.advance(point):
-            return not tracker.aborted
+            return True
     return False

@@ -495,6 +495,14 @@ def _draws(cdf: np.ndarray, shots: int, seed: int | None, *task: int) -> np.ndar
     return cdf.searchsorted(derive_rng(seed, *task).random(shots), side="right")
 
 
+def _parity(indices: np.ndarray, qubits) -> np.ndarray:
+    """0 or 1 per basis index: the parity of its bits on ``qubits``."""
+    parity = np.zeros_like(indices)
+    for q in qubits:
+        parity ^= indices >> q  # bit 0 of the XOR of the shifts is the bits' parity
+    return parity & 1
+
+
 def _sampled_expectations(rows: np.ndarray, observable: PauliObservable, shots: int, seeds) -> np.ndarray:
     """Shot-based expectation of each of (B, 2^n) real or complex rows: each term measured with the
     full shot budget, row b drawing from the (seeds[b], term index) stream, so results do not
@@ -514,10 +522,8 @@ def _sampled_expectations(rows: np.ndarray, observable: PauliObservable, shots: 
         for b, seed in enumerate(seeds):
             cdf = _cdf(probs[b], out=probs[b])
             for term_index in term_indices:
-                outcomes, parity = _draws(cdf, shots, seed, term_index), 0
-                for q in [q for q, ch in enumerate(observable.terms[term_index][1]) if ch != "I"]:
-                    parity ^= outcomes >> q  # bit 0 of the XOR of the shifts is the bits' parity
-                means[term_index, b] = (1.0 - 2.0 * (parity & 1)).mean()
+                qubits = [q for q, ch in enumerate(observable.terms[term_index][1]) if ch != "I"]
+                means[term_index, b] = (1.0 - 2.0 * _parity(_draws(cdf, shots, seed, term_index), qubits)).mean()
         probs = cdf = None  # freed before the next basis's rotated copy
     return sum((coeff * mean for (coeff, _), mean in zip(observable.terms, means)), np.zeros(len(rows)))
 

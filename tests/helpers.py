@@ -22,6 +22,7 @@ def random_supported_circuit(
     max_params: int = 6,
     max_gates: int = 10,
     general_angles: bool = False,
+    cry: bool = False,
 ) -> tuple[Circuit, np.ndarray]:
     """Random circuit whose every parameter occurrence is shift-differentiable.
 
@@ -29,13 +30,18 @@ def random_supported_circuit(
     enter with either sign. With ``general_angles`` a parameterised angle may
     also be scaled, offset, or a product of two factors (of two parameters or
     of one parameter twice); without it the draws are those of the unit
-    angles alone.
+    angles alone. With ``cry`` the gates of two or more qubits also include
+    CRY gates with one or more controls, each 0- or 1-valued, whose angles are
+    drawn as the other rotations' are (the four-term rule); without it the
+    draws are those of the other gates alone.
     """
     n = int(rng.integers(1, max_qubits + 1)) if num_qubits is None else num_qubits
     num_gates = int(rng.integers(3, max_gates + 1))
     circuit = Circuit(n)
     params: list[Parameter] = []
-    kinds = ["H", "X", "RX", "RY", "RZ"] + (["CX", "CZ"] if n > 1 else [])
+    kinds = ["H", "X", "RX", "RY", "RZ"]
+    if n > 1:
+        kinds += ["CX", "CZ"] + (["CRY"] if cry else [])
     for _ in range(num_gates):
         kind = str(rng.choice(kinds))
         if kind in ("H", "X"):
@@ -62,7 +68,11 @@ def random_supported_circuit(
             if general_angles:
                 others = [q for q in params if q is not p] or [p]
                 angle = _general_angle(rng, angle, p, others[int(rng.integers(len(others)))])
-        circuit = circuit.append(Gate(kind, (int(rng.integers(n)),), angle=angle))
+        if kind == "CRY":
+            *controls, target = rng.choice(n, size=int(rng.integers(1, n)) + 1, replace=False)
+            circuit = circuit.append(Gate.cry(angle, [(int(q), int(rng.integers(2))) for q in controls], int(target)))
+        else:
+            circuit = circuit.append(Gate(kind, (int(rng.integers(n)),), angle=angle))
     if not circuit.parameters:
         p = Parameter("p0")
         circuit = circuit.append(Gate.ry(p, int(rng.integers(n))))

@@ -418,15 +418,23 @@ def test_gradcheck_product_angle_exits_0(tmp_path, capsys):
     assert report["parameters"] == 2
 
 
-def test_gradcheck_cry_parameter_exits_2(tmp_path, capsys):
-    from qmlkit import Circuit, Gate, Parameter
+def test_gradcheck_cry_parameter_matches_finite_difference(tmp_path, capsys):
+    from qmlkit import AngleExpr, Circuit, Gate, Parameter
 
-    circuit = Circuit(2).extend([Gate.h(0), Gate.cry(Parameter("theta"), [(0, 1)], 1)])
-    path = tmp_path / "cry.json"
-    path.write_text(json.dumps(circuit_to_dict(circuit)))
-    code, _, err = run_cli(capsys, "gradcheck", "--circuit", str(path), "--values", "0.7")
-    assert code == 2
-    assert "theta" in json.loads(err)["error"]
+    theta = Parameter("theta")
+    single = Circuit(2).extend([Gate.h(0), Gate.cry(theta, [(0, 1)], 1)])
+    # A -2 slope on 0- and 1-valued controls.
+    multi = Circuit(3).extend([
+        Gate.h(0), Gate.h(1), Gate.cry(AngleExpr(-2.0, ((0.3, 1.0, theta),)), [(0, 1), (2, 0)], 1),
+    ])
+    for circuit, observable in ((single, "ZX"), (multi, "ZXI")):
+        path = tmp_path / "cry.json"
+        path.write_text(json.dumps(circuit_to_dict(circuit)))
+        code, stdout, _ = run_cli(
+            capsys, "gradcheck", "--circuit", str(path), "--values", "0.7", "--observable", observable
+        )
+        assert code == 0
+        assert json.loads(stdout)["max_deviation"] < 1e-8
 
 
 def test_gradcheck_non_numeric_value_exits_2(tmp_path, capsys):

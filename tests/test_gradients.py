@@ -8,13 +8,14 @@ from qmlkit import (
     AngleExpr,
     Circuit,
     CircuitError,
+    EstimatorQnn,
     Gate,
     GradientRequest,
     Parameter,
     PauliObservable,
+    SamplerQnn,
     SpsaGradientConfig,
     Statevector,
-    UnsupportedParameterError,
     compile_network,
     estimator,
     expectation,
@@ -87,16 +88,29 @@ def test_scaled_parameter_matches_analytic_and_finite_difference():
         assert abs(grad[0] - oracle[0]) < 1e-4
 
 
-def test_cry_parameter_rejected():
+def test_cry_parameter_matches_finite_difference():
     # The CRY generator has eigenvalues 0 and +-1/2, so the two-term rule is
     # wrong here: it gives -0.2425 where finite differences give -0.1714.
-    theta = Parameter("t")
-    circuit = (
-        Circuit(2).append(Gate.h(0)).append(Gate.ry(0.4, 1)).append(Gate.cry(theta, [(0, 1)], 1))
-    )
-    with pytest.raises(UnsupportedParameterError) as info:
-        param_shift_gradient(GradientRequest(circuit, PauliObservable(((1.0, "XI"),)), [0.7]))
-    assert info.value.parameter_name == "t"
+    theta, phi = Parameter("t"), Parameter("u")
+    single = Circuit(2).extend([Gate.h(0), Gate.ry(0.4, 1), Gate.cry(theta, [(0, 1)], 1)])
+    # Multi-controlled CRY angles on 0- and 1-valued controls, with a -2 slope and a product.
+    multi = Circuit(3).extend([
+        Gate.h(0), Gate.ry(0.4, 1), Gate.h(2), Gate.cry(theta, [(0, 1)], 1),
+        Gate.cry(AngleExpr(-2.0, ((0.3, 1.0, theta),)), [(0, 1), (2, 0)], 1), Gate.rx(phi, 2),
+        Gate.cry(AngleExpr(0.5, ((0.0, 1.0, phi), (0.2, 1.0, theta))), [(1, 0), (2, 1)], 0),
+    ])
+    xi, mixed = PauliObservable(((1.0, "XI"),)), PauliObservable(((1.0, "XII"), (0.5, "ZXY")))
+    assert param_shift_gradient(GradientRequest(single, xi, [0.7]))[0] == pytest.approx(-0.1714, abs=1e-4)
+    for circuit, observable, values in [(single, xi, [0.7]), (multi, mixed, [0.7, -0.3]), (multi, mixed, [2.1, 1.2])]:
+        grad = param_shift_gradient(GradientRequest(circuit, observable, values))
+        oracle = finite_difference(lambda v: estimator(circuit, observable, v), values, 1e-5)
+        assert np.max(np.abs(grad - oracle)) < 1e-8
+    # Both networks' backward, with t as the input and u as the weight.
+    for qnn in (EstimatorQnn(multi, [mixed], [0], [1]), SamplerQnn(multi, [0], [1])):
+        input_jac, weight_jac = qnn.backward([2.1], [1.2])
+        for o in range(qnn.output_dim):
+            assert abs(input_jac[o, 0] - finite_difference(lambda v: qnn.forward(v, [1.2])[o], [2.1])[0]) < 1e-8
+            assert abs(weight_jac[o, 0] - finite_difference(lambda v: qnn.forward([2.1], v)[o], [1.2])[0]) < 1e-8
 
 
 def test_library_circuits_are_differentiable():
@@ -139,11 +153,14 @@ def test_degenerate_or_non_finite_shift_rejected(shift):
         shift_rule_jacobian(ry_circuit(), [0.3], lambda state, task: [expectation(state, Z)], shift=shift)
 
 
-@pytest.mark.parametrize("general_angles", [False, True], ids=["unit_angles", "general_angles"])
-def test_matches_finite_difference_on_random_circuits(general_angles):
+DRAWS = {"unit_angles": {}, "general_angles": {"general_angles": True}, "cry": {"general_angles": True, "cry": True}}
+
+
+@pytest.mark.parametrize("draw", DRAWS.values(), ids=list(DRAWS))
+def test_matches_finite_difference_on_random_circuits(draw):
     rng = np.random.default_rng(41)
     for _ in range(30):
-        circuit, values = random_supported_circuit(rng, general_angles=general_angles)
+        circuit, values = random_supported_circuit(rng, **draw)
         observable = random_observable(rng, circuit.num_qubits)
         grad = param_shift_gradient(GradientRequest(circuit, observable, values))
         oracle = finite_difference(
@@ -152,11 +169,11 @@ def test_matches_finite_difference_on_random_circuits(general_angles):
         assert np.max(np.abs(grad - oracle)) < 1e-4
 
 
-@pytest.mark.parametrize("general_angles", [False, True], ids=["unit_angles", "general_angles"])
-def test_shift_invariance(general_angles):
+@pytest.mark.parametrize("draw", DRAWS.values(), ids=list(DRAWS))
+def test_shift_invariance(draw):
     rng = np.random.default_rng(43)
     for _ in range(15):
-        circuit, values = random_supported_circuit(rng, general_angles=general_angles)
+        circuit, values = random_supported_circuit(rng, **draw)
         observable = random_observable(rng, circuit.num_qubits)
         g_half = param_shift_gradient(GradientRequest(circuit, observable, values, shift=math.pi / 2))
         g_third = param_shift_gradient(GradientRequest(circuit, observable, values, shift=math.pi / 3))

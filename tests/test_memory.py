@@ -35,8 +35,10 @@ from qmlkit.simulator import run_ops
 from .helpers import training_functions
 
 BUDGET_AMPLITUDES = 1 << 18
-# Inside run_ops a block, its scratch and its row-major copy are alive at
-# once, beside the previous block's rows that the caller is still reading.
+# Inside run_ops a block and its row-major copy are alive at once, beside the
+# previous block's rows that the caller is still reading; the block's scratch is
+# freed before the copy (a 9-qubit, 512-row complex block peaks at 2.23x its
+# states' bytes).
 PEAK_MULTIPLE = 4
 PIECE_AMPLITUDES = 1 << 15
 

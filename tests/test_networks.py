@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qmlkit import (
+    AngleExpr,
     Circuit,
     CircuitError,
     EstimatorQnn,
@@ -332,12 +333,24 @@ def test_zero_input_rows_give_empty_outputs_and_jacobians(kind, shots):
     assert weight_jacs.shape == (0, qnn.output_dim, 3)
 
 
+def with_cry(circuit: Circuit) -> Circuit:
+    """``circuit`` and two CRY gates on 0- and 1-valued controls: one of an input with a -2
+    slope, one of a weight times that input."""
+    x, w = circuit.parameters[1], circuit.parameters[5]
+    return circuit.extend([
+        Gate.cry(AngleExpr(-2.0, ((0.3, 1.0, x),)), [(0, 1), (2, 0)], 1),
+        Gate.cry(AngleExpr(0.5, ((0.0, 1.0, w), (0.2, 1.0, x))), [(3, 0)], 2),
+    ])
+
+
 ZZ_QNNS = {
     "estimator": lambda circuit: EstimatorQnn(
         circuit, [PauliObservable.z_on(0, 4), PauliObservable(((1.0, "XZIY"), (0.5, "IIZZ")))],
         range(4), range(4, circuit.num_parameters),
     ),
     "sampler": lambda circuit: SamplerQnn(circuit, range(4), range(4, circuit.num_parameters), parity_interpret, 2),
+    "estimator_cry": lambda circuit: ZZ_QNNS["estimator"](with_cry(circuit)),
+    "sampler_cry": lambda circuit: ZZ_QNNS["sampler"](with_cry(circuit)),
 }
 
 
@@ -366,3 +379,28 @@ def test_zz_encoding_shot_backward_is_deterministic(kind):
     second = qnn.backward(inputs, weights, shots=128, seed=17)
     assert first[0].shape == (qnn.output_dim, 4)
     assert all(a.tobytes() == b.tobytes() for a, b in zip(first, second))
+
+
+@pytest.mark.parametrize("network", ["estimator", "sampler"])
+def test_shot_backward_reads_each_shifted_state_from_its_own_stream(monkeypatch, network):
+    circuit = zz_feature_map(2, 1).compose(real_amplitudes_ansatz(2, 1))
+
+    def make(input_gradients: bool):
+        weights = range(2, circuit.num_parameters)
+        if network == "estimator":
+            return EstimatorQnn(circuit, [PauliObservable.z_on(0, 2)], [0, 1], weights, input_gradients)
+        return SamplerQnn(circuit, [0, 1], weights, parity_interpret, 2, input_gradients)
+
+    qnn, seeds = make(True), []
+    readout = qnn._readout
+
+    def recorded(states, shots, task_seeds):
+        seeds.extend(task_seeds)
+        return readout(states, shots, task_seeds)
+
+    monkeypatch.setattr(qnn, "_readout", recorded)
+    inputs, weights = [0.3, -1.2], [0.4, 0.9, -0.5, 1.1]
+    _, weight_jac = qnn.backward(inputs, weights, shots=100, seed=5)
+    # 8 shifted states for the inputs (each feeds two gates) and 8 for the weights.
+    assert len(seeds) == 16 and len(set(seeds)) == 16
+    assert weight_jac.tobytes() == make(False).backward(inputs, weights, shots=100, seed=5)[1].tobytes()

@@ -90,6 +90,14 @@ def test_non_finite_objective_aborts_with_partial_history():
     assert 1 <= len(result.history) < 100
 
 
+def test_non_finite_value_inside_finite_differences_stops_the_run():
+    # The first finite-difference step's minus side, 0.499991, reads inf.
+    objective = lambda v: float("inf") if v[0] < 0.5 else float((v[0] - 2.0) ** 2)
+    result = minimize(objective, None, [0.500001], OptimizerConfig(kind="gd", learning_rate=0.3))
+    assert not result.converged
+    assert result.history == [objective([0.500001])] and result.evaluations == 3
+
+
 def test_non_finite_at_initial_raises():
     config = OptimizerConfig(kind="gd")
     with pytest.raises(ValueError):
