@@ -20,7 +20,7 @@ import numpy as np
 
 from .circuits import Circuit, Gate, bound_angles
 from .errors import CircuitError, ModelFormatError, NoSupportError
-from .simulator import MAX_QUBITS, _cdf, _draws, _probabilities, run_ops
+from .simulator import MAX_QUBITS, _cdf, _draws, _owned_probabilities, run_ops
 
 _SAMPLE_BATCH = 4096
 
@@ -195,8 +195,7 @@ def rejection_inference(
         raise CircuitError("shots must be a positive integer")
     consistent, hit = _matcher(bn, query.evidence), _matcher(bn, query.assignment)
     circuit = compile_network(bn)  # one CDF for every batch, from the circuit's real state
-    probs = _probabilities(run_ops(circuit.num_qubits, circuit.gates, bound_angles(circuit, ())))
-    cdf = _cdf(probs, out=probs)
+    cdf = _cdf(_owned_probabilities(run_ops(circuit.num_qubits, circuit.gates, bound_angles(circuit, ()))))
     accepted = 0
     hits = 0
     for batch_index, start in enumerate(range(0, shots, _SAMPLE_BATCH)):

@@ -6,7 +6,8 @@ byte-identical output files. Exact simulation is the default everywhere;
 ``--shots`` opts into sampling. Exit codes: 0 success, 2 usage, input
 validation or a file that cannot be read or written, 3 domain failure
 (non-convergence, impossible evidence, failed gradient check), 1 internal
-error. ``gradcheck`` differentiates every rotation angle, CRY included.
+error. ``gradcheck`` differentiates every rotation angle, CRY included. Model kinds are
+told apart in one place, ``_predict``, through which ``train`` and ``predict`` score.
 """
 
 from __future__ import annotations
@@ -105,12 +106,9 @@ def read_dataset(path: str, require_label: bool):
 def _map_labels(raw: list[str]) -> tuple[np.ndarray, dict[str, int]]:
     """Binary labels by sorted string order: first -> -1, second -> +1."""
     unique = sorted(set(raw))
-    if len(unique) > 2:
-        raise CliError(f"expected at most 2 classes, got {unique}")
-    if len(unique) == 1:
-        mapping = {unique[0]: 1}
-    else:
-        mapping = {unique[0]: -1, unique[1]: 1}
+    if len(unique) != 2:
+        raise CliError(f"classification needs exactly 2 label values, got {len(unique)}: {unique}")
+    mapping = {unique[0]: -1, unique[1]: 1}
     return np.array([float(mapping[v]) for v in raw]), mapping
 
 
@@ -168,41 +166,55 @@ def _optimizer_from(args) -> OptimizerConfig:
         raise CliError(str(exc)) from exc
 
 
+def _predict(model, features, shots: int | None, seed: int | None):
+    """Labels (values for a vqr model), the score column's name and each row's score: the
+    one place the CLI tells model kinds apart, for ``train`` and ``predict`` alike."""
+    if isinstance(model, VqcModel):
+        predicted, probs = vqc_predict(model, features, shots=shots, seed=seed)
+        return predicted, "probability", probs[:, 1]
+    if isinstance(model, VqrModel):
+        _no_shots(shots, "a vqr model")
+        predicted = vqr_predict(model, features)
+        return predicted, "prediction", predicted
+    predicted, decisions = svm_predict(model, features, shots=shots, seed=seed)
+    return predicted, "decision", decisions
+
+
 def _fit_once(args, data: Dataset, label_map, seed: int):
+    """One fit: the model, its loss, its iteration count and its exact predictions on the
+    training set, which also give an SVM's hinge loss."""
     feature_map = _feature_map_for(args, data.dimension)
     if args.model in ("vqc", "vqr"):
         ansatz = real_amplitudes_ansatz(data.dimension, args.ansatz_reps)
         config = _optimizer_from(args)
         if args.model == "vqc":
             model = vqc_fit(data, feature_map, ansatz, config, shots=args.shots, seed=seed)
-            model.label_map = label_map
         else:
             model = vqr_fit(data, feature_map, ansatz, optimizer_config=config, seed=seed)
-        loss = min(model.loss_history)
-        iterations = len(model.loss_history) - 1
-        return model, loss, iterations
-    if args.model == "qsvc":
+    elif args.model == "qsvc":
         model = qsvc_fit(data, feature_map, C=args.svm_c, shots=args.shots, seed=seed)
         if not model.converged:
             raise DomainFailure("dual solver did not reach the KKT tolerance")
-        iterations = 0
     else:  # pegasos
         model = pegasos_fit(data, feature_map, lam=args.pegasos_lambda, steps=args.pegasos_steps, seed=seed)
-        iterations = args.pegasos_steps
-    model.label_map = label_map
-    _, decisions = svm_predict(model, data.features)
-    return model, float(np.mean(np.maximum(0.0, 1.0 - data.labels * decisions))), iterations
+    if label_map is not None:
+        model.label_map = label_map
+    predicted, _, scores = _predict(model, data.features, None, None)
+    if args.model in ("vqc", "vqr"):
+        return model, min(model.loss_history), len(model.loss_history) - 1, predicted
+    hinge = float(np.mean(np.maximum(0.0, 1.0 - data.labels * scores)))
+    return model, hinge, args.pegasos_steps if args.model == "pegasos" else 0, predicted
 
 
-def _no_shots(args, what: str) -> None:
-    if args.shots is not None:
+def _no_shots(shots: int | None, what: str) -> None:
+    if shots is not None:
         raise CliError(f"--shots is not supported for {what}, which runs in exact mode only")
 
 
 def cmd_train(args) -> int:
     started = time.monotonic()
     if args.model in ("vqr", "pegasos"):
-        _no_shots(args, f"--model {args.model}")
+        _no_shots(args.shots, f"--model {args.model}")
     features, raw_labels = read_dataset(args.data, require_label=True)
     if args.model == "vqr":
         try:
@@ -212,27 +224,21 @@ def cmd_train(args) -> int:
         label_map = None
     else:
         labels, label_map = _map_labels(raw_labels)
-        if len(set(raw_labels)) != 2:
-            raise CliError("classification needs exactly 2 label values")
     data = Dataset(features, labels)
 
     best = None
     for attempt in range(max(1, args.best_of)):
         seed = args.seed if args.best_of <= 1 else derive_seed(args.seed, attempt)
-        model, loss, iterations = _fit_once(args, data, label_map, seed)
-        if best is None or loss < best[1]:
-            best = (model, loss, iterations)
-    model, loss, iterations = best
+        fit = _fit_once(args, data, label_map, seed)
+        if best is None or fit[1] < best[1]:
+            best = fit
+    model, loss, iterations, predicted = best
 
     save_model(model, args.out)
     metrics: dict = {"iterations": iterations, "final_loss": loss}
     if args.model == "vqr":
-        metrics["train_mse"] = float(np.mean((vqr_predict(model, data.features) - data.labels) ** 2))
+        metrics["train_mse"] = float(np.mean((predicted - data.labels) ** 2))
     else:
-        if isinstance(model, VqcModel):
-            predicted, _ = vqc_predict(model, data.features)
-        else:
-            predicted, _ = svm_predict(model, data.features)
         metrics["train_accuracy"] = float(np.mean(predicted == data.labels))
     metrics["wall_seconds"] = round(time.monotonic() - started, 3)
     _emit(metrics)
@@ -242,20 +248,9 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     model = load_model(args.model_path)
     features, raw_labels = read_dataset(args.data, require_label=False)
-    if isinstance(model, VqcModel):
-        predicted, probs = vqc_predict(model, features, shots=args.shots, seed=args.seed)
-        score_name, scores = "probability", probs[:, 1]
-    elif isinstance(model, VqrModel):
-        _no_shots(args, "a vqr model")
-        predicted = vqr_predict(model, features)
-        score_name, scores = "prediction", predicted
-    else:
-        predicted, scores = svm_predict(model, features, shots=args.shots, seed=args.seed)
-        score_name = "decision"
-
-    inverse_map = None
-    if getattr(model, "label_map", None):
-        inverse_map = {v: k for k, v in model.label_map.items()}
+    predicted, score_name, scores = _predict(model, features, args.shots, args.seed)
+    mapping = getattr(model, "label_map", None) or {}
+    inverse_map = {v: k for k, v in mapping.items()}
 
     rows = []
     for value, score in zip(predicted, scores):
@@ -266,15 +261,13 @@ def cmd_predict(args) -> int:
     metrics: dict = {"rows": len(rows), "written": args.out}
     if raw_labels is not None:
         try:
-            if isinstance(model, VqrModel):
-                truth = np.array([float(v) for v in raw_labels])
-                metrics["mse"] = float(np.mean((predicted - truth) ** 2))
-            else:
-                mapping = model.label_map or {}
-                truth = np.array([float(mapping.get(v, v)) for v in raw_labels])
-                metrics["accuracy"] = float(np.mean(predicted == truth))
+            truth = np.array([float(mapping.get(v, v)) for v in raw_labels])
         except ValueError as exc:
             raise CliError(f"labels in {args.data} do not match the model: {exc}") from exc
+        if isinstance(model, VqrModel):
+            metrics["mse"] = float(np.mean((predicted - truth) ** 2))
+        else:
+            metrics["accuracy"] = float(np.mean(predicted == truth))
     _emit(metrics)
     return EXIT_OK
 
@@ -315,12 +308,9 @@ def cmd_gradcheck(args) -> int:
         observable = PauliObservable(((1.0, args.observable),))
     else:
         observable = PauliObservable.z_on(0, circuit.num_qubits)
-    if circuit.num_parameters == 0:
-        _emit({"max_deviation": 0.0, "parameters": 0})
-        return EXIT_OK
     analytic = param_shift_gradient(GradientRequest(circuit, observable, values))
     numeric = finite_difference(lambda v: estimator(circuit, observable, v), values)
-    deviation = float(np.max(np.abs(analytic - numeric)))
+    deviation = float(np.max(np.abs(analytic - numeric), initial=0.0))
     _emit({"max_deviation": deviation, "parameters": circuit.num_parameters})
     if deviation >= GRADCHECK_TOLERANCE:
         raise DomainFailure(f"gradient deviation {deviation} exceeds {GRADCHECK_TOLERANCE}")

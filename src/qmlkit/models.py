@@ -363,22 +363,17 @@ def svm_predict(
     shots: int | None = None,
     seed: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Labels and decision values; a decision of exactly zero maps to -1."""
+    """Labels and decision values; a decision of exactly zero maps to -1. With no support
+    vectors the kernel has no rows, so every decision is the bias (qsvc) or 0.0 (pegasos)."""
     features = _as_dataset(features, model.feature_map, "features")
     if shots is not None and shots < 1:
         raise CircuitError("shots must be a positive integer")
-    if model.support_data.size == 0:
-        decisions = np.full(features.shape[0], model.bias if model.kind == "qsvc" else 0.0)
+    cross = kernel_matrix(model.feature_map, model.support_data, features, shots=shots, seed=seed).entries
+    decisions = (model.support_values * model.support_labels) @ cross
+    if model.kind == "qsvc":
+        decisions = decisions + model.bias
     else:
-        cross = kernel_matrix(
-            model.feature_map, model.support_data, features, shots=shots, seed=seed
-        ).entries
-        weights = model.support_values * model.support_labels
-        decisions = weights @ cross
-        if model.kind == "qsvc":
-            decisions = decisions + model.bias
-        else:
-            decisions = decisions / (model.lam * model.steps)
+        decisions = decisions / (model.lam * model.steps)
     labels = np.where(decisions > 0.0, 1.0, -1.0)
     return labels, decisions
 

@@ -220,8 +220,8 @@ class SamplerQnn(_QnnBase):
     def _readout(self, states: np.ndarray, shots: int | None, seeds) -> np.ndarray:
         probs, d = _probabilities(states), self.output_dim
         if shots is not None:
-            return np.array([np.bincount(self._bins[_draws(_cdf(p, out=p), shots, seed)], minlength=d) / shots
-                             for p, seed in zip(probs, seeds)])
+            return np.array([np.bincount(self._bins[_draws(cdf, shots, seed)], minlength=d) / shots
+                             for cdf, seed in zip(_cdf(probs), seeds)])
         # Bucket b * d + bin sums row b's probabilities in index order, as a per-row bincount does.
         buckets = (self._bins + d * np.arange(len(probs))[:, None]).ravel()
         return np.bincount(buckets, weights=probs.ravel(), minlength=d * len(probs)).reshape(-1, d)

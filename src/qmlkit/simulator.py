@@ -475,16 +475,16 @@ def _owned_probabilities(amplitudes: np.ndarray) -> np.ndarray:
     return np.square(amplitudes, out=amplitudes) if amplitudes.dtype == float else _probabilities(amplitudes)
 
 
-def _cdf(probs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The CDF that ``Generator.choice`` searches for ``p=probs / probs.sum()``: the
-    cumulative sum of the renormalised probabilities, divided by its last entry, in one new
-    array or in ``out``; a caller passes ``out=probs`` only for an array it owns."""
-    cdf = np.divide(probs, probs.sum(), out=out)
-    np.cumsum(cdf, out=cdf)
-    if not np.isfinite(cdf[-1]):  # ``choice`` rejects such p; a search would draw index 0
+def _cdf(probs: np.ndarray) -> np.ndarray:
+    """The CDFs that ``Generator.choice`` searches for ``p=row / row.sum()``, in place along the
+    last axis of ``probs``, an array the caller owns: each row over its sum, summed up, over its
+    last entry. Sums along the last axis take the bits of the one-row sums."""
+    probs /= probs.sum(axis=-1, keepdims=True)
+    np.cumsum(probs, axis=-1, out=probs)
+    if not np.isfinite(probs[..., -1]).all():  # ``choice`` rejects such p; a search would draw index 0
         raise CircuitError("outcome probabilities are not finite")
-    cdf /= cdf[-1]
-    return cdf
+    probs /= probs[..., -1:].copy()  # by a view of itself, numpy would divide a copy of probs
+    return probs
 
 
 def _draws(cdf: np.ndarray, shots: int, seed: int | None, *task: int) -> np.ndarray:
@@ -507,7 +507,7 @@ def _sampled_expectations(rows: np.ndarray, observable: PauliObservable, shots: 
     """Shot-based expectation of each of (B, 2^n) real or complex rows: each term measured with the
     full shot budget, row b drawing from the (seeds[b], term index) stream, so results do not
     depend on evaluation order. Terms with the same X and Y characters share one rotated copy
-    (none for Z/I terms) and one CDF per row. A drawn outcome's eigenvalue is +-1 by the
+    (none for Z/I terms) and one block of CDFs. A drawn outcome's eigenvalue is +-1 by the
     parity of its bits on the term's non-identity qubits, folded into one array."""
     _check_width(rows, observable)
     if shots < 1:
@@ -518,13 +518,12 @@ def _sampled_expectations(rows: np.ndarray, observable: PauliObservable, shots: 
             bases.setdefault("".join(ch if ch in "XY" else "I" for ch in string), []).append(term_index)
     means = np.ones((len(observable.terms), len(rows)))  # an identity term reads 1 on every shot
     for basis, term_indices in bases.items():
-        probs = _owned_probabilities(_rotated(rows, basis)) if basis.strip("I") else _probabilities(rows)
+        cdf = _cdf(_owned_probabilities(_rotated(rows, basis)) if basis.strip("I") else _probabilities(rows))
         for b, seed in enumerate(seeds):
-            cdf = _cdf(probs[b], out=probs[b])
             for term_index in term_indices:
                 qubits = [q for q, ch in enumerate(observable.terms[term_index][1]) if ch != "I"]
-                means[term_index, b] = (1.0 - 2.0 * _parity(_draws(cdf, shots, seed, term_index), qubits)).mean()
-        probs = cdf = None  # freed before the next basis's rotated copy
+                means[term_index, b] = (1.0 - 2.0 * _parity(_draws(cdf[b], shots, seed, term_index), qubits)).mean()
+        cdf = None  # freed before the next basis's rotated copy
     return sum((coeff * mean for (coeff, _), mean in zip(observable.terms, means)), np.zeros(len(rows)))
 
 
@@ -536,7 +535,7 @@ def expectation(state: Statevector, observable: PauliObservable) -> float:
 def _frequencies(probs: np.ndarray, num_qubits: int, shots: int, seed: int | None) -> QuasiDistribution:
     """Empirical outcome frequencies of ``shots`` seeded draws against ``probs``, an array
     the caller owns: its CDF is built in place."""
-    values, counts = np.unique(_draws(_cdf(probs, out=probs), shots, seed), return_counts=True)
+    values, counts = np.unique(_draws(_cdf(probs), shots, seed), return_counts=True)
     return QuasiDistribution(_outcome_dict(values, counts / shots, num_qubits), shots)
 
 

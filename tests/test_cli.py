@@ -6,6 +6,7 @@ import pytest
 
 from qmlkit import circuit_to_dict, kernel_entry, real_amplitudes_ansatz, zz_feature_map
 from qmlkit.cli import GRADCHECK_TOLERANCE, main
+from qmlkit.models import svm_predict
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -119,6 +120,39 @@ def test_train_qsvc_on_blobs(tmp_path, capsys):
     saved = json.loads(model.read_text())
     assert saved["format_version"] == 1
     assert saved["type"] == "qsvc"
+
+
+@pytest.mark.parametrize("model, best_of, calls", [("qsvc", "1", 1), ("pegasos", "2", 2)])
+def test_train_scores_each_attempt_with_one_svm_predict(tmp_path, capsys, monkeypatch, model, best_of, calls):
+    import qmlkit.cli
+
+    scored = []
+
+    def spy(*args, **kwargs):
+        scored.append(kwargs)
+        return svm_predict(*args, **kwargs)
+
+    monkeypatch.setattr(qmlkit.cli, "svm_predict", spy)
+    data = tmp_path / "blobs.csv"
+    run_cli(capsys, "gen-data", "blobs", "--samples", "6", "--noise", "0.1", "--seed", "2", "--out", str(data))
+    code, stdout, _ = run_cli(
+        capsys, "train", "--model", model, "--data", str(data), "--out", str(tmp_path / "m.json"),
+        "--pegasos-steps", "100", "--best-of", best_of,
+    )
+    assert code == 0
+    assert "train_accuracy" in json.loads(stdout)
+    assert len(scored) == calls
+
+
+@pytest.mark.parametrize("labels", [["a", "a"], ["a", "b", "c"]])
+def test_train_needs_exactly_two_label_values(tmp_path, capsys, labels):
+    data = tmp_path / "labels.csv"
+    data.write_text("f0,f1,label\n" + "".join(f"0.{i},0.{i + 1},{label}\n" for i, label in enumerate(labels)))
+    out = tmp_path / "m.json"
+    code, _, err = run_cli(capsys, "train", "--model", "qsvc", "--data", str(data), "--out", str(out))
+    assert code == 2
+    assert "exactly 2 label values" in json.loads(err)["error"]
+    assert not out.exists()
 
 
 def test_train_writes_reproducible_model(tmp_path, capsys):

@@ -466,7 +466,7 @@ def test_draws_reproduce_choice_for_seeds_0_to_4():
         probs[rng.uniform(size=probs.size) < 0.3] = 0.0
         probs[0] = 0.1  # at least one outcome is possible
         for seed in range(5):
-            drawn = _draws(_cdf(probs), 2000, seed, 4, 2)
+            drawn = _draws(_cdf(probs.copy()), 2000, seed, 4, 2)
             chosen = derive_rng(seed, 4, 2).choice(probs.size, size=2000, p=probs / probs.sum())
             assert drawn.dtype == chosen.dtype and np.array_equal(drawn, chosen)
 
