@@ -20,7 +20,7 @@ import numpy as np
 
 from .circuits import Circuit, Gate, bound_angles
 from .errors import CircuitError, ModelFormatError, NoSupportError
-from .simulator import MAX_QUBITS, _cdf, _draws, _owned_probabilities, run_ops
+from .simulator import MAX_QUBITS, _cdf, _check_shots, _draws, _owned_probabilities, run_ops
 
 _SAMPLE_BATCH = 4096
 
@@ -191,8 +191,7 @@ def rejection_inference(
     merged estimate is independent of how batches are scheduled. Zero
     accepted samples raise NoSupportError.
     """
-    if shots < 1:
-        raise CircuitError("shots must be a positive integer")
+    shots = _check_shots(shots)
     consistent, hit = _matcher(bn, query.evidence), _matcher(bn, query.assignment)
     circuit = compile_network(bn)  # one CDF for every batch, from the circuit's real state
     cdf = _cdf(_owned_probabilities(run_ops(circuit.num_qubits, circuit.gates, bound_angles(circuit, ()))))

@@ -287,8 +287,8 @@ def bound_angles(circuit: Circuit, values) -> np.ndarray:
     """Each gate's rotation angle: ``(..., P)`` values, last axis ordered like
     ``circuit.parameters``, give ``(..., G)`` angles, one per gate.
 
-    The one place angles are evaluated: gates without an angle get 0.0.
-    """
+    The one place angles are evaluated: gates without an angle get 0.0, and a
+    non-finite angle, from the values or the circuit, raises ``CircuitError``."""
     values = np.asarray(values, dtype=float)
     if values.shape[-1:] != (len(circuit.parameters),):
         raise CircuitError(f"expected {len(circuit.parameters)} values per row, got shape {values.shape}")
@@ -297,6 +297,8 @@ def bound_angles(circuit: Circuit, values) -> np.ndarray:
     for k, g in enumerate(circuit.gates):
         if g.angle is not None:
             angles[..., k] = g.angle.evaluate(env)
+    if not np.isfinite(angles).all():
+        raise CircuitError("gate angles are not finite")
     return angles
 
 

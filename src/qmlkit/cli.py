@@ -6,7 +6,8 @@ byte-identical output files. Exact simulation is the default everywhere;
 ``--shots`` opts into sampling. Exit codes: 0 success, 2 usage, input
 validation or a file that cannot be read or written, 3 domain failure
 (non-convergence, impossible evidence, failed gradient check), 1 internal
-error. ``gradcheck`` differentiates every rotation angle, CRY included. Model kinds are
+error. Every error, argparse's usage errors included, is one line of JSON on
+stderr. ``gradcheck`` differentiates every rotation angle, CRY included. Model kinds are
 told apart in one place, ``_predict``, through which ``train`` and ``predict`` score.
 """
 
@@ -22,7 +23,7 @@ import time
 import numpy as np
 
 from .bayesian import Query, exact_inference, network_from_dict, rejection_inference
-from .circuits import Circuit, circuit_from_dict, real_amplitudes_ansatz, zz_feature_map
+from .circuits import circuit_from_dict, real_amplitudes_ansatz, zz_feature_map
 from .errors import CircuitError, DataError, ModelFormatError, NoSupportError
 from .gradients import GradientRequest, finite_difference, param_shift_gradient
 from .kernels import kernel_matrix
@@ -57,6 +58,13 @@ class CliError(Exception):
 
 class DomainFailure(Exception):
     """Well-formed request that cannot be satisfied; exits with code 3."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors raise ``CliError``; its subparsers share the class."""
+
+    def error(self, message: str):
+        raise CliError(message)
 
 
 def _emit(payload: dict) -> None:
@@ -148,12 +156,6 @@ def cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
-def _feature_map_for(args, dimension: int) -> Circuit:
-    if args.feature_map != "zz":
-        raise CliError(f"unknown feature map {args.feature_map!r}")
-    return zz_feature_map(dimension, args.feature_reps)
-
-
 def _optimizer_from(args) -> OptimizerConfig:
     try:
         return OptimizerConfig(
@@ -183,7 +185,7 @@ def _predict(model, features, shots: int | None, seed: int | None):
 def _fit_once(args, data: Dataset, label_map, seed: int):
     """One fit: the model, its loss, its iteration count and its exact predictions on the
     training set, which also give an SVM's hinge loss."""
-    feature_map = _feature_map_for(args, data.dimension)
+    feature_map = zz_feature_map(data.dimension, args.feature_reps)
     if args.model in ("vqc", "vqr"):
         ansatz = real_amplitudes_ansatz(data.dimension, args.ansatz_reps)
         config = _optimizer_from(args)
@@ -274,7 +276,7 @@ def cmd_predict(args) -> int:
 
 def cmd_kernel(args) -> int:
     features, _ = read_dataset(args.data, require_label=False)
-    feature_map = _feature_map_for(args, features.shape[1])
+    feature_map = zz_feature_map(features.shape[1], args.feature_reps)
     K = kernel_matrix(feature_map, features, shots=args.shots, seed=args.seed).entries
     header = [str(j) for j in range(K.shape[1])]
     rows = [[_float_cell(v) for v in row] for row in K]
@@ -339,7 +341,7 @@ def cmd_bayes(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="qmlkit", description=__doc__)
+    parser = _Parser(prog="qmlkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
@@ -358,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=["vqc", "vqr", "qsvc", "pegasos"], required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--feature-map", default="zz")
     p.add_argument("--feature-reps", type=int, default=2)
     p.add_argument("--ansatz-reps", type=int, default=2)
     p.add_argument("--optimizer", choices=["gd", "adam", "spsa"], default="adam")
@@ -382,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kernel", help="export the Gram matrix of a dataset")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--feature-map", default="zz")
     p.add_argument("--feature-reps", type=int, default=2)
     common(p)
     p.set_defaults(func=cmd_kernel)
@@ -407,9 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (CliError, DataError, ModelFormatError, CircuitError, OSError) as exc:
         return _fail(str(exc), EXIT_USAGE)

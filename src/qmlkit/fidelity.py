@@ -2,10 +2,10 @@
 
 The first circuit runs forward, the inverse of the second runs after it, and
 the probability of the all-zeros outcome is the squared overlap of the two
-prepared states. Both circuits are bound before composing, so parameter
-names never collide. This is the paper's fidelity primitive for any two
-circuits; kernel matrices over one feature map do not build these composed
-circuits but take the overlaps of prepared states directly (``kernels``).
+prepared states. Each circuit's angles are evaluated against its own values,
+so parameter names never collide, and both gate lists run as one state. This
+is the paper's fidelity primitive for any two circuits; kernel matrices over
+one feature map take the overlaps of prepared states directly (``kernels``).
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuits import Circuit
+from .circuits import Circuit, bound_angles
 from .errors import CircuitError
-from .simulator import index_to_bitstring, run, sampler
+from .simulator import _cdf, _check_shots, _draws, _owned_probabilities, run_ops
 
 
 @dataclass(frozen=True)
@@ -37,23 +37,18 @@ def compute_uncompute(job: FidelityJob) -> float:
 
     Exact mode returns |<phi_b|phi_a>|^2; an identical (circuit, values) pair
     short-circuits to exactly 1.0. Shot mode returns the raw all-zeros
-    frequency of a seeded sampler draw.
+    frequency of ``shots`` seeded draws.
     """
     if job.circuit_a.num_qubits != job.circuit_b.num_qubits:
-        raise CircuitError(
-            f"fidelity widths differ: {job.circuit_a.num_qubits} vs {job.circuit_b.num_qubits}"
-        )
-    bound_a = job.circuit_a.bind(job.values_a)
-    bound_b = job.circuit_b.bind(job.values_b)
-    if (
-        job.shots is None
-        and job.circuit_a == job.circuit_b
-        and np.array_equal(np.asarray(job.values_a, dtype=float), np.asarray(job.values_b, dtype=float))
+        raise CircuitError(f"fidelity widths differ: {job.circuit_a.num_qubits} vs {job.circuit_b.num_qubits}")
+    shots = None if job.shots is None else _check_shots(job.shots)
+    inverse_b = job.circuit_b.inverse()
+    angles = np.concatenate([bound_angles(job.circuit_a, job.values_a), bound_angles(inverse_b, job.values_b)])
+    if shots is None and job.circuit_a == job.circuit_b and np.array_equal(
+        np.asarray(job.values_a, dtype=float), np.asarray(job.values_b, dtype=float)
     ):
         return 1.0
-    composed = bound_a.compose(bound_b.inverse())
-    if job.shots is None:
-        amp0 = run(composed).amplitudes[0]
-        return float(min(1.0, max(0.0, abs(amp0) ** 2)))
-    distribution = sampler(composed, [], shots=job.shots, seed=job.seed)
-    return distribution.probabilities.get(index_to_bitstring(0, composed.num_qubits), 0.0)
+    state = run_ops(job.circuit_a.num_qubits, job.circuit_a.gates + inverse_b.gates, angles)
+    if shots is None:
+        return float(min(1.0, max(0.0, abs(complex(state[0])) ** 2)))
+    return float(np.count_nonzero(_draws(_cdf(_owned_probabilities(state)), shots, job.seed) == 0) / shots)

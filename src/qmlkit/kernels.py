@@ -17,7 +17,7 @@ import numpy as np
 from .circuits import Circuit, Parameter, bound_angles
 from .errors import CircuitError, DataError
 from .optimizers import OptimizeResult, OptimizerConfig, _seeded_config, minimize
-from .simulator import derive_rng, derive_seed, run_ops
+from .simulator import _check_shots, derive_rng, derive_seed, run_ops
 
 
 @dataclass(frozen=True)
@@ -71,8 +71,7 @@ def _as_dataset(X, feature_map: Circuit, name: str) -> np.ndarray:
 
 def _sampled(fidelity: float, shots: int, seed: int | None) -> float:
     """All-zeros frequency of ``shots`` compute-uncompute draws: Binomial(shots, F) / shots."""
-    if shots < 1:
-        raise CircuitError("shots must be a positive integer")
+    shots = _check_shots(shots)
     return float(derive_rng(seed).binomial(shots, fidelity)) / shots
 
 
@@ -110,6 +109,7 @@ def kernel_matrix(
     """
     rows = _as_dataset(X, feature_map, "X")
     cols = rows if Y is None else _as_dataset(Y, feature_map, "Y")
+    shots = shots if shots is None else _check_shots(shots)
     n, gates = feature_map.num_qubits, feature_map.gates
     states = run_ops(n, gates, bound_angles(feature_map, rows))
     other = states if Y is None else run_ops(n, gates, bound_angles(feature_map, cols))

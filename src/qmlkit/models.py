@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuits import Circuit, circuit_from_dict, circuit_to_dict
-from .errors import CircuitError, DataError, ModelFormatError
+from .errors import DataError, ModelFormatError
 from .kernels import _as_dataset, kernel_matrix
 from .networks import EstimatorQnn, SamplerQnn, parity_interpret
 from .optimizers import OptimizeResult, OptimizerConfig, _seeded_config, minimize
@@ -366,8 +366,6 @@ def svm_predict(
     """Labels and decision values; a decision of exactly zero maps to -1. With no support
     vectors the kernel has no rows, so every decision is the bias (qsvc) or 0.0 (pegasos)."""
     features = _as_dataset(features, model.feature_map, "features")
-    if shots is not None and shots < 1:
-        raise CircuitError("shots must be a positive integer")
     cross = kernel_matrix(model.feature_map, model.support_data, features, shots=shots, seed=seed).entries
     decisions = (model.support_values * model.support_labels) @ cross
     if model.kind == "qsvc":

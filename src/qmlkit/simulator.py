@@ -487,12 +487,17 @@ def _cdf(probs: np.ndarray) -> np.ndarray:
     return probs
 
 
+def _check_shots(shots) -> int:
+    """``shots`` as an ``int``: the one shot-count rule, an ``int`` or numpy integer >= 1, not a ``bool``."""
+    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)) or shots < 1:
+        raise CircuitError("shots must be a positive integer")
+    return int(shots)
+
+
 def _draws(cdf: np.ndarray, shots: int, seed: int | None, *task: int) -> np.ndarray:
     """Basis indices of ``shots`` draws from the (seed, *task) stream, searched in a ``_cdf``:
     the indices ``choice`` draws from that stream, without rebuilding the CDF per call."""
-    if shots < 1:
-        raise CircuitError("shots must be a positive integer")
-    return cdf.searchsorted(derive_rng(seed, *task).random(shots), side="right")
+    return cdf.searchsorted(derive_rng(seed, *task).random(_check_shots(shots)), side="right")
 
 
 def _parity(indices: np.ndarray, qubits) -> np.ndarray:
@@ -510,8 +515,7 @@ def _sampled_expectations(rows: np.ndarray, observable: PauliObservable, shots: 
     (none for Z/I terms) and one block of CDFs. A drawn outcome's eigenvalue is +-1 by the
     parity of its bits on the term's non-identity qubits, folded into one array."""
     _check_width(rows, observable)
-    if shots < 1:
-        raise CircuitError("shots must be a positive integer")
+    shots = _check_shots(shots)
     bases: dict[str, list[int]] = {}
     for term_index, (_, string) in enumerate(observable.terms):
         if string.strip("I"):
@@ -535,6 +539,7 @@ def expectation(state: Statevector, observable: PauliObservable) -> float:
 def _frequencies(probs: np.ndarray, num_qubits: int, shots: int, seed: int | None) -> QuasiDistribution:
     """Empirical outcome frequencies of ``shots`` seeded draws against ``probs``, an array
     the caller owns: its CDF is built in place."""
+    shots = _check_shots(shots)
     values, counts = np.unique(_draws(_cdf(probs), shots, seed), return_counts=True)
     return QuasiDistribution(_outcome_dict(values, counts / shots, num_qubits), shots)
 

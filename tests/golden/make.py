@@ -1,4 +1,5 @@
-"""Seeded outputs of the CLI and the shot readers, recorded for ``tests/test_golden.py``.
+"""Seeded outputs of the CLI, the shot readers and the library's fidelity, kernel,
+gradient, optimizer, inference and fitting calls, recorded for ``tests/test_golden.py``.
 
 ``probes()`` runs every probe and returns ``{"exact": {...}, "shots": {...}}``. Shot
 outputs, counts, labels and integers compare exactly; floats under "exact" compare
@@ -23,16 +24,39 @@ import tempfile
 import numpy as np
 
 from qmlkit import (
+    AngleExpr,
+    BayesianNetwork,
+    BayesNode,
     Circuit,
+    Dataset,
     EstimatorQnn,
+    FidelityJob,
     Gate,
+    GradientRequest,
+    OptimizerConfig,
+    Parameter,
     PauliObservable,
+    Query,
     SamplerQnn,
+    TrainableKernelSpec,
     circuit_to_dict,
+    compute_uncompute,
     estimator,
+    kernel_entry,
+    kernel_matrix,
+    minimize,
+    model_to_dict,
+    param_shift_gradient,
     parity_interpret,
+    pegasos_fit,
+    qsvc_fit,
     real_amplitudes_ansatz,
+    rejection_inference,
     sampler,
+    train_kernel,
+    trainable_kernel_matrix,
+    vqc_fit,
+    vqr_fit,
     zz_feature_map,
 )
 from qmlkit.cli import main
@@ -182,6 +206,105 @@ def _qnn_probes() -> tuple[dict, dict]:
     return exact, shots
 
 
+def _fidelity_probes() -> tuple[dict, dict]:
+    """``compute_uncompute`` on nearby real and complex pairs, whose all-zeros outcome is
+    likely enough that shot counts read it, and on one identical pair."""
+    exact, shots = {}, {}
+    for n in (2, 6, 12):
+        rng = np.random.default_rng(100 + n)
+        ansatz, feature_map = real_amplitudes_ansatz(n, 1), zz_feature_map(n, 1)
+        pairs = {
+            "real": (ansatz, ansatz.append(Gate.ry(0.1, 0)), rng.uniform(-1, 1, ansatz.num_parameters)),
+            "complex": (feature_map, feature_map.append(Gate.rz(0.1, n - 1)), rng.uniform(-1, 1, n)),
+        }
+        for kind, (circuit_a, circuit_b, values_a) in pairs.items():
+            values_b = values_a + rng.normal(0.0, 0.3 / n, len(values_a))
+            job = dict(circuit_a=circuit_a, circuit_b=circuit_b, values_a=values_a, values_b=values_b)
+            exact[f"fidelity/{n}/{kind}"] = compute_uncompute(FidelityJob(**job))
+            for count in (64, 1000):
+                shots[f"fidelity/{n}/{kind}/{count}"] = compute_uncompute(FidelityJob(**job, shots=count, seed=n))
+    feature_map, values = zz_feature_map(3, 2), [0.3, -1.1, 2.0]
+    exact["fidelity/identical"] = compute_uncompute(FidelityJob(feature_map, feature_map, values, values))
+    shots["fidelity/identical/64"] = compute_uncompute(FidelityJob(feature_map, feature_map, values, values, 64, 3))
+    return exact, shots
+
+
+def _kernel_probes() -> tuple[dict, dict]:
+    exact, shots = {}, {}
+    feature_map = zz_feature_map(3, 2)
+    rng = np.random.default_rng(7)
+    X, Y = rng.uniform(-math.pi, math.pi, (5, 3)), rng.uniform(-math.pi, math.pi, (3, 3))
+    for name, other in (("symmetric", None), ("rectangular", Y)):
+        exact[f"kernel_matrix/{name}"] = kernel_matrix(feature_map, X, other).entries.tolist()
+        shots[f"kernel_matrix/{name}/40"] = kernel_matrix(feature_map, X, other, shots=40, seed=2).entries.tolist()
+    exact["kernel_entry"] = kernel_entry(feature_map, X[0], Y[0])
+    shots["kernel_entry/40"] = kernel_entry(feature_map, X[0], Y[0], shots=40, seed=2)
+    spec = TrainableKernelSpec(zz_feature_map(2, 1).compose(real_amplitudes_ansatz(2, 1)), 2)
+    data, labels = X[:, :2], np.array([1.0, -1.0, 1.0, -1.0, 1.0])
+    exact["trainable_kernel_matrix"] = trainable_kernel_matrix(spec, [0.2, -0.4, 0.9, 0.1], data).entries.tolist()
+    result = train_kernel(spec, data, labels, OptimizerConfig(kind="spsa", max_iterations=10), seed=4)
+    exact["train_kernel"] = [result.best_point.tolist(), result.best_value, result.history]
+    return exact, shots
+
+
+def _gradient_probes() -> tuple[dict, dict]:
+    """Shift-rule gradients through product-form zz angles, plain weights and a scaled CRY."""
+    c = Parameter("c")
+    circuit = zz_feature_map(2, 1).compose(real_amplitudes_ansatz(2, 1))
+    circuit = circuit.append(Gate.cry(AngleExpr(0.7, ((0.2, 1.0, c),)), [(0, 1)], 1))
+    observable = PauliObservable(((0.6, "ZZ"), (0.5, "XI"), (-0.4, "IY")))
+    values = np.random.default_rng(9).uniform(-math.pi, math.pi, circuit.num_parameters)
+    exact = {"param_shift_gradient": param_shift_gradient(GradientRequest(circuit, observable, values)).tolist()}
+    request = GradientRequest(circuit, observable, values, shots=64, seed=6)
+    return exact, {"param_shift_gradient/64": param_shift_gradient(request).tolist()}
+
+
+def _optimizer_probes() -> tuple[dict, dict]:
+    """Seeded ``minimize`` runs of 20 iterations on one smooth objective."""
+    target = np.array([1.0, -2.0, 0.5])
+
+    def objective(x: np.ndarray) -> float:
+        return float(np.sum((x - target) ** 2) + 0.3 * np.sum(np.sin(3.0 * x)))
+
+    def gradient(x: np.ndarray) -> np.ndarray:
+        return 2.0 * (x - target) + 0.9 * np.cos(3.0 * x)
+
+    exact = {}
+    for kind in ("gd", "adam", "spsa"):
+        config = OptimizerConfig(kind=kind, max_iterations=20, learning_rate=0.1, seed=5)
+        result = minimize(objective, None if kind == "spsa" else gradient, [0.0, 0.0, 0.0], config)
+        exact[f"minimize/{kind}"] = [result.best_point.tolist(), result.best_value, result.history, result.converged]
+    return exact, {}
+
+
+def _fit_probes() -> tuple[dict, dict]:
+    """The four fits through the API on 8 rows, and rejection inference at seeds 0-1."""
+    exact, shots = {}, {}
+    rng = np.random.default_rng(12)
+    features = rng.uniform(-math.pi / 2, math.pi / 2, (8, 2))
+    labels = np.where(features[:, 0] * features[:, 1] > 0.0, 1.0, -1.0)
+    data, feature_map, ansatz = Dataset(features, labels), zz_feature_map(2, 1), real_amplitudes_ansatz(2, 1)
+    config = OptimizerConfig(kind="adam", max_iterations=8, learning_rate=0.1)
+    exact["vqc_fit"] = model_to_dict(vqc_fit(data, feature_map, ansatz, config, seed=1))
+    shots["vqc_fit/32"] = model_to_dict(vqc_fit(data, feature_map, ansatz, config, shots=32, seed=1))
+    # Under ZZ every weight has a gradient well away from zero: Adam would turn a zero
+    # gradient's last-bit changes into steps of learning_rate / adam_epsilon times as much.
+    regression, zz = Dataset(features, np.cos(features[:, 0])), PauliObservable(((1.0, "ZZ"),))
+    exact["vqr_fit"] = model_to_dict(vqr_fit(regression, feature_map, ansatz, zz, config, seed=1))
+    exact["qsvc_fit"] = model_to_dict(qsvc_fit(data, feature_map, C=1.0))
+    shots["qsvc_fit/40"] = model_to_dict(qsvc_fit(data, feature_map, C=1.0, shots=40, seed=1))
+    exact["pegasos_fit"] = model_to_dict(pegasos_fit(data, feature_map, steps=100, seed=1))
+    network = BayesianNetwork((
+        BayesNode("A", (), {"": 0.3}),
+        BayesNode("B", ("A",), {"0": 0.2, "1": 0.9}),
+        BayesNode("C", ("A", "B"), {"00": 0.1, "01": 0.6, "10": 0.4, "11": 0.95}),
+    ))
+    for seed in SEEDS:
+        result = rejection_inference(network, Query("C", 1, {"A": 1}), shots=3000, seed=seed)
+        shots[f"rejection_inference/{seed}"] = [result.estimate, result.accepted]
+    return exact, shots
+
+
 def probes() -> dict:
     exact, shots = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -190,7 +313,8 @@ def probes() -> dict:
             workdir.mkdir()
             for section, found in zip((exact, shots), _cli_probes(workdir, seed)):
                 section.update(found)
-    for make in (_state_probes, _qnn_probes):
+    for make in (_state_probes, _qnn_probes, _fidelity_probes, _kernel_probes, _gradient_probes,
+                 _optimizer_probes, _fit_probes):
         for section, found in zip((exact, shots), make()):
             section.update(found)
     return {"exact": exact, "shots": shots}

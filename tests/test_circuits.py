@@ -8,13 +8,23 @@ from qmlkit import (
     AngleExpr,
     Circuit,
     CircuitError,
+    EstimatorQnn,
     Gate,
     ModelFormatError,
     Parameter,
+    PauliObservable,
+    SamplerQnn,
+    SvmModel,
+    VqcModel,
     circuit_from_dict,
     circuit_to_dict,
+    estimator,
+    kernel_matrix,
     real_amplitudes_ansatz,
     run,
+    sampler,
+    svm_predict,
+    vqc_predict,
     zz_feature_map,
 )
 
@@ -279,3 +289,32 @@ def test_extend_equals_chained_appends():
         extended.extend([Gate.h(0), Gate.rx(Parameter("p7"), 1)])
     with pytest.raises(CircuitError):
         Circuit(1).extend([Gate.ry(Parameter("a"), 0), Gate.ry(Parameter("a"), 0)])
+
+
+def _angle_entries() -> dict:
+    """Calls that evaluate gate angles, as functions of one parameter value."""
+    feature_map, ansatz = zz_feature_map(2, 1), real_amplitudes_ansatz(2, 1)
+    circuit, z0 = feature_map.compose(ansatz), PauliObservable.z_on(0, 2)
+    split = dict(input_params=range(2), weight_params=range(2, 6))
+    vqc = VqcModel(feature_map, ansatz, np.full(4, 0.3))
+    svm = SvmModel("qsvc", feature_map, np.array([0.5]), np.array([1.0]), np.array([[0.1, 0.2]]), bias=0.1)
+    t = Parameter("t")
+    return {
+        "Circuit.bind": lambda v: feature_map.bind([v, 0.0]),
+        "constant-angle": lambda v: Circuit(1).append(Gate.ry(v, 0)).bind([]),
+        "bind_partial-coefficient": lambda v: Circuit(1).append(Gate.ry(t, 0)).bind_partial({t: v}).bind([]),
+        "estimator": lambda v: estimator(feature_map, z0, [v, 0.0]),
+        "sampler": lambda v: sampler(feature_map, [v, 0.0]),
+        "kernel_matrix": lambda v: kernel_matrix(feature_map, [[v, 0.0], [0.1, 0.2]]),
+        "vqc_predict": lambda v: vqc_predict(vqc, [[v, 0.0]]),
+        "svm_predict": lambda v: svm_predict(svm, [[v, 0.0]]),
+        "EstimatorQnn.forward": lambda v: EstimatorQnn(circuit, [z0], **split).forward([v, 0.0], np.zeros(4)),
+        "SamplerQnn.forward": lambda v: SamplerQnn(circuit, **split).forward([0.0, 0.0], [v, 0.0, 0.0, 0.0]),
+    }
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", sorted(_angle_entries()))
+def test_non_finite_angles_raise(entry, value):
+    with pytest.raises(CircuitError, match="not finite"):
+        _angle_entries()[entry](value)

@@ -551,3 +551,25 @@ def test_bayes_cpt_list_exits_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "bayes", "--network", str(path), "--query", "A=1")
     assert code == 2
     assert "nodes[0].cpt" in json.loads(err)["error"]
+
+
+# --- usage errors ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["train", "--model", "foo", "--data", "d.csv", "--out", "m.json"], "invalid choice: 'foo'"),
+    (["kernel", "--data", "d.csv", "--out", "k.csv", "--shots", "abc"], "invalid int value: 'abc'"),
+    (["bogus"], "invalid choice: 'bogus'"),
+    (["train", "--model", "qsvc", "--out", "m.json"], "required: --data"),
+    (["kernel", "--data", "d.csv", "--out", "k.csv", "--feature-map", "zz"], "unrecognized arguments: --feature-map zz"),
+])
+def test_usage_errors_exit_2_with_one_json_line(capsys, argv, named):
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == 2 and stdout == ""
+    assert err.count("\n") == 1 and named in json.loads(err)["error"]
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["train", "--help"])
+    assert exit_info.value.code == 0 and "--model" in capsys.readouterr().out

@@ -5,8 +5,8 @@ most 2^18 amplitudes (the simulator's budget), so their peak traced
 allocation is bounded by a constant times ``max(state bytes, budget
 bytes)``, however many rows or shifted states they evaluate. A fused run holds
 its state and two piece buffers of 2^15 amplitudes, and no other state-sized
-array. At 16 and 20 qubits, ``run_ops``, ``run``, ``estimator`` and ``sampler``
-are held to their measured multiples of the complex state's bytes.
+array. At 16 and 20 qubits, ``run_ops``, ``run``, ``estimator``, ``sampler`` and
+(at 16) ``compute_uncompute`` are held to their measured multiples of the complex state's bytes.
 """
 
 import tracemalloc
@@ -18,9 +18,11 @@ import pytest
 from qmlkit import (
     Dataset,
     EstimatorQnn,
+    FidelityJob,
     Gate,
     PauliObservable,
     VqcModel,
+    compute_uncompute,
     estimator,
     real_amplitudes_ansatz,
     run,
@@ -143,6 +145,7 @@ def _sixteen_qubit_calls() -> dict:
         "estimator_exact": lambda: estimator(circuit, observable, weights),
         "estimator_shots": lambda: estimator(circuit, observable, weights, shots=4096, seed=1),
         "sampler_shots": lambda: sampler(circuit, weights, shots=4096, seed=1),
+        "compute_uncompute_exact": lambda: compute_uncompute(FidelityJob(circuit, circuit, weights, -weights)),
     }
 
 
@@ -152,13 +155,15 @@ def _sixteen_qubit_calls() -> dict:
 # result beside the float64 state; a complex one holds its state and pieces. The estimator
 # and sampler read the float64 state itself: exact Z/I terms hold the squares of its two
 # halves, an X term one product array; shot-mode terms hold |state|^2, or one real rotated
-# copy, each with its CDF in place, and the rotation a piece of scratch.
+# copy, each with its CDF in place, and the rotation a piece of scratch. Compute-uncompute
+# runs both circuits as one float64 state and reads its amplitude 0.
 @pytest.mark.parametrize("name, measured", [
     ("run_real", 1.51),
     ("run_complex", 2.04),
     ("estimator_exact", 1.07),
     ("estimator_shots", 1.45),
     ("sampler_shots", 1.44),
+    ("compute_uncompute_exact", 1.09),
 ])
 def test_16_qubit_peaks_as_multiples_of_the_state(name, measured):
     call = _sixteen_qubit_calls()[name]

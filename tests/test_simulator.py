@@ -1,5 +1,7 @@
+import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 from dataclasses import replace
@@ -12,20 +14,40 @@ from hypothesis import strategies as st
 
 from qmlkit import (
     AngleExpr,
+    BayesNode,
+    BayesianNetwork,
     Circuit,
     CircuitError,
+    Dataset,
+    EstimatorQnn,
+    FidelityJob,
     Gate,
+    GradientRequest,
+    OptimizerConfig,
     Parameter,
     PauliObservable,
+    Query,
     SamplerQnn,
+    SvmModel,
+    VqcModel,
+    bitstring_to_index,
+    compute_uncompute,
     estimator,
     expectation,
     index_to_bitstring,
-    bitstring_to_index,
+    kernel_entry,
+    kernel_matrix,
+    param_shift_gradient,
     parity_interpret,
+    qsvc_fit,
     real_amplitudes_ansatz,
+    rejection_inference,
     run,
     sampler,
+    svm_predict,
+    vqc_fit,
+    vqc_predict,
+    zz_feature_map,
 )
 from qmlkit.circuits import bound_angles
 from qmlkit import simulator
@@ -610,3 +632,54 @@ def test_sampled_terms_sharing_a_basis_draw_the_per_term_values_byte_for_byte(nu
     for shots, seeds in ((64, [1, 2, 3]), (500, [7, 7, 40])):
         expected = _per_term_sampled_expectations(rows, obs, shots, seeds)
         assert _sampled_expectations(rows, obs, shots, seeds).tobytes() == expected.tobytes()
+
+
+def _sampling_entries() -> dict:
+    """Every public call that takes ``shots``, as a function of the shot count."""
+    feature_map, ansatz = zz_feature_map(2, 1), real_amplitudes_ansatz(2, 1)
+    circuit = feature_map.compose(ansatz)
+    values, rows = [0.3, -0.7, 0.2, 0.9, -0.4, 1.1], [[0.1, 0.2], [0.3, -0.4], [-0.5, 0.6], [0.7, -0.8]]
+    observable = PauliObservable(((0.6, "ZZ"), (0.5, "XI")))
+    split = dict(input_params=range(2), weight_params=range(2, 6))
+    data, config = Dataset(rows, [1.0, -1.0, 1.0, -1.0]), OptimizerConfig(max_iterations=2)
+    vqc = VqcModel(feature_map, ansatz, np.full(4, 0.3))
+    svm = SvmModel("qsvc", feature_map, np.array([0.5]), np.array([1.0]), np.array([[0.1, 0.2]]), bias=0.1)
+    empty = SvmModel("qsvc", feature_map, np.zeros(0), np.zeros(0), np.zeros((0, 2)), bias=0.25)
+    network = BayesianNetwork((BayesNode("A", (), {"": 0.3}), BayesNode("B", ("A",), {"0": 0.2, "1": 0.9})))
+    return {
+        "estimator": lambda shots: estimator(circuit, observable, values, shots=shots, seed=1),
+        "sampler": lambda shots: sampler(circuit, values, shots=shots, seed=1),
+        "sample_state": lambda shots: sample_state(run(circuit.bind(values)), shots, seed=1),
+        "kernel_matrix-symmetric": lambda shots: kernel_matrix(feature_map, rows, shots=shots, seed=1).entries,
+        "kernel_matrix-rectangular": lambda shots: kernel_matrix(feature_map, rows, rows[:2], shots=shots, seed=1).entries,
+        "kernel_entry": lambda shots: kernel_entry(feature_map, rows[0], rows[1], shots=shots, seed=1),
+        "compute_uncompute": lambda shots: compute_uncompute(FidelityJob(circuit, circuit, values, values, shots, 1)),
+        "param_shift_gradient": lambda shots: param_shift_gradient(GradientRequest(circuit, observable, values, shots=shots, seed=1)),
+        "EstimatorQnn.forward": lambda shots: EstimatorQnn(circuit, [observable], **split).forward(values[:2], values[2:], shots, 1),
+        "SamplerQnn.forward": lambda shots: SamplerQnn(circuit, **split).forward(values[:2], values[2:], shots, 1),
+        "vqc_fit": lambda shots: vqc_fit(data, feature_map, ansatz, config, shots=shots, seed=1).trained_weights,
+        "vqc_predict": lambda shots: vqc_predict(vqc, rows, shots=shots, seed=1),
+        "qsvc_fit": lambda shots: qsvc_fit(data, feature_map, shots=shots, seed=1).support_values,
+        "svm_predict": lambda shots: svm_predict(svm, rows, shots=shots, seed=1),
+        "svm_predict-empty-support": lambda shots: svm_predict(empty, rows, shots=shots, seed=1),
+        "rejection_inference": lambda shots: rejection_inference(network, Query("B", 1), shots=shots, seed=1),
+    }
+
+
+@pytest.mark.parametrize("shots", [0, -3, 2.5, True])
+@pytest.mark.parametrize("entry", sorted(_sampling_entries()))
+def test_every_sampling_entry_refuses_a_shot_count_that_is_not_a_positive_integer(entry, shots):
+    with pytest.raises(CircuitError, match="shots must be a positive integer"):
+        _sampling_entries()[entry](shots)
+
+
+@pytest.mark.parametrize("entry", sorted(_sampling_entries()))
+def test_numpy_integer_shots_give_the_output_of_int_shots(entry):
+    call = _sampling_entries()[entry]
+    assert pickle.dumps(call(np.int64(16))) == pickle.dumps(call(16))
+
+
+def test_sampler_json_holds_an_int_shot_count():
+    circuit = Circuit(2).extend([Gate.h(0), Gate.cx(0, 1)])
+    payload = json.loads(json.dumps(sampler(circuit, [], shots=np.int64(8), seed=0).to_dict()))
+    assert payload["shots"] == 8
