@@ -42,11 +42,10 @@ def compute_uncompute(job: FidelityJob) -> float:
     if job.circuit_a.num_qubits != job.circuit_b.num_qubits:
         raise CircuitError(f"fidelity widths differ: {job.circuit_a.num_qubits} vs {job.circuit_b.num_qubits}")
     shots = None if job.shots is None else _check_shots(job.shots)
+    values_a, values_b = np.asarray(job.values_a, dtype=float), np.asarray(job.values_b, dtype=float)
     inverse_b = job.circuit_b.inverse()
-    angles = np.concatenate([bound_angles(job.circuit_a, job.values_a), bound_angles(inverse_b, job.values_b)])
-    if shots is None and job.circuit_a == job.circuit_b and np.array_equal(
-        np.asarray(job.values_a, dtype=float), np.asarray(job.values_b, dtype=float)
-    ):
+    angles = np.concatenate([bound_angles(job.circuit_a, values_a), bound_angles(inverse_b, values_b)])
+    if shots is None and job.circuit_a == job.circuit_b and np.array_equal(values_a, values_b):
         return 1.0
     state = run_ops(job.circuit_a.num_qubits, job.circuit_a.gates + inverse_b.gates, angles)
     if shots is None:

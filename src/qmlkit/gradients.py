@@ -21,6 +21,7 @@ from .errors import CircuitError
 from .simulator import (
     PauliObservable,
     Statevector,
+    _check_shots,
     derive_rng,
     derive_seed,
     _expectations,
@@ -159,12 +160,13 @@ def param_shift_gradient(request: GradientRequest) -> np.ndarray:
     Shot mode evaluates each shifted point with its own derived seed, so the
     estimate is deterministic for a given master seed.
     """
+    shots = None if request.shots is None else _check_shots(request.shots)
 
     def evaluate(states: np.ndarray, rows: np.ndarray, tasks: np.ndarray) -> np.ndarray:
-        if request.shots is None:
+        if shots is None:
             return _expectations(states, request.observable)[:, None]
         seeds = [derive_seed(request.seed, k) for k in tasks]
-        return _sampled_expectations(states, request.observable, request.shots, seeds)[:, None]
+        return _sampled_expectations(states, request.observable, shots, seeds)[:, None]
 
     jacobian = shift_rule_jacobian(request.circuit, [request.values], evaluate, shift=request.shift)[0]
     return jacobian[:, 0] if jacobian.size else np.zeros(0)

@@ -71,7 +71,6 @@ def _as_dataset(X, feature_map: Circuit, name: str) -> np.ndarray:
 
 def _sampled(fidelity: float, shots: int, seed: int | None) -> float:
     """All-zeros frequency of ``shots`` compute-uncompute draws: Binomial(shots, F) / shots."""
-    shots = _check_shots(shots)
     return float(derive_rng(seed).binomial(shots, fidelity)) / shots
 
 
@@ -85,7 +84,7 @@ def kernel_entry(
     """Fidelity between the feature-map states of two samples; in shot mode a
     ``Binomial(shots, F) / shots`` draw from ``seed``'s stream."""
     K = kernel_matrix(feature_map, [x], [y]).entries
-    return float(K[0, 0]) if shots is None else _sampled(K[0, 0], shots, seed)
+    return float(K[0, 0]) if shots is None else _sampled(K[0, 0], _check_shots(shots), seed)
 
 
 def kernel_matrix(

@@ -24,6 +24,7 @@ from .simulator import (
     bitstring_to_index,
     derive_seed,
     _cdf,
+    _check_shots,
     _draws,
     _expectations,
     index_to_bitstring,
@@ -92,6 +93,7 @@ class _QnnBase:
         """One output row per input row; states are prepared and read in row blocks,
         row i with ``seeds[i]``."""
         n, gates = self.circuit.num_qubits, self.circuit.gates
+        shots = None if shots is None else _check_shots(shots)
         values = self._values(rows, weights)
         # The empty first block gives zero input rows a (0, output_dim) result.
         return np.concatenate([np.zeros((0, self.output_dim))] + [
@@ -105,6 +107,7 @@ class _QnnBase:
         inputs; row i's shifted state k reads out from ``derive_seed(seeds[i], k)`` in shot
         mode, so no two of a row's shifted states share a stream."""
         values = self._values(rows, weights)
+        shots = None if shots is None else _check_shots(shots)
         indices = self.weight_params + (self.input_params if self.input_gradients else ())
 
         def evaluate(states: np.ndarray, rows: np.ndarray, tasks: np.ndarray) -> np.ndarray:

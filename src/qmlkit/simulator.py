@@ -488,7 +488,7 @@ def _cdf(probs: np.ndarray) -> np.ndarray:
 
 
 def _check_shots(shots) -> int:
-    """``shots`` as an ``int``: the one shot-count rule, an ``int`` or numpy integer >= 1, not a ``bool``."""
+    """The shot-count rule, applied once by each sampling entry: an int or numpy integer >= 1, not a bool."""
     if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)) or shots < 1:
         raise CircuitError("shots must be a positive integer")
     return int(shots)
@@ -497,7 +497,7 @@ def _check_shots(shots) -> int:
 def _draws(cdf: np.ndarray, shots: int, seed: int | None, *task: int) -> np.ndarray:
     """Basis indices of ``shots`` draws from the (seed, *task) stream, searched in a ``_cdf``:
     the indices ``choice`` draws from that stream, without rebuilding the CDF per call."""
-    return cdf.searchsorted(derive_rng(seed, *task).random(_check_shots(shots)), side="right")
+    return cdf.searchsorted(derive_rng(seed, *task).random(shots), side="right")
 
 
 def _parity(indices: np.ndarray, qubits) -> np.ndarray:
@@ -515,7 +515,6 @@ def _sampled_expectations(rows: np.ndarray, observable: PauliObservable, shots: 
     (none for Z/I terms) and one block of CDFs. A drawn outcome's eigenvalue is +-1 by the
     parity of its bits on the term's non-identity qubits, folded into one array."""
     _check_width(rows, observable)
-    shots = _check_shots(shots)
     bases: dict[str, list[int]] = {}
     for term_index, (_, string) in enumerate(observable.terms):
         if string.strip("I"):
@@ -564,7 +563,7 @@ def estimator(
     row = run_ops(circuit.num_qubits, circuit.gates, bound_angles(circuit, values))[None]
     if shots is None:
         return float(_expectations(row, observable)[0])
-    return float(_sampled_expectations(row, observable, shots, [seed])[0])
+    return float(_sampled_expectations(row, observable, _check_shots(shots), [seed])[0])
 
 
 def sampler(

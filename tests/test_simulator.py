@@ -637,7 +637,7 @@ def test_sampled_terms_sharing_a_basis_draw_the_per_term_values_byte_for_byte(nu
 def _sampling_entries() -> dict:
     """Every public call that takes ``shots``, as a function of the shot count."""
     feature_map, ansatz = zz_feature_map(2, 1), real_amplitudes_ansatz(2, 1)
-    circuit = feature_map.compose(ansatz)
+    circuit, unparameterised = feature_map.compose(ansatz), Circuit(2).extend([Gate.h(0), Gate.cx(0, 1)])
     values, rows = [0.3, -0.7, 0.2, 0.9, -0.4, 1.1], [[0.1, 0.2], [0.3, -0.4], [-0.5, 0.6], [0.7, -0.8]]
     observable = PauliObservable(((0.6, "ZZ"), (0.5, "XI")))
     split = dict(input_params=range(2), weight_params=range(2, 6))
@@ -655,10 +655,13 @@ def _sampling_entries() -> dict:
         "kernel_entry": lambda shots: kernel_entry(feature_map, rows[0], rows[1], shots=shots, seed=1),
         "compute_uncompute": lambda shots: compute_uncompute(FidelityJob(circuit, circuit, values, values, shots, 1)),
         "param_shift_gradient": lambda shots: param_shift_gradient(GradientRequest(circuit, observable, values, shots=shots, seed=1)),
+        "param_shift_gradient-no-parameters": lambda shots: param_shift_gradient(GradientRequest(unparameterised, observable, [], shots=shots, seed=1)),
         "EstimatorQnn.forward": lambda shots: EstimatorQnn(circuit, [observable], **split).forward(values[:2], values[2:], shots, 1),
         "SamplerQnn.forward": lambda shots: SamplerQnn(circuit, **split).forward(values[:2], values[2:], shots, 1),
+        "EstimatorQnn.backward-no-parameters": lambda shots: EstimatorQnn(feature_map, [observable], range(2), (), False).backward(values[:2], [], shots, 1)[1],
         "vqc_fit": lambda shots: vqc_fit(data, feature_map, ansatz, config, shots=shots, seed=1).trained_weights,
         "vqc_predict": lambda shots: vqc_predict(vqc, rows, shots=shots, seed=1),
+        "vqc_predict-no-rows": lambda shots: vqc_predict(vqc, np.zeros((0, 2)), shots=shots, seed=1),
         "qsvc_fit": lambda shots: qsvc_fit(data, feature_map, shots=shots, seed=1).support_values,
         "svm_predict": lambda shots: svm_predict(svm, rows, shots=shots, seed=1),
         "svm_predict-empty-support": lambda shots: svm_predict(empty, rows, shots=shots, seed=1),
