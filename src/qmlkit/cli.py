@@ -340,19 +340,30 @@ def cmd_bayes(args) -> int:
 # --- argument wiring ------------------------------------------------------
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: a non-negative integer, else a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer seed, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qmlkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+        p.add_argument("--seed", type=_seed, default=0, help="RNG seed (default 0)")
         p.add_argument("--shots", type=int, default=None, help="sample instead of exact mode")
 
     p = sub.add_parser("gen-data", help="write a synthetic two-feature dataset")
     p.add_argument("kind", choices=["blobs", "xor"])
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_data)
 
@@ -400,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query", required=True, help="NAME=BIT")
     p.add_argument("--evidence", action="append", default=[], help="NAME=BIT, repeatable")
     p.add_argument("--shots", type=int, default=20000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_bayes)
 
     return parser

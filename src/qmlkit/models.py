@@ -129,7 +129,8 @@ def _fit_qnn(qnn, data: Dataset, mean_loss, loss_terms, config, shots, seed) -> 
     ``mean_loss`` maps the (rows, outputs) matrix to the loss, and
     ``loss_terms`` maps it and the (rows, outputs, weights) Jacobians to the
     (rows, weights) gradient terms, averaged in row order. A gradient is one
-    forward and one shift-rule pass over all rows. Objective evaluation k
+    forward pass and one Jacobian pass over all rows: the shift rule, or an
+    exact regressor's adjoint sweep. Objective evaluation k
     reads row i from (seed, 2, k, i), gradient evaluation k from
     (seed, 3, k, i); the start is uniform in [-pi, pi) from (seed, 1).
     """

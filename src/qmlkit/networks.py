@@ -4,10 +4,12 @@ Both network types split the circuit parameters into input and weight
 partitions by explicit index lists and share one ``forward`` and one
 ``backward``: prepare a block of states, then read it out. The estimator reads
 observable expectations, the sampler bucketed outcome probabilities; that
-readout is the only thing that differs. Backward passes go through the
-shift rule, so they are exact in exact mode. Outcome probabilities are
-expectations of diagonal projectors, which is what makes the sampler
-network's Jacobian a plain shift-rule computation as well.
+readout is the only thing that differs, besides the estimator's exact-mode
+Jacobians, which come from one adjoint sweep per row block (Jones & Gacon
+2020): one forward and one reverse pass, whatever the parameter count. Every
+other backward pass goes through the shift rule, exact in exact mode; outcome
+probabilities are expectations of diagonal projectors, which makes the sampler
+network's Jacobian a plain shift-rule computation.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from .circuits import Circuit, bound_angles
 from .errors import CircuitError
-from .gradients import shift_rule_jacobian
+from .gradients import _adjoint_jacobian, shift_rule_jacobian
 from .simulator import (
     PauliObservable,
     bitstring_to_index,
@@ -62,9 +64,9 @@ class _QnnBase:
     A subclass sets ``output_dim`` and supplies ``_readout(states, shots, seeds)``:
     the (B, output_dim) outputs of (B, 2^n) amplitude rows, row b seeded by ``seeds[b]``.
     Both passes take input rows beside one weight vector and read states a block at a
-    time: ``_outputs`` every row's state, ``_jacobians`` every row's shifted states, the
-    weights' then the inputs', in one shift rule. ``forward`` and ``backward`` are their
-    one-row cases.
+    time: ``_outputs`` every row's state, ``_jacobians`` the derivatives in the weights,
+    then the inputs, from ``_jacobian``: every row's shifted states in one shift rule, or a
+    subclass's own route. ``forward`` and ``backward`` are their one-row cases.
     """
 
     output_dim: int
@@ -103,24 +105,27 @@ class _QnnBase:
 
     def _jacobians(self, rows, weights, shots: int | None, seeds):
         """(R, outputs, inputs), None without ``input_gradients``, and (R, outputs, weights)
-        from one shift rule over all rows, whose tasks run over the weights, then the
-        inputs; row i's shifted state k reads out from ``derive_seed(seeds[i], k)`` in shot
-        mode, so no two of a row's shifted states share a stream."""
+        from one ``_jacobian`` over all rows and the weights, then the inputs."""
         values = self._values(rows, weights)
         shots = None if shots is None else _check_shots(shots)
         indices = self.weight_params + (self.input_params if self.input_gradients else ())
+        if indices and len(values):
+            jacobian = self._jacobian(values, [self.circuit.parameters[i] for i in indices], shots, seeds)
+        else:
+            jacobian = np.zeros((len(values), self.output_dim, len(indices)))
+        w = len(self.weight_params)
+        return (jacobian[:, :, w:] if self.input_gradients else None), jacobian[:, :, :w]
+
+    def _jacobian(self, values: np.ndarray, wrt, shots: int | None, seeds) -> np.ndarray:
+        """(R, outputs, len(wrt)) from one shift rule over the (R, P) ``values``: row i's
+        shifted state k reads out from ``derive_seed(seeds[i], k)`` in shot mode, so no two
+        of a row's shifted states share a stream."""
 
         def evaluate(states: np.ndarray, rows: np.ndarray, tasks: np.ndarray) -> np.ndarray:
             task_seeds = None if shots is None else [derive_seed(seeds[i], k) for i, k in zip(rows, tasks)]
             return self._readout(states, shots, task_seeds)
 
-        if indices and len(values):
-            wrt = [self.circuit.parameters[i] for i in indices]
-            jacobian = shift_rule_jacobian(self.circuit, values, evaluate, wrt=wrt).transpose(0, 2, 1)
-        else:
-            jacobian = np.zeros((len(values), self.output_dim, len(indices)))
-        w = len(self.weight_params)
-        return (jacobian[:, :, w:] if self.input_gradients else None), jacobian[:, :, :w]
+        return shift_rule_jacobian(self.circuit, values, evaluate, wrt=wrt).transpose(0, 2, 1)
 
     def forward(self, inputs, weights, shots: int | None = None, seed: int | None = None) -> np.ndarray:
         """One output vector: expectation values, or bucket probabilities summing to 1."""
@@ -129,13 +134,14 @@ class _QnnBase:
     def backward(
         self, inputs, weights, shots: int | None = None, seed: int | None = None
     ) -> tuple[np.ndarray | None, np.ndarray]:
-        """Shift-rule Jacobians (d output / d input, d output / d weight) of one row.
+        """Jacobians (d output / d input, d output / d weight) of one row, exact in exact mode.
 
         The input Jacobian is None when the network was built with
         ``input_gradients=False``, the usual setting while training, which
-        skips the input parameters' shifted states. The shifted states run
-        over the weights, then the inputs, and shifted state k reads out from
-        ``derive_seed(seed, k)`` in shot mode.
+        skips the input parameters' derivatives. An exact-mode estimator
+        network takes them from one adjoint sweep; otherwise the shift rule's
+        shifted states run over the weights, then the inputs, and shifted
+        state k reads out from ``derive_seed(seed, k)`` in shot mode.
         """
         input_jac, weight_jac = self._jacobians([inputs], weights, shots, [seed])
         return (None if input_jac is None else input_jac[0]), weight_jac[0]
@@ -168,6 +174,12 @@ class EstimatorQnn(_QnnBase):
     @property
     def output_dim(self) -> int:
         return len(self.observables)
+
+    def _jacobian(self, values: np.ndarray, wrt, shots: int | None, seeds) -> np.ndarray:
+        """Exact mode's Jacobian is one adjoint sweep per row block; shot mode's the shift rule."""
+        if shots is None:
+            return _adjoint_jacobian(self.circuit, self.observables, values, wrt)
+        return super()._jacobian(values, wrt, shots, seeds)
 
     def _readout(self, states: np.ndarray, shots: int | None, seeds) -> np.ndarray:
         if shots is None:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from qmlkit import circuit_to_dict, kernel_entry, real_amplitudes_ansatz, zz_feature_map
-from qmlkit.cli import GRADCHECK_TOLERANCE, main
+from qmlkit.cli import GRADCHECK_TOLERANCE, build_parser, main
 from qmlkit.models import svm_predict
 
 
@@ -567,6 +568,31 @@ def test_usage_errors_exit_2_with_one_json_line(capsys, argv, named):
     code, stdout, err = run_cli(capsys, *argv)
     assert code == 2 and stdout == ""
     assert err.count("\n") == 1 and named in json.loads(err)["error"]
+
+
+SEEDED_SUBCOMMANDS = {
+    "gen-data": ["gen-data", "xor", "--samples", "4", "--out", "d.csv"],
+    "train": ["train", "--model", "vqc", "--data", "d.csv", "--out", "m.json"],
+    "predict": ["predict", "--model", "m.json", "--data", "d.csv", "--out", "p.csv"],
+    "kernel": ["kernel", "--data", "d.csv", "--out", "k.csv"],
+    "bayes": ["bayes", "--network", "n.json", "--query", "A=1"],
+}
+
+
+def test_every_seeded_subcommand_is_listed():
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert {name for name, sub in commands.items()
+            if any("--seed" in action.option_strings for action in sub._actions)} == set(SEEDED_SUBCOMMANDS)
+
+
+@pytest.mark.parametrize("seed", ["-1", "-2", "abc"])
+@pytest.mark.parametrize("command", sorted(SEEDED_SUBCOMMANDS))
+def test_a_bad_seed_exits_2_with_one_json_line(tmp_path, monkeypatch, capsys, command, seed):
+    monkeypatch.chdir(tmp_path)  # no file named on the command line is read or written
+    code, stdout, err = run_cli(capsys, *SEEDED_SUBCOMMANDS[command], "--seed", seed)
+    assert code == 2 and stdout == "" and not list(tmp_path.iterdir())
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == f"argument --seed: expected a non-negative integer seed, got {seed!r}"
 
 
 def test_help_still_exits_0(capsys):

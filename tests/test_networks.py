@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,14 +13,17 @@ from qmlkit import (
     Parameter,
     PauliObservable,
     SamplerQnn,
+    Statevector,
+    expectation,
     finite_difference,
     identity_interpret,
     parity_interpret,
     real_amplitudes_ansatz,
     run,
+    shift_rule_jacobian,
     zz_feature_map,
 )
-from qmlkit import simulator
+from qmlkit import networks, simulator
 from qmlkit.simulator import sample_state
 
 from .helpers import random_observable, random_supported_circuit
@@ -404,3 +408,90 @@ def test_shot_backward_reads_each_shifted_state_from_its_own_stream(monkeypatch,
     # 8 shifted states for the inputs (each feeds two gates) and 8 for the weights.
     assert len(seeds) == 16 and len(set(seeds)) == 16
     assert weight_jac.tobytes() == make(False).backward(inputs, weights, shots=100, seed=5)[1].tobytes()
+
+
+def shift_rule_jacobians(qnn: EstimatorQnn, inputs, weights):
+    """The (input, weight) Jacobians of every row from ``shift_rule_jacobian`` with exact
+    ``expectation`` readouts: the oracle of the exact estimator network's adjoint sweep."""
+    n = qnn.circuit.num_qubits
+
+    def evaluate(states, rows, tasks):
+        return np.array([[expectation(Statevector(n, s), o) for o in qnn.observables] for s in states])
+
+    indices = qnn.weight_params + (qnn.input_params if qnn.input_gradients else ())
+    wrt = [qnn.circuit.parameters[i] for i in indices]
+    jacobian = shift_rule_jacobian(qnn.circuit, qnn._values(inputs, weights), evaluate, wrt=wrt).transpose(0, 2, 1)
+    w = len(qnn.weight_params)
+    return (jacobian[:, :, w:] if qnn.input_gradients else None), jacobian[:, :, :w]
+
+
+def random_sweep_network(seed: int, angles: str, real: bool, alphabet: str, input_gradients: bool):
+    """An estimator network on a random circuit of at least two parameters and an RX or RZ, made RY
+    when ``real``, a random input/weight split, two observables over ``alphabet`` (the second with
+    an identity term), and three rows of inputs with one weight vector."""
+    rng = np.random.default_rng(seed)
+    circuit = Circuit(1)
+    while circuit.num_parameters < 2 or all(g.kind in simulator._REAL_KINDS for g in circuit.gates):
+        circuit, _ = random_supported_circuit(
+            rng, max_qubits=4, max_gates=14, general_angles=angles == "general", cry=angles == "cry")
+    if real:
+        gates = [replace(g, kind="RY") if g.kind in ("RX", "RZ") else g for g in circuit.gates]
+        circuit = Circuit(circuit.num_qubits).extend(gates)
+    n, order = circuit.num_qubits, rng.permutation(circuit.num_parameters)
+    split = int(rng.integers(1, circuit.num_parameters))
+    observables = [random_observable(rng, n, alphabet),
+                   PauliObservable(((0.4, "I" * n),) + random_observable(rng, n, alphabet).terms)]
+    qnn = EstimatorQnn(circuit, observables, sorted(order[:split]), sorted(order[split:]), input_gradients)
+    return qnn, rng.uniform(-np.pi, np.pi, (3, split)), rng.uniform(-np.pi, np.pi, circuit.num_parameters - split)
+
+
+@pytest.mark.parametrize("input_gradients", [True, False])
+@pytest.mark.parametrize("alphabet", ["IXZ", "IXYZ"])
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("angles", ["general", "cry"])
+@pytest.mark.parametrize("seed", range(6))
+def test_exact_estimator_jacobians_equal_the_shift_rule(seed, angles, real, alphabet, input_gradients):
+    qnn, inputs, weights = random_sweep_network(seed, angles, real, alphabet, input_gradients)
+    assert real == all(g.kind in simulator._REAL_KINDS for g in qnn.circuit.gates)
+    input_jacs, weight_jacs = qnn._jacobians(inputs, weights, None, [None] * 3)
+    oracle_inputs, oracle_weights = shift_rule_jacobians(qnn, inputs, weights)
+    assert weight_jacs.shape == oracle_weights.shape == (3, 2, len(weights))
+    assert np.max(np.abs(weight_jacs - oracle_weights)) < 1e-10
+    if input_gradients:
+        assert input_jacs.shape == oracle_inputs.shape == (3, 2, inputs.shape[1])
+        assert np.max(np.abs(input_jacs - oracle_inputs)) < 1e-10
+    else:
+        assert input_jacs is None
+    for i, x in enumerate(inputs):  # each row's bits, as its one-row call gives them
+        input_jac, weight_jac = qnn.backward(x, weights)
+        assert weight_jacs[i].tobytes() == weight_jac.tobytes()
+        assert input_jac is None or input_jacs[i].tobytes() == input_jac.tobytes()
+
+
+def test_exact_estimator_jacobians_across_row_block_boundaries(monkeypatch):
+    qnn = BATCH_QNNS["estimator"](True)
+    rng = np.random.default_rng(6)
+    inputs, weights = rng.uniform(-2.0, 2.0, (5, 2)), rng.uniform(-2.0, 2.0, 3)
+    expected = [qnn.backward(x, weights) for x in inputs]
+    gates = len(qnn.circuit.gates)
+    # Sweeps of at most 2 rows: the 5 rows run as 3 blocks.
+    monkeypatch.setattr(simulator, "_BATCH_AMPLITUDES", 2 * gates)
+    assert len(simulator._row_blocks(2, gates, 5)) == 3
+    assert_jacobians_equal_backward_rows(qnn, inputs, weights, None, [None] * 5, expected)
+
+
+def test_exact_estimator_jacobians_prepare_no_shifted_states(monkeypatch):
+    qnn = BATCH_QNNS["estimator"](True)
+    inputs, weights = np.array([[0.3, -1.1], [0.8, 0.2]]), np.array([0.5, -0.4, 1.3])
+    shot_jacobians = qnn._jacobians(inputs, weights, 64, [1, 2])
+    exact_jacobians = qnn._jacobians(inputs, weights, None, [None, None])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("shift rule called")
+
+    monkeypatch.setattr(networks, "shift_rule_jacobian", refuse)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(qnn._jacobians(inputs, weights, None, [None] * 2),
+                                                          exact_jacobians))
+    with pytest.raises(AssertionError, match="shift rule called"):
+        qnn._jacobians(inputs, weights, 64, [1, 2])
+    assert shot_jacobians[1].shape == (2, 2, 3)
