@@ -252,6 +252,13 @@ def cmd_predict(args) -> int:
     features, raw_labels = read_dataset(args.data, require_label=False)
     predicted, score_name, scores = _predict(model, features, args.shots, args.seed)
     mapping = getattr(model, "label_map", None) or {}
+    if raw_labels is not None:  # a classifier's labels are its map's keys, or -1 and +1 without one
+        try:
+            truth = np.array([float(mapping[v] if mapping else v) for v in raw_labels])
+            if not (isinstance(model, VqrModel) or (np.abs(truth) == 1.0).all()):
+                raise ValueError("a label is not -1 or +1")
+        except (KeyError, ValueError) as exc:
+            raise CliError(f"labels in {args.data} do not match the model: {exc}") from exc
     inverse_map = {v: k for k, v in mapping.items()}
 
     rows = []
@@ -262,10 +269,6 @@ def cmd_predict(args) -> int:
 
     metrics: dict = {"rows": len(rows), "written": args.out}
     if raw_labels is not None:
-        try:
-            truth = np.array([float(mapping.get(v, v)) for v in raw_labels])
-        except ValueError as exc:
-            raise CliError(f"labels in {args.data} do not match the model: {exc}") from exc
         if isinstance(model, VqrModel):
             metrics["mse"] = float(np.mean((predicted - truth) ** 2))
         else:

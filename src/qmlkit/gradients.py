@@ -5,10 +5,10 @@ gradients for every angle expression of every rotation gate (it moves the
 gate's angle, by the two-term rule for RX, RY and RZ and the four-term rule
 for CRY, and applies the chain rule) and works in shot mode too; the adjoint
 sweep gives the same exact Jacobians of exact expectations from one forward
-and one reverse pass, whatever the parameter count, and serves the estimator
-network's exact mode; simultaneous perturbation gives cheap stochastic
-estimates for anything evaluable; and central finite differences serve as the
-slow, assumption-free cross-check.
+and one reverse pass (the simulator's ``_adjoint_terms``), whatever the
+parameter count, and applies the same chain rule to each gate's term;
+simultaneous perturbation gives cheap stochastic estimates for anything
+evaluable; and central finite differences are the assumption-free cross-check.
 """
 
 from __future__ import annotations
@@ -22,13 +22,9 @@ import numpy as np
 from .circuits import AngleExpr, Circuit, Parameter, bound_angles
 from .errors import CircuitError
 from .simulator import (
-    _MATRICES,
-    _REAL_KINDS,
-    _X,
-    _Z,
     PauliObservable,
     Statevector,
-    _apply,
+    _adjoint_terms,
     _check_shots,
     derive_rng,
     derive_seed,
@@ -160,27 +156,13 @@ def shift_rule_jacobian(
     return jacobian if values.ndim == 2 else jacobian[0]
 
 
-# Each rotation's generator P as Im<lambda|P|phi> over its target's halves (CRY's restricted to
-# its controls' subspace): signed Re<lambda_i|phi_j> of half i of lambda and half j of phi for Y,
-# signed Im<lambda_i|phi_j> for X and Z.
-_Y_TERMS = ("re", ((1.0, 1, 0), (-1.0, 0, 1)))
-_GENERATORS = {"RY": _Y_TERMS, "CRY": _Y_TERMS, "RX": ("im", ((1.0, 0, 1), (1.0, 1, 0))),
-               "RZ": ("im", ((1.0, 0, 0), (-1.0, 1, 1)))}
-
-
 def _adjoint_jacobian(circuit: Circuit, observables: Sequence[PauliObservable], values,
                       wrt: Sequence[Parameter]) -> np.ndarray:
     """(R, len(observables), len(wrt)) exact Jacobian of each observable's expectation over an
-    (R, P) table of ``values``, from one adjoint sweep per row block (Jones & Gacon 2020).
-
-    A block's rows run forward once. Their states phi and lambda_o = O_o phi, one per observable,
-    are the columns of one (1 + O, 2^n, B) array, float64 when the circuit is real and no
-    observable has a Y term. From the last gate back to the earliest that holds a parameter of
-    ``wrt``, a gate that holds one adds Im<lambda|P|phi> of its generator P, times the angle's
-    slope in the parameter, to that parameter's entries (the chain and product rules), and is
-    then un-applied from every column by one ``_apply`` at the negated angle. Each row's inner
-    products are summed along a contiguous row of products, so a row's Jacobian does not depend
-    on the other rows of its block.
+    (R, P) table of ``values``, from one adjoint sweep per row block: each term that
+    ``_adjoint_terms`` yields for a gate holding a parameter of ``wrt``, times the angle's slope
+    in the parameter, is added to that parameter's entries (the chain and product rules). A
+    row's Jacobian does not depend on the other rows of its block.
     """
     params, n, gates = list(wrt), circuit.num_qubits, circuit.gates
     occurrences, owners = _occurrence_map(circuit, params), {}
@@ -188,64 +170,13 @@ def _adjoint_jacobian(circuit: Circuit, observables: Sequence[PauliObservable], 
         for g in occurrences[p]:
             owners.setdefault(g, []).append(k)
     table = np.asarray(values, dtype=float)
-    real = all(g.kind in _REAL_KINDS for g in gates) and not any("Y" in s for o in observables for _, s in o.terms)
-    jacobian, first = np.zeros((len(table), len(observables), len(params))), min(owners)
+    jacobian = np.zeros((len(table), len(observables), len(params)))
     for block in _row_blocks(n, len(gates), len(table)):
-        angles, env = bound_angles(circuit, table[block]), dict(zip(circuit.parameters, table[block].T))
-        stack = np.empty((1 + len(observables), 1 << n, len(angles)), dtype=float if real else complex)
-        stack[0] = run_ops(n, gates, angles).T
-        scratch = np.empty(stack.size, stack.dtype)
-        # Qubit q is axis n - q: ``_apply`` takes the column axis for an (n + 1)-th qubit's.
-        view = stack.reshape(stack.shape[:1] + (2,) * n + stack.shape[2:])
-        parts = stack.view(float).reshape(view.shape + (-1,))  # each amplitude's real (and imaginary) part
-        # lambda_o = O_o phi: each Pauli string applied to a copy of phi, ``term``, then summed.
-        term = scratch[:view[0].size].reshape(view[0].shape)
-        for o, observable in enumerate(observables):
-            view[1 + o] = 0.0
-            for coeff, string in observable.terms:  # Z, then X, on each Y qubit: Y = i X Z
-                term[...] = view[0]
-                _apply(term, n, [(_Z, q, ()) for q, ch in enumerate(string) if ch in "YZ"]
-                       + [(_X, q, ()) for q, ch in enumerate(string) if ch in "XY"], scratch[term.size:])
-                term *= coeff * (1, 1j, -1, -1j)[string.count("Y") % 4]
-                view[1 + o] += term
-        half = np.divide(angles.T, -2.0, order="C")  # each gate's row of negated half angles
-        cos, sin = np.cos(half), np.sin(half, out=half)
-        for g in range(len(gates) - 1, first - 1, -1):
-            gate = gates[g]
-            if g in owners:
-                terms = _generator_terms(parts, gate, scratch.view(float))
-                for k in owners[g]:
-                    jacobian[block, :, k] += np.reshape(_slope(gate.angle, params[k], env), (-1, 1)) * terms
-            if g > first:
-                _apply(view, n + 1, [(_MATRICES[gate.kind](cos[g], sin[g]), gate.targets[0], gate.controls)], scratch)
+        env = dict(zip(circuit.parameters, table[block].T))
+        for g, terms in _adjoint_terms(n, gates, bound_angles(circuit, table[block]), observables, owners):
+            for k in owners[g]:
+                jacobian[block, :, k] += np.reshape(_slope(gates[g].angle, params[k], env), (-1, 1)) * terms
     return jacobian
-
-
-def _generator_terms(parts: np.ndarray, gate, products: np.ndarray) -> np.ndarray:
-    """(B, O): Im<lambda_o|P|phi> of ``gate``'s generator P, per row of a ``(1 + O,) + (2,) * n
-    + (B, 1 or 2)`` float view of the real and imaginary parts of columns phi, lambda_1, ...;
-    each product of halves is written to a (B, half, 1 or 2) row of the flat ``products`` and
-    summed along it."""
-    index, last = [slice(None)] * parts.ndim, parts.ndim - 3  # qubit q is axis n - q
-    for q, bit in gate.controls:
-        index[last - q] = bit
-    halves = []
-    for bit in (0, 1):
-        index[last - gate.targets[0]] = bit
-        halves.append(parts[tuple(index)])
-    shape, (part, pairs) = halves[0].shape[1:], _GENERATORS[gate.kind]  # shape: (2,) * m + (B, 1 or 2)
-    rows, m = products[:math.prod(shape)].reshape(shape[-2], -1, shape[-1]), len(shape) - 2
-    out = rows.reshape(shape[-2:-1] + shape[:-2] + shape[-1:]).transpose(tuple(range(1, m + 1)) + (0, m + 1))
-    terms = np.zeros((shape[-2], len(parts) - 1))
-    for o in range(len(parts) - 1):
-        for sign, i, j in pairs:
-            if part == "re":  # Re<a|b>: the sum of ar br + ai bi
-                np.multiply(halves[i][1 + o], halves[j][0], out=out)
-                terms[:, o] += sign * rows.reshape(len(rows), -1).sum(axis=1)
-            else:  # Im<a|b>: the sum of ar bi - ai br
-                np.multiply(halves[i][1 + o], halves[j][0][..., ::-1], out=out)
-                terms[:, o] += sign * (rows[:, :, 0].sum(axis=1) - rows[:, :, 1].sum(axis=1))
-    return terms
 
 
 def param_shift_gradient(request: GradientRequest) -> np.ndarray:

@@ -8,11 +8,14 @@ rows, a block of prepared states at a time, as the shift rule and the networks
 hold them; ``expectation`` and ``sample_state`` are its one-``Statevector`` cases.
 
 One in-place gate loop (``_apply``) updates one state or a batch of B states
-of one circuit: each gate's 2x2 target matrix (CX's is X, CZ's Z, CRY's RY)
-acts on a basic-index slice of the states viewed as ``(2,) * n + (B,)``, with
-(B,) rows of rotation entries. Circuits of only H, X, CX, CZ, RY and CRY gates
-run in float64, others in complex128; only amplitudes that leave the library
-(``run``'s ``Statevector``, ``shift_rule_jacobian``'s callback) are converted.
+of one circuit: each gate's 2x2 target matrix from ``_MATRICES``, the one
+per-kind gate table (CX's is X, CZ's Z, CRY's RY), acts on a basic-index slice
+of the states viewed as ``(2,) * n + (B,)``, with (B,) rows of rotation
+entries. Circuits of only H, X, CX, CZ, RY and CRY gates run in float64, others
+in complex128; only amplitudes that leave the library (``run``'s
+``Statevector``, ``shift_rule_jacobian``'s callback) are converted. The adjoint
+sweep's reverse pass (``_adjoint_terms``) un-applies gates through the same
+loop and reads each rotation's generator P = i R(pi) from ``_MATRICES``.
 
 From 10 qubits, one state buffer is updated once per block of gates on at most
 K = 4 consecutive qubits (``_blocks``). A block's 2^K x 2^K matrix per state is
@@ -23,12 +26,10 @@ byte. Runs of blocks within the lowest 15 qubits go over each row's
 piece's worth of columns at a time, and a gate spanning more than K qubits
 runs the loop slice by slice: no other state-sized array is made.
 
-Exact Z/I terms fold their Z signs into the squares of the state's halves, and
-X/Y terms sum conj(psi) times a flipped view of psi. Shot-mode terms rotate one
-copy per basis (H, or S-dagger then H) slice by slice, square real copies and
-build CDFs in place, and read each outcome's eigenvalue from its bits' parity.
-Streaming callers (the shift rule, the networks' rows) prepare states in blocks
-of at most ``_BATCH_AMPLITUDES`` = 2^18 amplitudes (4 MiB).
+Pauli terms are read from the amplitudes, exactly or by shots, without a dense
+operator (``_expectations``, ``_sampled_expectations``). Streaming callers (the
+shift rule, the networks' rows) prepare states in blocks of at most
+``_BATCH_AMPLITUDES`` = 2^18 amplitudes (4 MiB).
 
 Bit ordering is little-endian throughout: qubit 0 is the least significant
 bit of a basis index, and outcome bitstrings put qubit 0 first (the most
@@ -387,6 +388,70 @@ def run_ops(num_qubits: int, gates, angles):
         _apply(states.reshape((2,) * num_qubits + (rows,)), num_qubits, ops)
         states = np.ascontiguousarray(states.T)
     return states if table else states[0]
+
+
+def _adjoint_terms(num_qubits: int, gates, angles, observables, stops):
+    """The adjoint sweep's reverse pass (Jones & Gacon 2020) over a (B, G) ``angles`` table: for
+    each gate index in ``stops``, last first, yields it and the (B, O) Im<lambda_o|P|phi> of its
+    generator P (a CRY's on its controls' subspace). phi, the states after the gate, and lambda_o,
+    ``observables[o]`` applied to the final states and carried back to it, are the columns of one
+    (1 + O, 2^n, B) stack, complex when the states are or an observable has a Y term; each gate
+    after the earliest stop is un-applied from every column by one ``_apply`` at the negated angle."""
+    n, first = num_qubits, min(stops)
+    states = run_ops(n, gates, angles)
+    complex_terms = any("Y" in string for o in observables for _, string in o.terms)
+    stack = np.empty((1 + len(observables), 1 << n, len(angles)), dtype=complex if complex_terms else states.dtype)
+    stack[0] = states.T
+    del states
+    scratch = np.empty(stack.size, stack.dtype)
+    # Qubit q is axis n - q: ``_apply`` takes the column axis for an (n + 1)-th qubit's.
+    view = stack.reshape(stack.shape[:1] + (2,) * n + stack.shape[2:])
+    parts = stack.view(float).reshape(view.shape + (-1,))  # each amplitude's real (and imaginary) part
+    term = scratch[:view[0].size].reshape(view[0].shape)
+    for o, observable in enumerate(observables):
+        view[1 + o] = 0.0
+        for coeff, string in observable.terms:  # Z, then X, on each Y qubit: Y = i X Z
+            term[...] = view[0]
+            _apply(term, n, [(_Z, q, ()) for q, ch in enumerate(string) if ch in "YZ"]
+                   + [(_X, q, ()) for q, ch in enumerate(string) if ch in "XY"], scratch[term.size:])
+            term *= coeff * (1, 1j, -1, -1j)[string.count("Y") % 4]
+            view[1 + o] += term
+    half = np.divide(angles.T, -2.0, order="C")  # each gate's row of negated half angles
+    cos, sin = np.cos(half), np.sin(half, out=half)
+    for g, gate in reversed(list(enumerate(gates))[first:]):
+        if g in stops:
+            yield g, _generator_terms(parts, gate, scratch.view(float))
+        if g > first:
+            _apply(view, n + 1, [(_MATRICES[gate.kind](cos[g], sin[g]), gate.targets[0], gate.controls)], scratch)
+
+
+def _generator_terms(parts: np.ndarray, gate, products: np.ndarray) -> np.ndarray:
+    """(B, O): Im<lambda_o|P|phi> of ``gate``'s generator P = i R(pi), per row of a ``(1 + O,) + (2,) * n
+    + (B, 1 or 2)`` float view of the parts of columns phi, lambda_1, ...: each nonzero entry e at (i, j)
+    of ``_MATRICES[kind](0, 1)`` adds e Re<lambda_i|phi_j> if real and -Im(e) Im<lambda_i|phi_j> if
+    imaginary, of halves i and j across the target, each summed along a (B, half, 1 or 2) row of
+    products in the flat ``products``."""
+    index, last = [slice(None)] * parts.ndim, parts.ndim - 3  # qubit q is axis n - q
+    for q, bit in gate.controls:
+        index[last - q] = bit
+    halves = []
+    for bit in (0, 1):
+        index[last - gate.targets[0]] = bit
+        halves.append(parts[tuple(index)])
+    shape = halves[0].shape[1:]  # (2,) * m + (B, 1 or 2)
+    rows, m = products[:math.prod(shape)].reshape(shape[-2], -1, shape[-1]), len(shape) - 2
+    out = rows.reshape(shape[-2:-1] + shape[:-2] + shape[-1:]).transpose(tuple(range(1, m + 1)) + (0, m + 1))
+    terms = np.zeros((shape[-2], len(parts) - 1))
+    entries = [(divmod(k, 2), e) for k, e in enumerate(_MATRICES[gate.kind](0.0, 1.0)) if e != 0]  # (i, j), e
+    for o in range(len(parts) - 1):
+        for (i, j), e in entries:
+            if e.imag == 0:  # Re<a|b>: the sum of ar br + ai bi
+                np.multiply(halves[i][1 + o], halves[j][0], out=out)
+                terms[:, o] += e.real * rows.reshape(len(rows), -1).sum(axis=1)
+            else:  # Im<a|b>: the sum of ar bi - ai br
+                np.multiply(halves[i][1 + o], halves[j][0][..., ::-1], out=out)
+                terms[:, o] += -e.imag * (rows[:, :, 0].sum(axis=1) - rows[:, :, 1].sum(axis=1))
+    return terms
 
 
 def _row_blocks(num_qubits: int, num_gates: int, rows: int) -> list[slice]:

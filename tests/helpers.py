@@ -163,30 +163,26 @@ def svm_dual_objective(alpha: np.ndarray, K: np.ndarray, y: np.ndarray) -> float
     return float(alpha.sum() - 0.5 * alpha @ (Q @ alpha))
 
 
-def project_dual_feasible(alpha: np.ndarray, y: np.ndarray, C: float) -> np.ndarray:
-    """Euclidean projection onto {0 <= a <= C, y.a = 0}.
+def project_dual_feasible(points: np.ndarray, y: np.ndarray, C: float) -> np.ndarray:
+    """Euclidean projection onto {0 <= a <= C, y.a = 0} of each row alpha of ``points``.
 
     Solves y @ clip(alpha - mu*y, 0, C) = 0 for mu; the left side is
     piecewise linear and nonincreasing in mu, so evaluating it at every
     clip breakpoint and interpolating inside the crossing segment is exact.
+    A repeated breakpoint cannot start the crossing segment, so the sorted
+    breakpoints need no deduplication.
     """
-    breakpoints = np.unique(
-        np.concatenate(
-            [alpha[y > 0] - C, alpha[y > 0], -alpha[y < 0], C - alpha[y < 0]]
-        )
-    )
-    values = np.clip(alpha[None, :] - breakpoints[:, None] * y[None, :], 0.0, C) @ y
-    crossing = np.nonzero(values <= 0.0)[0]
-    if crossing.size == 0:
-        mu = breakpoints[-1]
-    elif crossing[0] == 0:
-        mu = breakpoints[0]
-    else:
-        k = crossing[0]
-        left, right = values[k - 1], values[k]
-        span = breakpoints[k] - breakpoints[k - 1]
-        mu = breakpoints[k - 1] + span * left / (left - right)
-    return np.clip(alpha - mu * y, 0.0, C)
+    breakpoints = np.sort(np.concatenate(
+        [points[:, y > 0] - C, points[:, y > 0], -points[:, y < 0], C - points[:, y < 0]], axis=1), axis=1)
+    values = np.clip(points[:, None, :] - breakpoints[:, :, None] * y, 0.0, C) @ y
+    crossed = values <= 0.0
+    mu = np.where(crossed.any(axis=1), breakpoints[:, 0], breakpoints[:, -1])
+    for row in np.flatnonzero(crossed.any(axis=1) & ~crossed[:, 0]):
+        k = int(crossed[row].argmax())
+        left, right = values[row, k - 1], values[row, k]
+        span = breakpoints[row, k] - breakpoints[row, k - 1]
+        mu[row] = breakpoints[row, k - 1] + span * left / (left - right)
+    return np.clip(points - mu[:, None] * y, 0.0, C)
 
 
 def brute_force_svm_dual(
@@ -195,19 +191,19 @@ def brute_force_svm_dual(
     """Global dual maximum by projected gradient ascent from several starts.
 
     The dual is concave, so any feasible start converges; multiple starts
-    are insurance against slow faces of the box.
+    are insurance against slow faces of the box. The starts ascend together,
+    as the rows of one stack.
     """
     Q = K * np.outer(y, y)
     lipschitz = float(np.linalg.norm(Q, 2)) + 1e-9
     step = 1.0 / lipschitz
-    best_alpha, best_value = None, -np.inf
     m = len(y)
-    starts = [np.zeros(m), np.full(m, C / 2.0), np.full(m, C)]
-    for start in starts:
-        alpha = project_dual_feasible(start, y, C)
-        for _ in range(iterations):
-            gradient = 1.0 - Q @ alpha
-            alpha = project_dual_feasible(alpha + step * gradient, y, C)
+    alphas = project_dual_feasible(np.stack([np.zeros(m), np.full(m, C / 2.0), np.full(m, C)]), y, C)
+    for _ in range(iterations):
+        gradients = 1.0 - alphas @ Q
+        alphas = project_dual_feasible(alphas + step * gradients, y, C)
+    best_alpha, best_value = None, -np.inf
+    for alpha in alphas:
         value = svm_dual_objective(alpha, K, y)
         if value > best_value:
             best_alpha, best_value = alpha, value

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from qmlkit import circuit_to_dict, kernel_entry, real_amplitudes_ansatz, zz_feature_map
+from qmlkit import (
+    AngleExpr, Circuit, Gate, Parameter, circuit_to_dict, kernel_entry, real_amplitudes_ansatz, zz_feature_map,
+)
 from qmlkit.cli import GRADCHECK_TOLERANCE, build_parser, main
 from qmlkit.models import svm_predict
 
@@ -225,6 +227,27 @@ def test_predict_missing_model_file_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert "absent.json" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("label_map", [True, False])
+def test_predict_refuses_a_label_the_model_does_not_know(tmp_path, capsys, label_map):
+    data, model, out = tmp_path / "blobs.csv", tmp_path / "model.json", tmp_path / "p.csv"
+    run_cli(capsys, "gen-data", "blobs", "--samples", "8", "--noise", "0.1", "--seed", "3", "--out", str(data))
+    names = {"1": "pos", "-1": "neg"} if label_map else {"1": "1", "-1": "-1"}
+    rows = [line.rsplit(",", 1) for line in data.read_text().splitlines()[1:]]
+    data.write_text("f0,f1,label\n" + "".join(f"{x},{names[y]}\n" for x, y in rows))
+    _, stdout, _ = run_cli(capsys, "train", "--model", "qsvc", "--data", str(data), "--out", str(model))
+    trained = json.loads(stdout)
+    if not label_map:  # a model saved without a label map reads labels as -1 and +1
+        model.write_text(json.dumps({**json.loads(model.read_text()), "label_map": None}))
+    code, stdout, _ = run_cli(capsys, "predict", "--model", str(model), "--data", str(data), "--out", str(out))
+    assert code == 0 and json.loads(stdout)["accuracy"] == trained["train_accuracy"]
+    out.unlink()
+    unknown = tmp_path / "unknown.csv"
+    unknown.write_text(data.read_text().replace(f",{names['-1']}\n", ",7\n"))
+    code, stdout, err = run_cli(capsys, "predict", "--model", str(model), "--data", str(unknown), "--out", str(out))
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err.count("\n") == 1 and f"labels in {unknown} do not match the model" in json.loads(err)["error"]
 
 
 def test_train_out_in_missing_directory_exits_2(tmp_path, capsys):
@@ -482,8 +505,6 @@ def test_gradcheck_non_numeric_value_exits_2(tmp_path, capsys):
 
 
 def test_gradcheck_zero_parameters(tmp_path, capsys):
-    from qmlkit import Circuit, Gate
-
     path = tmp_path / "fixed.json"
     path.write_text(json.dumps(circuit_to_dict(Circuit(1).append(Gate.h(0)))))
     code, stdout, _ = run_cli(capsys, "gradcheck", "--circuit", str(path))
@@ -567,6 +588,42 @@ def test_bayes_cpt_list_exits_2(tmp_path, capsys):
 def test_usage_errors_exit_2_with_one_json_line(capsys, argv, named):
     code, stdout, err = run_cli(capsys, *argv)
     assert code == 2 and stdout == ""
+    assert err.count("\n") == 1 and named in json.loads(err)["error"]
+
+
+STEEP_CIRCUIT = circuit_to_dict(
+    Circuit(1).extend([Gate.h(0), Gate.rz(AngleExpr.linear(Parameter("x"), 3000.0), 0), Gate.h(0)]))
+KERNEL = ["kernel", "--data", "d.csv", "--out", "k.csv"]
+TRAIN_QSVC = [["gen-data", "blobs", "--samples", "4", "--seed", "1", "--out", "b.csv"],
+              ["train", "--model", "qsvc", "--data", "b.csv", "--out", "m.json"]]
+
+
+@pytest.mark.parametrize("files, setup, argv, code, named", [
+    ({"d.csv": ""}, [], KERNEL, 2, "d.csv: empty file"),
+    ({"d.csv": "x0,x1\n0.1,0.2\n"}, [], KERNEL, 2, "header must be f0..f{d-1}[,label]"),
+    ({"d.csv": "f0,f1\n0.1,0.2\n0.3\n"}, [], KERNEL, 2, "d.csv:3: expected 2 fields, got 1"),
+    ({"d.csv": "f0,f1\n"}, [], KERNEL, 2, "d.csv: no data rows"),
+    ({"d.csv": "f0,label\n0.1,0.5\n0.2,high\n"}, [],
+     ["train", "--model", "vqr", "--data", "d.csv", "--out", "m.json"], 2, "regression labels must be numeric"),
+    ({"d.csv": "f0,f1,label\n0.1,0.2,c\n"}, TRAIN_QSVC,
+     ["predict", "--model", "m.json", "--data", "d.csv", "--out", "p.csv"], 2, "labels in d.csv do not match the model"),
+    ({"c.json": json.dumps(STEEP_CIRCUIT)}, [], ["gradcheck", "--circuit", "c.json", "--values", "0.3,0.4"],
+     2, "circuit takes 1 values, got 2"),
+    # d<Z>/dx = -3000 sin(3000 x): at x = 0.3 the finite difference's step is too coarse for it.
+    ({"c.json": json.dumps(STEEP_CIRCUIT)}, [], ["gradcheck", "--circuit", "c.json", "--values", "0.3"],
+     3, f"exceeds {GRADCHECK_TOLERANCE}"),
+    ({"c.json": "{"}, [], ["gradcheck", "--circuit", "c.json"], 2, "c.json: not valid JSON"),
+    ({"n.json": "nodes"}, [], ["bayes", "--network", "n.json", "--query", "A=1"], 2, "n.json: not valid JSON"),
+], ids=["empty", "header", "ragged", "no-rows", "vqr-label", "predict-label", "values-count", "deviation",
+        "circuit-json", "network-json"])
+def test_cli_exit_paths_write_one_json_error_line(tmp_path, monkeypatch, capsys, files, setup, argv, code, named):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    for command in setup:
+        assert run_cli(capsys, *command)[0] == 0
+    status, _, err = run_cli(capsys, *argv)
+    assert status == code
     assert err.count("\n") == 1 and named in json.loads(err)["error"]
 
 

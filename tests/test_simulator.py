@@ -52,11 +52,13 @@ from qmlkit import (
 from qmlkit.circuits import bound_angles
 from qmlkit import simulator
 from qmlkit.simulator import (
-    _blocks, _cdf, _draws, _expectations, _rotated, _sampled_expectations, derive_rng, run_ops, sample_state,
+    _adjoint_terms, _blocks, _cdf, _draws, _expectations, _rotated, _sampled_expectations, derive_rng, run_ops,
+    sample_state,
 )
 
 from .helpers import (
-    dense_expectation, dense_state, random_bound_circuit, random_observable, random_supported_circuit,
+    _PAULI_MATRICES, _PROJECTORS, _kron_qubits, dense_expectation, dense_gate_unitary, dense_state,
+    random_bound_circuit, random_observable, random_supported_circuit,
 )
 
 Z = PauliObservable(((1.0, "Z"),))
@@ -686,3 +688,57 @@ def test_sampler_json_holds_an_int_shot_count():
     circuit = Circuit(2).extend([Gate.h(0), Gate.cx(0, 1)])
     payload = json.loads(json.dumps(sampler(circuit, [], shots=np.int64(8), seed=0).to_dict()))
     assert payload["shots"] == 8
+
+
+# Each rotation under test, on a qubit width it fits: CRY with a 0-valued, a 1-valued and two controls.
+_SWEPT_GATES = {
+    "RX": (1, lambda n: Gate.rx(0.0, n - 1)),
+    "RY": (1, lambda n: Gate.ry(0.0, 0)),
+    "RZ": (1, lambda n: Gate.rz(0.0, n // 2)),
+    "CRY-0": (2, lambda n: Gate.cry(0.0, [(0, 0)], n - 1)),
+    "CRY-1": (2, lambda n: Gate.cry(0.0, [(n - 1, 1)], 0)),
+    "CRY-2": (3, lambda n: Gate.cry(0.0, [(0, 1), (n - 1, 0)], 1)),
+}
+
+
+def _dense_adjoint_terms(gates, g: int, observables, n: int) -> list[float]:
+    """Im<lambda_o|P|phi> by dense matrices: phi is the state after ``gates[g]``, lambda_o
+    observable o applied to the final state and carried back by the later gates' adjoints, and P
+    the gate's Pauli on its target times its controls' projectors."""
+    unitaries = [dense_gate_unitary(gate, n) for gate in gates]
+    phi = np.eye(2**n, dtype=complex)[0]
+    for unitary in unitaries[:g + 1]:
+        phi = unitary @ phi
+    later = np.eye(2**n, dtype=complex)
+    for unitary in unitaries[g + 1:]:
+        later = unitary @ later
+    factors = [np.eye(2, dtype=complex) for _ in range(n)]
+    factors[gates[g].targets[0]] = _PAULI_MATRICES[{"RX": "X", "RZ": "Z"}.get(gates[g].kind, "Y")]
+    for q, bit in gates[g].controls:
+        factors[q] = _PROJECTORS[bit]
+    generated = _kron_qubits(factors) @ phi
+    return [float(np.vdot(later.conj().T @ sum(
+        c * _kron_qubits([_PAULI_MATRICES[ch] for ch in string]) for c, string in observable.terms
+    ) @ later @ phi, generated).imag) for observable in observables]
+
+
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("name, n", [(name, n) for name, (low, _) in _SWEPT_GATES.items() for n in range(low, 5)])
+def test_adjoint_terms_match_the_dense_oracle_and_rows_their_one_row_calls(name, n, real):
+    rng = np.random.default_rng([list(_SWEPT_GATES).index(name), n, real])
+    before, after = (random_bound_circuit(rng, n, max_gates=6) for _ in range(2))
+    if real:  # float64 forward states, and observables without a Y term
+        before, after = _real(before), _real(after)
+    gates = before.gates + (_SWEPT_GATES[name][1](n),) + after.gates
+    observables = [random_observable(rng, n, "IXZ" if real else "IXYZ"), random_observable(rng, n, "IZ")]
+    stops = [g for g, gate in enumerate(gates) if gate.angle is not None]
+    angles = rng.uniform(-np.pi, np.pi, (3, len(gates)))
+    yielded = list(_adjoint_terms(n, gates, angles, observables, stops))
+    assert [g for g, _ in yielded] == stops[::-1]
+    for b, row in enumerate(angles):
+        bound = [gate if gate.angle is None else replace(gate, angle=AngleExpr.constant(a))
+                 for gate, a in zip(gates, row)]
+        alone = list(_adjoint_terms(n, gates, angles[b:b + 1], observables, stops))
+        for (g, terms), (_, one_row) in zip(yielded, alone):
+            assert terms.shape == (3, 2) and terms[b].tobytes() == one_row[0].tobytes()
+            assert np.max(np.abs(terms[b] - _dense_adjoint_terms(bound, g, observables, n))) <= 1e-12
