@@ -64,6 +64,8 @@ from qmlkit.simulator import derive_seed
 
 RECORD = pathlib.Path(__file__).with_name("record.json")
 SEEDS = (0, 1)
+# Master seeds of two and three 32-bit words, for the shot paths' seed derivation.
+WIDE_SEEDS = (2**32 + 7, 2**64 + 3)
 
 
 def _cell(text: str):
@@ -154,6 +156,23 @@ def _cli_probes(workdir: pathlib.Path, seed: int) -> tuple[dict, dict]:
     return exact, shots
 
 
+def _wide_seed_probes(workdir: pathlib.Path, seed: int) -> dict:
+    """The CLI's shot-mode ``kernel``, ``predict`` (vqc, qsvc) and ``train --model vqc`` at a
+    multi-word master seed, on the data and models that ``_cli_probes`` wrote at seed 0."""
+    w, shots = workdir, {}
+
+    def run(name: str, out: str, *argv) -> None:
+        shots[f"cli/{seed}/{name}"] = _cli(w, out, *argv, "--seed", seed)
+
+    run("kernel-shots", f"k-shots-{seed}.csv", "kernel", "--data", w / "blobs.csv", "--shots", 40)
+    for model, data in (("vqc", "xor"), ("qsvc", "blobs")):
+        run(f"predict-{model}-shots", f"p-{model}-shots-{seed}.csv",
+            "predict", "--model", w / f"{model}.json", "--data", w / f"{data}.csv", "--shots", 33)
+    run("train-vqc-shots", f"vqc-shots-{seed}.json",
+        "train", "--model", "vqc", "--data", w / "xor.csv", "--max-iter", 12, "--shots", 64)
+    return shots
+
+
 def _circuits(num_qubits: int) -> dict[str, tuple[Circuit, PauliObservable]]:
     """A real and a complex bound circuit on ``num_qubits``, each with a Z/X/Y observable."""
     ansatz = real_amplitudes_ansatz(num_qubits, 2)
@@ -203,6 +222,9 @@ def _qnn_probes() -> tuple[dict, dict]:
             inputs, of_weights = qnn.backward(rows[0], weights, shots=count, seed=5)
             (exact if count is None else shots)[f"qnn/{name}/backward/{label}"] = [
                 inputs.tolist(), of_weights.tolist()]
+        for seed in WIDE_SEEDS if name == "estimator" else ():
+            inputs, of_weights = qnn.backward(rows[0], weights, shots=64, seed=seed)
+            shots[f"qnn/{name}/backward/64/{seed}"] = [inputs.tolist(), of_weights.tolist()]
     return exact, shots
 
 
@@ -313,6 +335,8 @@ def probes() -> dict:
             workdir.mkdir()
             for section, found in zip((exact, shots), _cli_probes(workdir, seed)):
                 section.update(found)
+        for seed in WIDE_SEEDS:
+            shots.update(_wide_seed_probes(pathlib.Path(tmp, str(SEEDS[0])), seed))
     for make in (_state_probes, _qnn_probes, _fidelity_probes, _kernel_probes, _gradient_probes,
                  _optimizer_probes, _fit_probes):
         for section, found in zip((exact, shots), make()):
