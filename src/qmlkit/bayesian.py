@@ -20,7 +20,7 @@ import numpy as np
 
 from .circuits import Circuit, Gate, bound_angles
 from .errors import CircuitError, ModelFormatError, NoSupportError
-from .simulator import MAX_QUBITS, _cdf, _check_shots, _draws, _owned_probabilities, run_ops
+from .simulator import MAX_QUBITS, _cdf, _check_shots, _draws, _owned_probabilities, _streams, run_ops
 
 _SAMPLE_BATCH = 4096
 
@@ -197,8 +197,9 @@ def rejection_inference(
     cdf = _cdf(_owned_probabilities(run_ops(circuit.num_qubits, circuit.gates, bound_angles(circuit, ()))))
     accepted = 0
     hits = 0
-    for batch_index, start in enumerate(range(0, shots, _SAMPLE_BATCH)):
-        outcomes = _draws(cdf, min(_SAMPLE_BATCH, shots - start), seed, batch_index)
+    starts = range(0, shots, _SAMPLE_BATCH)
+    for start, rng in zip(starts, _streams(seed, np.arange(len(starts)))):  # batch k reads (seed, k)
+        outcomes = _draws(cdf, min(_SAMPLE_BATCH, shots - start), rng)
         accepted += int(consistent(outcomes).sum())
         hits += int(hit(outcomes).sum())
     if accepted == 0:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .circuits import Circuit, bound_angles
 from .errors import CircuitError
-from .simulator import _cdf, _check_shots, _draws, _owned_probabilities, run_ops
+from .simulator import _cdf, _check_shots, _draws, _owned_probabilities, derive_rng, run_ops
 
 
 @dataclass(frozen=True)
@@ -50,4 +50,4 @@ def compute_uncompute(job: FidelityJob) -> float:
     state = run_ops(job.circuit_a.num_qubits, job.circuit_a.gates + inverse_b.gates, angles)
     if shots is None:
         return float(min(1.0, max(0.0, abs(complex(state[0])) ** 2)))
-    return float(np.count_nonzero(_draws(_cdf(_owned_probabilities(state)), shots, job.seed) == 0) / shots)
+    return float(np.count_nonzero(_draws(_cdf(_owned_probabilities(state)), shots, derive_rng(job.seed)) == 0) / shots)

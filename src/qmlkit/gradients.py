@@ -26,12 +26,12 @@ from .simulator import (
     Statevector,
     _adjoint_terms,
     _check_shots,
-    derive_rng,
-    derive_seed,
     _expectations,
     _row_blocks,
     run_ops,
     _sampled_expectations,
+    _seeds,
+    _streams,
 )
 
 
@@ -192,8 +192,7 @@ def param_shift_gradient(request: GradientRequest) -> np.ndarray:
     def evaluate(states: np.ndarray, rows: np.ndarray, tasks: np.ndarray) -> np.ndarray:
         if shots is None:
             return _expectations(states, request.observable)[:, None]
-        seeds = [derive_seed(request.seed, k) for k in tasks]
-        return _sampled_expectations(states, request.observable, shots, seeds)[:, None]
+        return _sampled_expectations(states, request.observable, shots, _seeds(request.seed, tasks))[:, None]
 
     jacobian = shift_rule_jacobian(request.circuit, [request.values], evaluate, shift=request.shift)[0]
     return jacobian[:, 0] if jacobian.size else np.zeros(0)
@@ -216,8 +215,8 @@ def spsa_gradient(
         return np.zeros(0)
     c = config.perturbation
     estimate = np.zeros_like(point)
-    for k in range(config.resamples):
-        delta = _rademacher(config.seed, k, point.size)
+    for _, rng in zip(range(config.resamples), _streams(config.seed, np.arange(config.resamples))):
+        delta = _rademacher(rng, point.size)
         estimate += _central_difference(f, point, c * delta) / (2.0 * c * delta)
     return estimate / config.resamples
 
@@ -239,9 +238,9 @@ def finite_difference(
     return gradient
 
 
-def _rademacher(seed: int | None, k: int, size: int) -> np.ndarray:
-    """A direction of ``size`` random signs +-1 drawn from the (seed, k) stream."""
-    return derive_rng(seed, k).integers(0, 2, size=size) * 2.0 - 1.0
+def _rademacher(rng: np.random.Generator, size: int) -> np.ndarray:
+    """A direction of ``size`` random signs +-1 drawn from ``rng``, one (seed, k) stream."""
+    return rng.integers(0, 2, size=size) * 2.0 - 1.0
 
 
 def _central_difference(f: Callable[[np.ndarray], float], point: np.ndarray, offset: np.ndarray) -> float:

@@ -17,7 +17,7 @@ import numpy as np
 from .circuits import Circuit, Parameter, bound_angles
 from .errors import CircuitError, DataError
 from .optimizers import OptimizeResult, OptimizerConfig, _seeded_config, minimize
-from .simulator import _check_shots, derive_rng, derive_seed, run_ops
+from .simulator import _STREAM_ROWS, _check_shots, _seeds, _streams, derive_rng, run_ops
 
 
 @dataclass(frozen=True)
@@ -69,11 +69,6 @@ def _as_dataset(X, feature_map: Circuit, name: str) -> np.ndarray:
     return data
 
 
-def _sampled(fidelity: float, shots: int, seed: int | None) -> float:
-    """All-zeros frequency of ``shots`` compute-uncompute draws: Binomial(shots, F) / shots."""
-    return float(derive_rng(seed).binomial(shots, fidelity)) / shots
-
-
 def kernel_entry(
     feature_map: Circuit,
     x,
@@ -84,7 +79,7 @@ def kernel_entry(
     """Fidelity between the feature-map states of two samples; in shot mode a
     ``Binomial(shots, F) / shots`` draw from ``seed``'s stream."""
     K = kernel_matrix(feature_map, [x], [y]).entries
-    return float(K[0, 0]) if shots is None else _sampled(K[0, 0], _check_shots(shots), seed)
+    return float(K[0, 0]) if shots is None else float(derive_rng(seed).binomial(n := _check_shots(shots), K[0, 0])) / n
 
 
 def kernel_matrix(
@@ -103,8 +98,9 @@ def kernel_matrix(
     ``Y`` absent the matrix is symmetric: the upper triangle is mirrored and
     the diagonal is exactly 1 in exact mode. Shot mode draws entry (i, j),
     upper triangle only when symmetric, as ``Binomial(shots, F_ij) / shots``
-    from the RNG stream derived from (seed, i*cols + j), so results do not
-    depend on evaluation order; exact mode derives no seeds.
+    from the stream ``derive_rng(derive_seed(seed, i*cols + j))``, so results do
+    not depend on evaluation order; the streams are derived ``_STREAM_ROWS``
+    entries at a time, and exact mode derives none.
     """
     rows = _as_dataset(X, feature_map, "X")
     cols = rows if Y is None else _as_dataset(Y, feature_map, "Y")
@@ -116,13 +112,15 @@ def kernel_matrix(
     if Y is None:
         entries = np.triu(entries, 1)
         entries += entries.T + np.eye(rows.shape[0])
-    if shots is not None:
-        width = cols.shape[0]
-        pairs = zip(*np.triu_indices(width)) if Y is None else np.ndindex(entries.shape)
-        for i, j in pairs:
-            entries[i, j] = _sampled(entries[i, j], shots, derive_seed(seed, i * width + j))
-            if Y is None:
-                entries[j, i] = entries[i, j]
+    width = cols.shape[0]
+    for start in range(0, entries.size if shots is not None else 0, _STREAM_ROWS):
+        flat = np.arange(start, min(start + _STREAM_ROWS, entries.size))  # i * width + j
+        if Y is None:
+            flat = flat[flat % width >= flat // width]
+        streams = _streams(_seeds(seed, flat))
+        entries.flat[flat] = [rng.binomial(shots, f) / shots for rng, f in zip(streams, entries.flat[flat].tolist())]
+        if Y is None:
+            entries.flat[flat % width * width + flat // width] = entries.flat[flat]
     return KernelMatrix(entries, rows, cols)
 
 

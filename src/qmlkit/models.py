@@ -24,7 +24,7 @@ from .errors import DataError, ModelFormatError
 from .kernels import _as_dataset, kernel_matrix
 from .networks import EstimatorQnn, SamplerQnn, parity_interpret
 from .optimizers import OptimizeResult, OptimizerConfig, _seeded_config, minimize
-from .simulator import PauliObservable, derive_rng, derive_seed
+from .simulator import PauliObservable, _seeds, derive_rng
 
 _PROB_FLOOR = 1e-12
 
@@ -118,11 +118,6 @@ def _qnn(feature_map: Circuit, ansatz: Circuit, observable: PauliObservable | No
     return EstimatorQnn(circuit, [observable], **split)
 
 
-def _row_seeds(shots: int | None, seed: int | None, rows: int, *task: int) -> list:
-    """Row i's child seed (seed, *task, i) in shot mode; exact mode draws nothing and gets None."""
-    return [derive_seed(seed, *task, i) if shots is not None else None for i in range(rows)]
-
-
 def _fit_qnn(qnn, data: Dataset, mean_loss, loss_terms, config, shots, seed) -> OptimizeResult:
     """Minimize a per-row loss of the network outputs over its weights.
 
@@ -134,14 +129,14 @@ def _fit_qnn(qnn, data: Dataset, mean_loss, loss_terms, config, shots, seed) -> 
     reads row i from (seed, 2, k, i), gradient evaluation k from
     (seed, 3, k, i); the start is uniform in [-pi, pi) from (seed, 1).
     """
-    evaluation = itertools.count(1)
+    evaluation, rows = itertools.count(1), np.arange(data.size)
 
     def objective(weights: np.ndarray) -> float:
-        seeds = _row_seeds(shots, seed, data.size, 2, next(evaluation))
+        seeds = None if shots is None else _seeds(seed, 2, next(evaluation), rows)
         return float(mean_loss(qnn._outputs(data.features, weights, shots, seeds)))
 
     def gradient(weights: np.ndarray) -> np.ndarray:
-        seeds = _row_seeds(shots, seed, data.size, 3, next(evaluation))
+        seeds = None if shots is None else _seeds(seed, 3, next(evaluation), rows)
         outputs = qnn._outputs(data.features, weights, shots, seeds)
         _, jacobians = qnn._jacobians(data.features, weights, shots, seeds)
         # Rows add up in order; sum(axis=0) would add a lone weight's column pairwise.
@@ -190,7 +185,8 @@ def vqc_predict(
     """
     features = _as_dataset(features, model.feature_map, "features")
     qnn = _qnn(model.feature_map, model.ansatz)
-    probs = qnn._outputs(features, model.trained_weights, shots, _row_seeds(shots, seed, len(features)))
+    seeds = None if shots is None else _seeds(seed, np.arange(len(features)))
+    probs = qnn._outputs(features, model.trained_weights, shots, seeds)
     return np.where(probs[:, 1] > 0.5, 1.0, -1.0), probs
 
 
@@ -225,7 +221,7 @@ def vqr_predict(model: VqrModel, features) -> np.ndarray:
     """Expectation value of the model observable per input row."""
     features = _as_dataset(features, model.feature_map, "features")
     qnn = _qnn(model.feature_map, model.ansatz, model.observable)
-    return qnn._outputs(features, model.trained_weights, None, [None] * len(features))[:, 0]
+    return qnn._outputs(features, model.trained_weights, None, None)[:, 0]
 
 
 def _movable(y: np.ndarray, alpha: np.ndarray, C: float) -> tuple[np.ndarray, np.ndarray]:

@@ -24,7 +24,6 @@ from .gradients import _adjoint_jacobian, shift_rule_jacobian
 from .simulator import (
     PauliObservable,
     bitstring_to_index,
-    derive_seed,
     _cdf,
     _check_shots,
     _draws,
@@ -35,6 +34,8 @@ from .simulator import (
     _row_blocks,
     run_ops,
     _sampled_expectations,
+    _seeds,
+    _streams,
 )
 
 
@@ -63,6 +64,7 @@ class _QnnBase:
 
     A subclass sets ``output_dim`` and supplies ``_readout(states, shots, seeds)``:
     the (B, output_dim) outputs of (B, 2^n) amplitude rows, row b seeded by ``seeds[b]``.
+    ``seeds`` holds one seed per row, or is one seed (an int or None) for a one-row call.
     Both passes take input rows beside one weight vector and read states a block at a
     time: ``_outputs`` every row's state, ``_jacobians`` the derivatives in the weights,
     then the inputs, from ``_jacobian``: every row's shifted states in one shift rule, or a
@@ -99,7 +101,8 @@ class _QnnBase:
         values = self._values(rows, weights)
         # The empty first block gives zero input rows a (0, output_dim) result.
         return np.concatenate([np.zeros((0, self.output_dim))] + [
-            self._readout(run_ops(n, gates, bound_angles(self.circuit, values[block])), shots, seeds[block])
+            self._readout(run_ops(n, gates, bound_angles(self.circuit, values[block])), shots,
+                          seeds if np.ndim(seeds) == 0 else seeds[block])
             for block in _row_blocks(n, len(gates), len(values))
         ])
 
@@ -122,14 +125,14 @@ class _QnnBase:
         of a row's shifted states share a stream."""
 
         def evaluate(states: np.ndarray, rows: np.ndarray, tasks: np.ndarray) -> np.ndarray:
-            task_seeds = None if shots is None else [derive_seed(seeds[i], k) for i, k in zip(rows, tasks)]
-            return self._readout(states, shots, task_seeds)
+            row_seeds = seeds if shots is None or np.ndim(seeds) == 0 else np.asarray(seeds, np.uint64)[rows]
+            return self._readout(states, shots, None if shots is None else _seeds(row_seeds, tasks))
 
         return shift_rule_jacobian(self.circuit, values, evaluate, wrt=wrt).transpose(0, 2, 1)
 
     def forward(self, inputs, weights, shots: int | None = None, seed: int | None = None) -> np.ndarray:
         """One output vector: expectation values, or bucket probabilities summing to 1."""
-        return self._outputs([inputs], weights, shots, [seed])[0]
+        return self._outputs([inputs], weights, shots, seed)[0]
 
     def backward(
         self, inputs, weights, shots: int | None = None, seed: int | None = None
@@ -143,7 +146,7 @@ class _QnnBase:
         shifted states run over the weights, then the inputs, and shifted
         state k reads out from ``derive_seed(seed, k)`` in shot mode.
         """
-        input_jac, weight_jac = self._jacobians([inputs], weights, shots, [seed])
+        input_jac, weight_jac = self._jacobians([inputs], weights, shots, seed)
         return (None if input_jac is None else input_jac[0]), weight_jac[0]
 
 
@@ -184,7 +187,7 @@ class EstimatorQnn(_QnnBase):
     def _readout(self, states: np.ndarray, shots: int | None, seeds) -> np.ndarray:
         if shots is None:
             return np.stack([_expectations(states, obs) for obs in self.observables], axis=1)
-        return np.stack([_sampled_expectations(states, obs, shots, [derive_seed(seed, o) for seed in seeds])
+        return np.stack([_sampled_expectations(states, obs, shots, _seeds(seeds, o))
                          for o, obs in enumerate(self.observables)], axis=1)
 
 
@@ -235,8 +238,9 @@ class SamplerQnn(_QnnBase):
     def _readout(self, states: np.ndarray, shots: int | None, seeds) -> np.ndarray:
         probs, d = _probabilities(states), self.output_dim
         if shots is not None:
-            return np.array([np.bincount(self._bins[_draws(cdf, shots, seed)], minlength=d) / shots
-                             for cdf, seed in zip(_cdf(probs), seeds)])
+            uniforms = np.empty(shots)
+            return np.array([np.bincount(self._bins[_draws(cdf, shots, rng, uniforms)], minlength=d) / shots
+                             for cdf, rng in zip(_cdf(probs), _streams(seeds))])
         # Bucket b * d + bin sums row b's probabilities in index order, as a per-row bincount does.
         buckets = (self._bins + d * np.arange(len(probs))[:, None]).ravel()
         return np.bincount(buckets, weights=probs.ravel(), minlength=d * len(probs)).reshape(-1, d)

@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .gradients import _central_difference, _rademacher, finite_difference
+from .simulator import _streams
 
 _KINDS = ("gd", "adam", "spsa")
 _PLATEAU_ITERATIONS = 5
@@ -182,9 +183,10 @@ def _descent_loop(tracker: _Tracker, gradient, point: np.ndarray, config: Optimi
 def _spsa_loop(tracker: _Tracker, point: np.ndarray, config: OptimizerConfig) -> bool:
     stability = config.spsa_A if config.spsa_A is not None else config.max_iterations / 10.0
     gain_a = config.spsa_a
-    for k in range(config.max_iterations):
+    directions = _streams(config.seed, np.arange(config.max_iterations))  # iteration k reads (seed, k)
+    for k, rng in zip(range(config.max_iterations), directions):
         c_k = config.spsa_c / (k + 1.0) ** config.spsa_gamma
-        delta = _rademacher(config.seed, k, point.size)
+        delta = _rademacher(rng, point.size)
         g = _central_difference(tracker, point, c_k * delta) / (2.0 * c_k * delta)
         if gain_a is None:
             # First-sample calibration: make the first update roughly 0.1 per component.

@@ -31,6 +31,13 @@ operator (``_expectations``, ``_sampled_expectations``). Streaming callers (the
 shift rule, the networks' rows) prepare states in blocks of at most
 ``_BATCH_AMPLITUDES`` = 2^18 amplitudes (4 MiB).
 
+Shot-mode draws come from the streams of ``derive_rng(seed, *task)``, numpy's
+``default_rng(SeedSequence((seed, *task)))``. ``_seeds`` and ``_streams`` derive
+them for a whole array of task tuples at once: ``SeedSequence``'s 32-bit hash
+runs in int64 lanes over the rows (``_hash``, ``_lanes``), and each row's PCG64 state is
+set on one reused generator, with the draws of numpy's own seeding.
+``derive_seed`` and ``derive_rng`` are their one-row calls.
+
 Bit ordering is little-endian throughout: qubit 0 is the least significant
 bit of a basis index, and outcome bitstrings put qubit 0 first (the most
 significant qubit comes last). ``[X q0]`` on two qubits therefore produces
@@ -39,6 +46,7 @@ basis index 1 and bitstring "10".
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -51,25 +59,117 @@ from .errors import CircuitError
 MAX_QUBITS = 24
 
 
+# numpy's SeedSequence hash constants, and PCG64's LCG multiplier.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _PCG_MULT = 0xCA01F9DD, 0x4973F715, 0x2360ED051FC65DA44385DF649FCCF645
+_M32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_STREAM_ROWS = 256  # rows hashed, and generator states made, a chunk at a time
+
+
 def derive_rng(seed: int | None, *task: int) -> np.random.Generator:
-    """Seedable, splittable RNG stream for (seed, task indices).
+    """Seedable, splittable RNG stream for (seed, task indices), the generator of
+    ``default_rng(SeedSequence((seed, *task)))``.
 
     Streams derived from the same seed but different task tuples are
     statistically independent, so per-entry or per-term work can be
     scheduled in any order without changing results. ``None`` gives a
     fresh nondeterministic generator.
     """
-    if seed is None:
-        return np.random.default_rng()
-    return np.random.default_rng(np.random.SeedSequence((int(seed),) + tuple(int(t) for t in task)))
+    return np.random.default_rng() if seed is None else next(_streams(*(int(t) for t in (seed, *task))))
 
 
 def derive_seed(seed: int | None, *task: int) -> int | None:
-    """Integer child seed for (seed, task indices); None stays None."""
+    """Integer child seed for (seed, task indices): the first uint64 that
+    ``SeedSequence((seed, *task)).generate_state`` gives; None stays None."""
+    return None if seed is None else int(_seeds(*(int(t) for t in (seed, *task)))[0])
+
+
+@functools.cache
+def _steps(width: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_lanes``' (xor, multiplier) pairs: (2, steps, 4, 1) for the pool's first hash, 4 mixing rounds
+    (row src unused) and each word past the fourth, and (2, 2 count, 1) for its output words."""
+    a = [_INIT_A * pow(_MULT_A, k, 1 << 32) & _M32 for k in range(17 + 4 * max(width - 4, 0))]
+    b = [_INIT_B * pow(_MULT_B, k, 1 << 32) & _M32 for k in range(2 * count + 1)]
+    steps = [range(4)] + [[4 + 3 * src + d - (d >= src) for d in range(4)] for src in range(4)]
+    steps += [range(4 * src, 4 * src + 4) for src in range(4, width)]
+    pairs = np.array([[[a[k + i] for k in ks] for ks in steps] for i in (0, 1)])
+    return pairs[..., None], np.array([b[:-1], b[1:]])[..., None]
+
+
+def _xorshift(z: np.ndarray) -> np.ndarray:
+    """The 32-bit word ``z mod 2^32`` xor-shifted right by 16, of a temporary ``z``."""
+    z &= _M32
+    return z ^ (z >> 16)
+
+
+def _lanes(entropy: np.ndarray, count: int) -> np.ndarray:
+    """The 2 count ``generate_state`` words of each column of (W >= 4, N) entropy words, as (2 count, N)
+    int64: 32-bit arithmetic in int64 lanes. numpy's hashmix is ``_xorshift((v ^ x) * m)`` and its mix
+    ``_xorshift(p * L - h * R)``."""
+    (xor, mult), out = _steps(len(entropy), count)
+    pool = _xorshift((entropy[:4] ^ xor[0]) * mult[0])
+    for src in range(4):  # word src into each other word
+        mixed = _xorshift(pool * _MIX_L - _xorshift((pool[src] ^ xor[1 + src]) * mult[1 + src]) * _MIX_R)
+        mixed[src], pool = pool[src], mixed
+    for src in range(4, len(entropy)):  # each word past the fourth into all 4
+        pool = _xorshift(pool * _MIX_L - _xorshift((entropy[src] ^ xor[1 + src]) * mult[1 + src]) * _MIX_R)
+    return _xorshift((pool[np.arange(2 * count) % 4] ^ out[0]) * out[1])
+
+
+def _hash(values: tuple, count: int):
+    """Yield (n, count) uint64, ``SeedSequence(row).generate_state(count, np.uint64)`` for each
+    row of ``values``, ``_STREAM_ROWS`` rows at a time: ints, then from the first array on
+    broadcast uint64 columns. The leading ints are split into 32-bit words once; the rows of a
+    chunk whose values split into the same numbers of words (0 is one, 2^32 or more two) go
+    through ``_lanes`` together."""
+    lead = next((i for i, v in enumerate(values) if np.ndim(v)), len(values))
+    if any(int(v) < 0 for v in values[:lead]):
+        raise ValueError("expected non-negative integer")
+    head = [int(v) >> s & _M32 for v in values[:lead] for s in range(0, max(int(v).bit_length(), 1), 32)]
+    broadcast = np.broadcast_arrays(*(np.asarray(v, np.uint64) for v in values[lead:]))
+    columns = [np.ravel(c).view(np.int64) for c in broadcast]  # the same 64 bits
+    signature = np.zeros(len(columns[0]) if columns else 1, np.int64)
+    for i, column in enumerate(columns):
+        signature |= ((column >> 32 & _M32) + _M32) >> 32 << i  # 1 for a nonzero high word, in int64 ops
+    for start in range(0, len(signature), _STREAM_ROWS):
+        part = slice(start, start + _STREAM_ROWS)
+        state = np.empty((len(signature[part]), 2 * count), np.int64)
+        keys = np.flatnonzero(np.bincount(signature[part])).tolist()  # np.unique would import numpy.ma
+        for key in keys:
+            group = slice(None) if len(keys) == 1 else np.flatnonzero(signature[part] == key)
+            words = [np.full(len(state[group]), w) for w in head]
+            for i, column in enumerate(columns):
+                words.append(column[part][group] & _M32)
+                if key >> i & 1:
+                    words.append(column[part][group] >> 32 & _M32)
+            state[group] = _lanes(np.stack(words + [0 * words[0]] * (4 - len(words))), count).T  # 4+ words
+        yield (state[:, 1::2] << 32 | state[:, 0::2]).view(np.uint64)  # word pairs, low word first
+
+
+def _seeds(seed, *task) -> np.ndarray | None:
+    """``derive_seed(seed, *row)`` as (N,) uint64 for each of the N rows of the broadcast ``task``
+    columns. ``seed`` is one int for every row or a column of per-row seeds; None gives None."""
     if seed is None:
         return None
-    seq = np.random.SeedSequence((int(seed),) + tuple(int(t) for t in task))
-    return int(seq.generate_state(1, np.uint64)[0])
+    return np.concatenate([np.zeros(0, np.uint64)] + [words[:, 0] for words in _hash((seed, *task), 1)])
+
+
+def _streams(seed, *task):
+    """Yield ``derive_rng(seed, *row)`` for each row of the broadcast ``task`` columns in turn, as one
+    ``Generator`` whose state is set before each yield (draw before taking the next); ``seed`` as in
+    ``_seeds``. A None seed yields one fresh nondeterministic generator without end."""
+    if seed is None:
+        yield from itertools.repeat(np.random.default_rng())
+    bits = np.random.PCG64(0)
+    generator = np.random.Generator(bits)
+    for words in _hash((seed, *task), 4):
+        for state_hi, state_lo, seq_hi, seq_lo in words.tolist():
+            # PCG64's seeding: inc = 2 initseq + 1, then two LCG steps around adding initstate.
+            inc = (seq_hi << 65 | seq_lo << 1 | 1) & _MASK128
+            state = ((inc + (state_hi << 64 | state_lo)) * _PCG_MULT + inc) & _MASK128
+            bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                          "has_uint32": 0, "uinteger": 0}
+            yield generator
 
 
 def index_to_bitstring(index: int, num_qubits: int) -> str:
@@ -559,10 +659,10 @@ def _check_shots(shots) -> int:
     return int(shots)
 
 
-def _draws(cdf: np.ndarray, shots: int, seed: int | None, *task: int) -> np.ndarray:
-    """Basis indices of ``shots`` draws from the (seed, *task) stream, searched in a ``_cdf``:
-    the indices ``choice`` draws from that stream, without rebuilding the CDF per call."""
-    return cdf.searchsorted(derive_rng(seed, *task).random(shots), side="right")
+def _draws(cdf: np.ndarray, shots: int, rng: np.random.Generator, out: np.ndarray | None = None) -> np.ndarray:
+    """Basis indices of ``shots`` draws from ``rng``, searched in a ``_cdf``: the indices ``choice``
+    draws from that generator, without rebuilding the CDF per call. The uniforms go to ``out``."""
+    return cdf.searchsorted(rng.random(shots, out=out), side="right")
 
 
 def _parity(indices: np.ndarray, qubits) -> np.ndarray:
@@ -575,22 +675,26 @@ def _parity(indices: np.ndarray, qubits) -> np.ndarray:
 
 def _sampled_expectations(rows: np.ndarray, observable: PauliObservable, shots: int, seeds) -> np.ndarray:
     """Shot-based expectation of each of (B, 2^n) real or complex rows: each term measured with the
-    full shot budget, row b drawing from the (seeds[b], term index) stream, so results do not
-    depend on evaluation order. Terms with the same X and Y characters share one rotated copy
-    (none for Z/I terms) and one block of CDFs. A drawn outcome's eigenvalue is +-1 by the
-    parity of its bits on the term's non-identity qubits, folded into one array."""
+    full shot budget, row b drawing from the (seeds[b], term index) stream (seeds itself if one
+    int or None), so results do not depend on evaluation order. Terms with the same X and Y
+    characters share one rotated copy (none for Z/I terms) and one block of CDFs. A drawn
+    outcome's eigenvalue is +-1 by the parity of its bits on the term's non-identity qubits,
+    folded into one array."""
     _check_width(rows, observable)
     bases: dict[str, list[int]] = {}
     for term_index, (_, string) in enumerate(observable.terms):
         if string.strip("I"):
             bases.setdefault("".join(ch if ch in "XY" else "I" for ch in string), []).append(term_index)
     means = np.ones((len(observable.terms), len(rows)))  # an identity term reads 1 on every shot
+    column, uniforms = seeds if np.ndim(seeds) == 0 else np.asarray(seeds, np.uint64)[:, None], np.empty(shots)
     for basis, term_indices in bases.items():
         cdf = _cdf(_owned_probabilities(_rotated(rows, basis)) if basis.strip("I") else _probabilities(rows))
-        for b, seed in enumerate(seeds):
+        streams = _streams(column, np.broadcast_to(term_indices, (len(rows), len(term_indices))))
+        for b in range(len(rows)):
             for term_index in term_indices:
                 qubits = [q for q, ch in enumerate(observable.terms[term_index][1]) if ch != "I"]
-                means[term_index, b] = (1.0 - 2.0 * _parity(_draws(cdf[b], shots, seed, term_index), qubits)).mean()
+                draws = _draws(cdf[b], shots, next(streams), uniforms)
+                means[term_index, b] = (1.0 - 2.0 * _parity(draws, qubits)).mean()
         cdf = None  # freed before the next basis's rotated copy
     return sum((coeff * mean for (coeff, _), mean in zip(observable.terms, means)), np.zeros(len(rows)))
 
@@ -604,7 +708,7 @@ def _frequencies(probs: np.ndarray, num_qubits: int, shots: int, seed: int | Non
     """Empirical outcome frequencies of ``shots`` seeded draws against ``probs``, an array
     the caller owns: its CDF is built in place."""
     shots = _check_shots(shots)
-    values, counts = np.unique(_draws(_cdf(probs), shots, seed), return_counts=True)
+    values, counts = np.unique(_draws(_cdf(probs), shots, derive_rng(seed)), return_counts=True)
     return QuasiDistribution(_outcome_dict(values, counts / shots, num_qubits), shots)
 
 
@@ -628,7 +732,7 @@ def estimator(
     row = run_ops(circuit.num_qubits, circuit.gates, bound_angles(circuit, values))[None]
     if shots is None:
         return float(_expectations(row, observable)[0])
-    return float(_sampled_expectations(row, observable, _check_shots(shots), [seed])[0])
+    return float(_sampled_expectations(row, observable, _check_shots(shots), seed)[0])
 
 
 def sampler(

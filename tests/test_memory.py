@@ -24,6 +24,7 @@ from qmlkit import (
     VqcModel,
     compute_uncompute,
     estimator,
+    kernel_matrix,
     real_amplitudes_ansatz,
     run,
     sampler,
@@ -107,6 +108,15 @@ def test_vqc_predict_on_4096_rows_stays_bounded():
     model = VqcModel(feature_map, ansatz, rng.uniform(-np.pi, np.pi, ansatz.num_parameters))
     features = rng.uniform(-1, 1, (4096, 2))
     assert _peak_bytes(lambda: vqc_predict(model, features)) < _bound(2)
+
+
+def test_shot_kernel_matrix_of_300_rows_derives_its_streams_a_chunk_at_a_time():
+    # 45,150 upper-triangle streams, each derived from its own (seed, i * 300 + j) child seed.
+    # The exact Gram's product and its mirrored copy peak at 3.03x the (300, 300) float64
+    # matrix, and the streams add nothing measurable: measured 3.03x, plus 0.1. A Python
+    # object per stream, or the whole matrix's streams hashed at once, would exceed it.
+    X = np.random.default_rng(3).uniform(-np.pi, np.pi, (300, 2))
+    assert _peak_bytes(lambda: kernel_matrix(zz_feature_map(2, 1), X, shots=64, seed=3)) <= 3.13 * 8 * 300**2
 
 
 def test_vqc_fit_gradient_over_8192_rows_stays_bounded(monkeypatch):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -52,8 +53,8 @@ from qmlkit import (
 from qmlkit.circuits import bound_angles
 from qmlkit import simulator
 from qmlkit.simulator import (
-    _adjoint_terms, _blocks, _cdf, _draws, _expectations, _rotated, _sampled_expectations, derive_rng, run_ops,
-    sample_state,
+    _adjoint_terms, _blocks, _cdf, _draws, _expectations, _rotated, _sampled_expectations, derive_rng, derive_seed,
+    run_ops, sample_state,
 )
 
 from .helpers import (
@@ -490,7 +491,7 @@ def test_draws_reproduce_choice_for_seeds_0_to_4():
         probs[rng.uniform(size=probs.size) < 0.3] = 0.0
         probs[0] = 0.1  # at least one outcome is possible
         for seed in range(5):
-            drawn = _draws(_cdf(probs.copy()), 2000, seed, 4, 2)
+            drawn = _draws(_cdf(probs.copy()), 2000, derive_rng(seed, 4, 2))
             chosen = derive_rng(seed, 4, 2).choice(probs.size, size=2000, p=probs / probs.sum())
             assert drawn.dtype == chosen.dtype and np.array_equal(drawn, chosen)
 
@@ -614,7 +615,7 @@ def _per_term_sampled_expectations(rows, observable, shots, seeds):
             continue
         probs = np.abs(_rotated(rows, string)) ** 2
         for b, seed in enumerate(seeds):
-            outcomes = _draws(_cdf(probs[b]), shots, seed, term_index)
+            outcomes = _draws(_cdf(probs[b]), shots, derive_rng(seed, term_index))
             signs = np.ones(shots)
             for qubit, ch in enumerate(string):
                 if ch != "I":
@@ -636,8 +637,8 @@ def test_sampled_terms_sharing_a_basis_draw_the_per_term_values_byte_for_byte(nu
         assert _sampled_expectations(rows, obs, shots, seeds).tobytes() == expected.tobytes()
 
 
-def _sampling_entries() -> dict:
-    """Every public call that takes ``shots``, as a function of the shot count."""
+def _sampling_entries(seed=1) -> dict:
+    """Every public call that takes ``shots``, as a function of the shot count, at ``seed``."""
     feature_map, ansatz = zz_feature_map(2, 1), real_amplitudes_ansatz(2, 1)
     circuit, unparameterised = feature_map.compose(ansatz), Circuit(2).extend([Gate.h(0), Gate.cx(0, 1)])
     values, rows = [0.3, -0.7, 0.2, 0.9, -0.4, 1.1], [[0.1, 0.2], [0.3, -0.4], [-0.5, 0.6], [0.7, -0.8]]
@@ -649,25 +650,25 @@ def _sampling_entries() -> dict:
     empty = SvmModel("qsvc", feature_map, np.zeros(0), np.zeros(0), np.zeros((0, 2)), bias=0.25)
     network = BayesianNetwork((BayesNode("A", (), {"": 0.3}), BayesNode("B", ("A",), {"0": 0.2, "1": 0.9})))
     return {
-        "estimator": lambda shots: estimator(circuit, observable, values, shots=shots, seed=1),
-        "sampler": lambda shots: sampler(circuit, values, shots=shots, seed=1),
-        "sample_state": lambda shots: sample_state(run(circuit.bind(values)), shots, seed=1),
-        "kernel_matrix-symmetric": lambda shots: kernel_matrix(feature_map, rows, shots=shots, seed=1).entries,
-        "kernel_matrix-rectangular": lambda shots: kernel_matrix(feature_map, rows, rows[:2], shots=shots, seed=1).entries,
-        "kernel_entry": lambda shots: kernel_entry(feature_map, rows[0], rows[1], shots=shots, seed=1),
-        "compute_uncompute": lambda shots: compute_uncompute(FidelityJob(circuit, circuit, values, values, shots, 1)),
-        "param_shift_gradient": lambda shots: param_shift_gradient(GradientRequest(circuit, observable, values, shots=shots, seed=1)),
-        "param_shift_gradient-no-parameters": lambda shots: param_shift_gradient(GradientRequest(unparameterised, observable, [], shots=shots, seed=1)),
-        "EstimatorQnn.forward": lambda shots: EstimatorQnn(circuit, [observable], **split).forward(values[:2], values[2:], shots, 1),
-        "SamplerQnn.forward": lambda shots: SamplerQnn(circuit, **split).forward(values[:2], values[2:], shots, 1),
-        "EstimatorQnn.backward-no-parameters": lambda shots: EstimatorQnn(feature_map, [observable], range(2), (), False).backward(values[:2], [], shots, 1)[1],
-        "vqc_fit": lambda shots: vqc_fit(data, feature_map, ansatz, config, shots=shots, seed=1).trained_weights,
-        "vqc_predict": lambda shots: vqc_predict(vqc, rows, shots=shots, seed=1),
-        "vqc_predict-no-rows": lambda shots: vqc_predict(vqc, np.zeros((0, 2)), shots=shots, seed=1),
-        "qsvc_fit": lambda shots: qsvc_fit(data, feature_map, shots=shots, seed=1).support_values,
-        "svm_predict": lambda shots: svm_predict(svm, rows, shots=shots, seed=1),
-        "svm_predict-empty-support": lambda shots: svm_predict(empty, rows, shots=shots, seed=1),
-        "rejection_inference": lambda shots: rejection_inference(network, Query("B", 1), shots=shots, seed=1),
+        "estimator": lambda shots: estimator(circuit, observable, values, shots=shots, seed=seed),
+        "sampler": lambda shots: sampler(circuit, values, shots=shots, seed=seed),
+        "sample_state": lambda shots: sample_state(run(circuit.bind(values)), shots, seed=seed),
+        "kernel_matrix-symmetric": lambda shots: kernel_matrix(feature_map, rows, shots=shots, seed=seed).entries,
+        "kernel_matrix-rectangular": lambda shots: kernel_matrix(feature_map, rows, rows[:2], shots=shots, seed=seed).entries,
+        "kernel_entry": lambda shots: kernel_entry(feature_map, rows[0], rows[1], shots=shots, seed=seed),
+        "compute_uncompute": lambda shots: compute_uncompute(FidelityJob(circuit, circuit, values, values, shots, seed)),
+        "param_shift_gradient": lambda shots: param_shift_gradient(GradientRequest(circuit, observable, values, shots=shots, seed=seed)),
+        "param_shift_gradient-no-parameters": lambda shots: param_shift_gradient(GradientRequest(unparameterised, observable, [], shots=shots, seed=seed)),
+        "EstimatorQnn.forward": lambda shots: EstimatorQnn(circuit, [observable], **split).forward(values[:2], values[2:], shots, seed),
+        "SamplerQnn.forward": lambda shots: SamplerQnn(circuit, **split).forward(values[:2], values[2:], shots, seed),
+        "EstimatorQnn.backward-no-parameters": lambda shots: EstimatorQnn(feature_map, [observable], range(2), (), False).backward(values[:2], [], shots, seed)[1],
+        "vqc_fit": lambda shots: vqc_fit(data, feature_map, ansatz, config, shots=shots, seed=seed).trained_weights,
+        "vqc_predict": lambda shots: vqc_predict(vqc, rows, shots=shots, seed=seed),
+        "vqc_predict-no-rows": lambda shots: vqc_predict(vqc, np.zeros((0, 2)), shots=shots, seed=seed),
+        "qsvc_fit": lambda shots: qsvc_fit(data, feature_map, shots=shots, seed=seed).support_values,
+        "svm_predict": lambda shots: svm_predict(svm, rows, shots=shots, seed=seed),
+        "svm_predict-empty-support": lambda shots: svm_predict(empty, rows, shots=shots, seed=seed),
+        "rejection_inference": lambda shots: rejection_inference(network, Query("B", 1), shots=shots, seed=seed),
     }
 
 
@@ -742,3 +743,90 @@ def test_adjoint_terms_match_the_dense_oracle_and_rows_their_one_row_calls(name,
         for (g, terms), (_, one_row) in zip(yielded, alone):
             assert terms.shape == (3, 2) and terms[b].tobytes() == one_row[0].tobytes()
             assert np.max(np.abs(terms[b] - _dense_adjoint_terms(bound, g, observables, n))) <= 1e-12
+
+
+# Master seeds of one to four 32-bit words, on both sides of the one/two and two/three word boundaries.
+_MASTER_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 3, 2**100)
+
+
+def _task_table(rng, rows: int, width: int) -> np.ndarray:
+    """(rows, width) uint64 task values, each 0, below 2^32, 2^32 itself, or in [2^32, 2^64) at random:
+    one table mixes every word signature."""
+    kinds, values = rng.integers(0, 4, (rows, width)), rng.integers(2**32, 2**64, (rows, width), dtype=np.uint64)
+    values[kinds == 0], values[kinds == 2] = 0, 2**32
+    values[kinds == 1] = rng.integers(1, 2**32, (rows, width), dtype=np.uint64)[kinds == 1]
+    return values
+
+
+def _oracle(*entropy) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(tuple(int(v) for v in entropy)))
+
+
+@pytest.mark.parametrize("seed", _MASTER_SEEDS)
+def test_batched_seeds_and_streams_equal_numpy_seed_sequences(seed):
+    rng = np.random.default_rng(seed % 997)
+    for width in range(1, 7):
+        table = _task_table(rng, 40, width)
+        rows = [tuple(int(v) for v in row) for row in table]
+        expected = [int(np.random.SeedSequence((seed, *row)).generate_state(1, np.uint64)[0]) for row in rows]
+        assert simulator._seeds(seed, *table.T).tolist() == expected
+        assert sum(1 for _ in simulator._streams(seed, *table.T)) == len(rows)
+        for row, stream in zip(rows, simulator._streams(seed, *table.T)):
+            assert stream.bit_generator.state == _oracle(seed, *row).bit_generator.state
+    # Per-row seeds of one and two words as the leading column, a level below the master seed.
+    children = np.concatenate([np.array([0, 1, 2**32 - 1, 2**32, 2**64 - 1], np.uint64), simulator._seeds(seed, np.arange(5))])
+    assert simulator._seeds(children, 7).tolist() == [derive_seed(int(c), 7) for c in children]
+    for child, stream in zip(children.tolist(), simulator._streams(children)):
+        assert stream.random(3).tobytes() == _oracle(child).random(3).tobytes()
+
+
+@pytest.mark.parametrize("seed", _MASTER_SEEDS)
+def test_one_row_derivations_equal_numpy_seed_sequences(seed):
+    for task in [(), (0,), (5, 2**32), (2**70, 0, 2**64 - 1), (3, 1, 4, 1, 5, 9)]:
+        expected = np.random.SeedSequence((seed, *task)).generate_state(1, np.uint64)[0]
+        assert derive_seed(seed, *task) == int(expected) and type(derive_seed(seed, *task)) is int
+        assert derive_rng(seed, *task).bit_generator.state == _oracle(seed, *task).bit_generator.state
+
+
+def test_reused_generator_draws_every_stream_from_its_start():
+    """An odd count of 32-bit draws leaves half a word buffered in the bit generator; the next stream
+    must not read it, nor any binomial set-up of the last one."""
+    table = _task_table(np.random.default_rng(8), 60, 3)
+    streams = zip(table.tolist(), simulator._streams(2**64 + 3, *table.T))
+    for (row, stream), shots in zip(streams, itertools.cycle((1, 7, 64))):
+        oracle = _oracle(2**64 + 3, *row)
+        assert stream.integers(0, 2, 3).tolist() == oracle.integers(0, 2, 3).tolist()
+        assert stream.random(shots).tobytes() == oracle.random(shots).tobytes()
+        assert stream.binomial(shots * 10, 0.3) == oracle.binomial(shots * 10, 0.3)
+
+
+# Shot entries whose output draws nothing: no parameters to shift, no rows, no support vectors.
+_DRAWLESS = {"param_shift_gradient-no-parameters", "EstimatorQnn.backward-no-parameters", "vqc_predict-no-rows",
+             "svm_predict-empty-support"}
+
+
+@pytest.mark.parametrize("entry", sorted(set(_sampling_entries()) - _DRAWLESS))
+def test_a_negative_seed_raises_the_value_error_of_seed_sequence(entry):
+    with pytest.raises(ValueError) as oracle:
+        np.random.SeedSequence(-1)
+    with pytest.raises(ValueError, match=f"^{oracle.value}$"):
+        _sampling_entries(seed=-1)[entry](64)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: derive_seed(-1), lambda: derive_rng(-2), lambda: derive_seed(3, -2), lambda: derive_rng(2**64, 1, -1),
+    lambda: simulator._seeds(-1, np.arange(3)), lambda: next(simulator._streams(-5, np.arange(3))),
+])
+def test_negative_entropy_raises_the_value_error_of_seed_sequence(call):
+    with pytest.raises(ValueError, match="^expected non-negative integer$"):
+        call()
+
+
+@pytest.mark.parametrize("entry", sorted(set(_sampling_entries()) - _DRAWLESS))
+def test_every_shot_path_draws_afresh_without_a_seed(entry):
+    call = _sampling_entries(seed=None)[entry]
+    if entry == "compute_uncompute":  # the entry's state overlaps itself, which always reads 1
+        circuit = zz_feature_map(2, 1)
+        call = lambda shots: compute_uncompute(FidelityJob(circuit, circuit, [0.3, -0.7], [1.2, 0.4], shots))
+    first = pickle.dumps(call(256))
+    assert any(pickle.dumps(call(256)) != first for _ in range(5))
