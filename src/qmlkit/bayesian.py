@@ -6,7 +6,8 @@ controlled RY whose controls pin the parent assignment and whose angle
 exact outcome distribution is then the network's joint distribution.
 Queries read basis indices (node q is bit q) through one evidence/target
 predicate: exactly from a CPT-product table of all 2^n joint
-probabilities, or by rejection sampling of the compiled circuit.
+probabilities, or by rejection sampling: one multinomial draw of the
+compiled circuit's hit, consistent-miss and inconsistent counts.
 """
 
 from __future__ import annotations
@@ -20,9 +21,7 @@ import numpy as np
 
 from .circuits import Circuit, Gate, bound_angles
 from .errors import CircuitError, ModelFormatError, NoSupportError
-from .simulator import MAX_QUBITS, _cdf, _check_shots, _draws, _owned_probabilities, _streams, run_ops
-
-_SAMPLE_BATCH = 4096
+from .simulator import MAX_QUBITS, _check_shots, _owned_probabilities, derive_rng, run_ops
 
 
 @dataclass(frozen=True)
@@ -185,23 +184,21 @@ def rejection_inference(
     shots: int,
     seed: int | None = None,
 ) -> RejectionResult:
-    """Sample the compiled circuit, discard evidence-inconsistent draws, estimate.
+    """Sample the compiled circuit, discard evidence-inconsistent shots, estimate.
 
-    Sampling happens in fixed batches with per-batch RNG streams, so the
-    merged estimate is independent of how batches are scheduled. Zero
-    accepted samples raise NoSupportError.
+    The counts of hits, consistent misses and inconsistent shots are one
+    multinomial draw from ``derive_rng(seed)`` over the class sums of the
+    state's probabilities. Zero accepted shots raise NoSupportError.
     """
     shots = _check_shots(shots)
     consistent, hit = _matcher(bn, query.evidence), _matcher(bn, query.assignment)
-    circuit = compile_network(bn)  # one CDF for every batch, from the circuit's real state
-    cdf = _cdf(_owned_probabilities(run_ops(circuit.num_qubits, circuit.gates, bound_angles(circuit, ()))))
-    accepted = 0
-    hits = 0
-    starts = range(0, shots, _SAMPLE_BATCH)
-    for start, rng in zip(starts, _streams(seed, np.arange(len(starts)))):  # batch k reads (seed, k)
-        outcomes = _draws(cdf, min(_SAMPLE_BATCH, shots - start), rng)
-        accepted += int(consistent(outcomes).sum())
-        hits += int(hit(outcomes).sum())
+    circuit = compile_network(bn)
+    probs = _owned_probabilities(run_ops(circuit.num_qubits, circuit.gates, bound_angles(circuit, ())))
+    indices = np.arange(probs.size)
+    # Class 0 holds the hits (each also consistent), 1 the consistent misses, 2 the inconsistent outcomes.
+    sums = np.bincount(2 - consistent(indices) - hit(indices), weights=probs, minlength=3)
+    hits, misses, _ = derive_rng(seed).multinomial(shots, sums / sums.sum()).tolist()
+    accepted = hits + misses
     if accepted == 0:
         raise NoSupportError(
             f"no samples out of {shots} were consistent with evidence {dict(query.evidence)!r}"

@@ -3,9 +3,10 @@
 The first circuit runs forward, the inverse of the second runs after it, and
 the probability of the all-zeros outcome is the squared overlap of the two
 prepared states. Each circuit's angles are evaluated against its own values,
-so parameter names never collide, and both gate lists run as one state. This
-is the paper's fidelity primitive for any two circuits; kernel matrices over
-one feature map take the overlaps of prepared states directly (``kernels``).
+so parameter names never collide, and both gate lists run as one state; shot
+mode draws the all-zeros count as one binomial. This is the paper's fidelity
+primitive for any two circuits; kernel matrices over one feature map take the
+overlaps of prepared states directly (``kernels``).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .circuits import Circuit, bound_angles
 from .errors import CircuitError
-from .simulator import _cdf, _check_shots, _draws, _owned_probabilities, derive_rng, run_ops
+from .simulator import _check_shots, derive_rng, run_ops
 
 
 @dataclass(frozen=True)
@@ -37,7 +38,8 @@ def compute_uncompute(job: FidelityJob) -> float:
 
     Exact mode returns |<phi_b|phi_a>|^2; an identical (circuit, values) pair
     short-circuits to exactly 1.0. Shot mode returns the raw all-zeros
-    frequency of ``shots`` seeded draws.
+    frequency of ``shots`` shots, Binomial(shots, F) / shots for the exact
+    F, drawn from ``derive_rng(seed)`` as a kernel entry's is.
     """
     if job.circuit_a.num_qubits != job.circuit_b.num_qubits:
         raise CircuitError(f"fidelity widths differ: {job.circuit_a.num_qubits} vs {job.circuit_b.num_qubits}")
@@ -48,6 +50,5 @@ def compute_uncompute(job: FidelityJob) -> float:
     if shots is None and job.circuit_a == job.circuit_b and np.array_equal(values_a, values_b):
         return 1.0
     state = run_ops(job.circuit_a.num_qubits, job.circuit_a.gates + inverse_b.gates, angles)
-    if shots is None:
-        return float(min(1.0, max(0.0, abs(complex(state[0])) ** 2)))
-    return float(np.count_nonzero(_draws(_cdf(_owned_probabilities(state)), shots, derive_rng(job.seed)) == 0) / shots)
+    fidelity = min(1.0, max(0.0, abs(complex(state[0])) ** 2))
+    return float(fidelity if shots is None else derive_rng(job.seed).binomial(shots, fidelity) / shots)

@@ -9,7 +9,8 @@ Jacobians, which come from one adjoint sweep per row block (Jones & Gacon
 2020): one forward and one reverse pass, whatever the parameter count. Every
 other backward pass goes through the shift rule, exact in exact mode; outcome
 probabilities are expectations of diagonal projectors, which makes the sampler
-network's Jacobian a plain shift-rule computation.
+network's Jacobian a plain shift-rule computation. Shot readouts draw counts
+from the exact ones: a binomial per estimator term, a multinomial per sampler row.
 """
 
 from __future__ import annotations
@@ -24,12 +25,9 @@ from .gradients import _adjoint_jacobian, shift_rule_jacobian
 from .simulator import (
     PauliObservable,
     bitstring_to_index,
-    _cdf,
     _check_shots,
-    _draws,
     _expectations,
     index_to_bitstring,
-    _parity,
     _probabilities,
     _row_blocks,
     run_ops,
@@ -54,9 +52,12 @@ def _index_bins(interpret, num_qubits: int) -> np.ndarray | None:
     ``parity_interpret`` (the parity of its bits), by index arithmetic; None for any
     other interpret."""
     indices = np.arange(2**num_qubits)
-    if interpret is identity_interpret:
-        return indices
-    return _parity(indices, range(num_qubits)) if interpret is parity_interpret else None
+    if interpret is not parity_interpret:
+        return indices if interpret is identity_interpret else None
+    parity = np.zeros_like(indices)
+    for q in range(num_qubits):
+        parity ^= indices >> q  # bit 0 of the XOR of the shifts is the bits' parity
+    return parity & 1
 
 
 class _QnnBase:
@@ -237,10 +238,9 @@ class SamplerQnn(_QnnBase):
 
     def _readout(self, states: np.ndarray, shots: int | None, seeds) -> np.ndarray:
         probs, d = _probabilities(states), self.output_dim
-        if shots is not None:
-            uniforms = np.empty(shots)
-            return np.array([np.bincount(self._bins[_draws(cdf, shots, rng, uniforms)], minlength=d) / shots
-                             for cdf, rng in zip(_cdf(probs), _streams(seeds))])
         # Bucket b * d + bin sums row b's probabilities in index order, as a per-row bincount does.
         buckets = (self._bins + d * np.arange(len(probs))[:, None]).ravel()
-        return np.bincount(buckets, weights=probs.ravel(), minlength=d * len(probs)).reshape(-1, d)
+        sums = np.bincount(buckets, weights=probs.ravel(), minlength=d * len(probs)).reshape(-1, d)
+        if shots is None:
+            return sums
+        return np.array([rng.multinomial(shots, row / row.sum()) for rng, row in zip(_streams(seeds), sums)]) / shots

@@ -27,7 +27,10 @@ piece's worth of columns at a time, and a gate spanning more than K qubits
 runs the loop slice by slice: no other state-sized array is made.
 
 Pauli terms are read from the amplitudes, exactly or by shots, without a dense
-operator (``_expectations``, ``_sampled_expectations``). Streaming callers (the
+operator (``_expectations``, ``_sampled_expectations``). Shot readers that keep
+only class counts draw the counts, one binomial or multinomial over the exact
+class probabilities; ``sampler`` and ``sample_state`` draw each shot from a CDF
+(``_cdf``, ``_draws``). Streaming callers (the
 shift rule, the networks' rows) prepare states in blocks of at most
 ``_BATCH_AMPLITUDES`` = 2^18 amplitudes (4 MiB).
 
@@ -278,8 +281,6 @@ _MATRICES = {
 }
 # Kinds whose matrices are real: circuits of only these run in float64.
 _REAL_KINDS = frozenset({"H", "X", "CX", "CZ", "RY", "CRY"})
-# Per Pauli character, the rotations into its eigenbasis.
-_MEASUREMENT_ROTATIONS = {"X": (_H,), "Y": ((1.0, 0.0, 0.0, -1j), _H)}
 # Callers that stream many rows prepare them in blocks of at most this many
 # amplitudes (and angles), and at least one row.
 _BATCH_AMPLITUDES = 1 << 18
@@ -576,16 +577,6 @@ def _check_width(rows: np.ndarray, observable: PauliObservable) -> None:
         raise CircuitError(f"observable width {observable.num_qubits} != state width {width}")
 
 
-def _rotated(rows: np.ndarray, string: str) -> np.ndarray:
-    """Copy of (B, 2^n) amplitude rows rotated, on each qubit, into the eigenbasis of its
-    Pauli character, complex only for a Y, by ``_apply_sliced`` with a scratch of at most a
-    piece: these exact or real-scaled products round alike in any layout."""
-    out = rows.astype(complex if "Y" in string else rows.dtype)
-    ops = [(m, q, ()) for q, ch in enumerate(string) for m in _MEASUREMENT_ROTATIONS.get(ch, ())]
-    _apply_sliced(out, len(string), ops, np.empty(min(out.size, 1 << _PIECE_QUBITS), out.dtype))
-    return out
-
-
 def _signed_sums(values: np.ndarray, qubits) -> np.ndarray:
     """Each row's sum of (B, 2^n) ``values``, entry i times -1 per set bit of i on ``qubits``:
     one fold per qubit, highest first, takes the differences across that bit."""
@@ -659,43 +650,27 @@ def _check_shots(shots) -> int:
     return int(shots)
 
 
-def _draws(cdf: np.ndarray, shots: int, rng: np.random.Generator, out: np.ndarray | None = None) -> np.ndarray:
+def _draws(cdf: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
     """Basis indices of ``shots`` draws from ``rng``, searched in a ``_cdf``: the indices ``choice``
-    draws from that generator, without rebuilding the CDF per call. The uniforms go to ``out``."""
-    return cdf.searchsorted(rng.random(shots, out=out), side="right")
-
-
-def _parity(indices: np.ndarray, qubits) -> np.ndarray:
-    """0 or 1 per basis index: the parity of its bits on ``qubits``."""
-    parity = np.zeros_like(indices)
-    for q in qubits:
-        parity ^= indices >> q  # bit 0 of the XOR of the shifts is the bits' parity
-    return parity & 1
+    draws from that generator, without rebuilding the CDF per call."""
+    return cdf.searchsorted(rng.random(shots), side="right")
 
 
 def _sampled_expectations(rows: np.ndarray, observable: PauliObservable, shots: int, seeds) -> np.ndarray:
     """Shot-based expectation of each of (B, 2^n) real or complex rows: each term measured with the
-    full shot budget, row b drawing from the (seeds[b], term index) stream (seeds itself if one
-    int or None), so results do not depend on evaluation order. Terms with the same X and Y
-    characters share one rotated copy (none for Z/I terms) and one block of CDFs. A drawn
-    outcome's eigenvalue is +-1 by the parity of its bits on the term's non-identity qubits,
-    folded into one array."""
+    full shot budget. A shot of term P reads -1 with probability p_odd = (1 - <P>) / 2, from the
+    term's exact ``_expectations``, so the term's mean is 1 - 2 Binomial(shots, p_odd) / shots: one
+    draw, row b's from the (seeds[b], term index) stream (seeds itself if one int or None), so
+    results do not depend on evaluation order. An identity term reads exactly 1."""
     _check_width(rows, observable)
-    bases: dict[str, list[int]] = {}
-    for term_index, (_, string) in enumerate(observable.terms):
-        if string.strip("I"):
-            bases.setdefault("".join(ch if ch in "XY" else "I" for ch in string), []).append(term_index)
-    means = np.ones((len(observable.terms), len(rows)))  # an identity term reads 1 on every shot
-    column, uniforms = seeds if np.ndim(seeds) == 0 else np.asarray(seeds, np.uint64)[:, None], np.empty(shots)
-    for basis, term_indices in bases.items():
-        cdf = _cdf(_owned_probabilities(_rotated(rows, basis)) if basis.strip("I") else _probabilities(rows))
-        streams = _streams(column, np.broadcast_to(term_indices, (len(rows), len(term_indices))))
-        for b in range(len(rows)):
-            for term_index in term_indices:
-                qubits = [q for q, ch in enumerate(observable.terms[term_index][1]) if ch != "I"]
-                draws = _draws(cdf[b], shots, next(streams), uniforms)
-                means[term_index, b] = (1.0 - 2.0 * _parity(draws, qubits)).mean()
-        cdf = None  # freed before the next basis's rotated copy
+    measured = [t for t, (_, string) in enumerate(observable.terms) if string.strip("I")]
+    exact = [_expectations(rows, PauliObservable(((1.0, observable.terms[t][1]),))) for t in measured]
+    odd = np.clip((1.0 - np.reshape(exact, (len(measured), len(rows))).T) / 2.0, 0.0, 1.0)
+    column = seeds if np.ndim(seeds) == 0 else np.asarray(seeds, np.uint64)[:, None]
+    streams = _streams(column, np.broadcast_to(measured, odd.shape))  # row b's terms, then row b + 1's
+    counts = [rng.binomial(shots, p) for rng, p in zip(streams, odd.ravel().tolist())]
+    means = np.ones((len(observable.terms), len(rows)))
+    means[measured] = 1.0 - 2.0 * np.reshape(counts, odd.shape).T / shots
     return sum((coeff * mean for (coeff, _), mean in zip(observable.terms, means)), np.zeros(len(rows)))
 
 

@@ -138,28 +138,22 @@ def test_rejection_deterministic_per_seed():
     assert a == b
 
 
-def test_rejection_batch_split_invariance():
-    # Manually merging per-batch counts in any order reproduces the estimate.
+def test_rejection_draws_one_multinomial_over_the_class_sums():
+    # The state's hit, consistent-miss and inconsistent probabilities, each summed in index
+    # order, give one multinomial draw from derive_rng(seed).
     from qmlkit import derive_rng
 
     bn = chain_network()
     query = Query("B", 1, {"A": 1})
-    shots, seed, batch_size = 10000, 33, 4096
-    probs = run(compile_network(bn)).probabilities()
-    probs = probs / probs.sum()
-    batches = []
-    for index, start in enumerate(range(0, shots, batch_size)):
-        count = min(batch_size, shots - start)
-        outcomes = derive_rng(seed, index).choice(probs.shape[0], size=count, p=probs)
-        batches.append(outcomes)
-    accepted = hits = 0
-    for outcomes in reversed(batches):  # merge order must not matter
-        keep = (outcomes & 0b01) == 0b01
-        accepted += int(keep.sum())
-        hits += int((keep & (((outcomes >> 1) & 1) == 1)).sum())
+    shots, seed = 10000, 33
+    sums = np.zeros(3)
+    for outcome, p in enumerate(run(compile_network(bn)).probabilities()):
+        keep = (outcome & 0b01) == 0b01
+        sums[0 if keep and (outcome >> 1) & 1 else 1 if keep else 2] += p
+    hits, misses, _ = derive_rng(seed).multinomial(shots, sums / sums.sum())
     estimate, reported = rejection_inference(bn, query, shots=shots, seed=seed)
-    assert reported == accepted
-    assert estimate == hits / accepted
+    assert reported == hits + misses
+    assert estimate == hits / (hits + misses)
 
 
 def test_rejection_converges_to_exact():

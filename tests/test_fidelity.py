@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qmlkit import Circuit, CircuitError, FidelityJob, Gate, Parameter, compute_uncompute, run, sampler
+from qmlkit import Circuit, CircuitError, FidelityJob, Gate, Parameter, compute_uncompute, derive_rng, run, sampler
 
 from .helpers import random_supported_circuit
 
@@ -87,15 +87,18 @@ def test_shot_mode_does_not_shortcut_identical_jobs():
 
 def test_one_state_reads_what_the_sampler_reads_on_the_composed_circuit():
     # The reference is the bound, composed circuit the primitive used to build: exact mode
-    # equals its all-zeros probability, shot mode its all-zeros frequency, draw for draw.
+    # equals its all-zeros probability F, and shot mode is Binomial(shots, F) / shots drawn
+    # from derive_rng(seed), draw for draw.
     rng = np.random.default_rng(41)
     for k in range(20):
         n = int(rng.integers(1, 5))
         circuit_a, values_a = random_supported_circuit(rng, num_qubits=n)
         circuit_b, values_b = random_supported_circuit(rng, num_qubits=n)
         composed = circuit_a.bind(values_a).compose(circuit_b.bind(values_b).inverse())
-        for shots in (None, 1, 64):
+        exact = compute_uncompute(FidelityJob(circuit_a, circuit_b, values_a, values_b, None, k))
+        assert type(exact) is float
+        assert exact == pytest.approx(sampler(composed, []).probabilities.get("0" * n, 0.0), abs=1e-12)
+        for shots in (1, 64):
             value = compute_uncompute(FidelityJob(circuit_a, circuit_b, values_a, values_b, shots, k))
-            reference = sampler(composed, [], shots=shots, seed=k).probabilities.get("0" * n, 0.0)
             assert type(value) is float
-            assert value == (pytest.approx(reference, abs=1e-12) if shots is None else reference)
+            assert value == derive_rng(k).binomial(shots, exact) / shots

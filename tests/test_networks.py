@@ -14,17 +14,18 @@ from qmlkit import (
     PauliObservable,
     SamplerQnn,
     Statevector,
+    derive_rng,
     expectation,
     finite_difference,
     identity_interpret,
     parity_interpret,
     real_amplitudes_ansatz,
     run,
+    sampler,
     shift_rule_jacobian,
     zz_feature_map,
 )
 from qmlkit import networks, simulator
-from qmlkit.simulator import sample_state
 
 from .helpers import random_observable, random_supported_circuit
 
@@ -205,19 +206,21 @@ def test_estimator_forward_shot_mode_deterministic():
 
 
 @pytest.mark.parametrize("interpret, output_dim", [(parity_interpret, 2), (lambda bits: bits.count("1"), 4)])
-def test_shot_forward_equals_bucketed_sample_state(interpret, output_dim):
+def test_shot_forward_draws_one_multinomial_over_the_exact_buckets(interpret, output_dim):
     circuit = zz_feature_map(3, 1).compose(real_amplitudes_ansatz(3, 1))
     qnn = SamplerQnn(circuit, range(3), range(3, circuit.num_parameters), interpret, output_dim)
     rng = np.random.default_rng(71)
     for seed in range(6):
         inputs = rng.uniform(-1.0, 1.0, 3)
         weights = rng.uniform(-math.pi, math.pi, len(qnn.weight_params))
-        state = run(circuit.bind(np.concatenate([inputs, weights])))
-        expected = np.zeros(output_dim)
-        for bits, p in sample_state(state, 300, seed).probabilities.items():
-            expected[interpret(bits)] += p
-        forward = qnn.forward(inputs, weights, shots=300, seed=seed)
-        assert np.max(np.abs(forward - expected)) <= 1e-15
+        buckets = np.zeros(output_dim)
+        for bits, p in sampler(circuit.bind(np.concatenate([inputs, weights])), []).probabilities.items():
+            buckets[interpret(bits)] += p
+        exact = qnn.forward(inputs, weights)
+        assert np.max(np.abs(exact - buckets)) <= 1e-15
+        # Shot mode draws the bucket counts as one multinomial over the exact buckets.
+        expected = derive_rng(seed).multinomial(300, exact / exact.sum()) / 300
+        assert qnn.forward(inputs, weights, shots=300, seed=seed).tobytes() == expected.tobytes()
 
 
 def batch_circuit() -> Circuit:

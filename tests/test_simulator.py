@@ -53,7 +53,7 @@ from qmlkit import (
 from qmlkit.circuits import bound_angles
 from qmlkit import simulator
 from qmlkit.simulator import (
-    _adjoint_terms, _blocks, _cdf, _draws, _expectations, _rotated, _sampled_expectations, derive_rng, derive_seed,
+    _adjoint_terms, _blocks, _cdf, _draws, _expectations, _sampled_expectations, derive_rng, derive_seed,
     run_ops, sample_state,
 )
 
@@ -450,30 +450,23 @@ def test_readers_of_16_qubit_states_leave_their_inputs_unchanged():
         lambda: sampler(circuit, values, shots=64, seed=3),
         lambda: expectation(state, observable),
         lambda: sample_state(state, 64, seed=3),
-        lambda: _rotated(state.amplitudes[None], "XYZ" * 5 + "X"),
     ):
         first = call()
         assert np.array_equal(first, call()) if isinstance(first, np.ndarray) else first == call()
         assert [a.tobytes() for a in (values, state.amplitudes, rows)] == [a.tobytes() for a in inputs]
 
 
-def test_small_pieces_match_the_dense_oracle_and_rotate_as_whole_states(monkeypatch):
+def test_small_pieces_match_the_dense_oracle(monkeypatch):
     """Pieces of 2^7 amplitudes put 8- and 9-qubit blocks above and inside a piece, and
-    slice a 9-qubit CX and the rotated copies."""
-    rng = np.random.default_rng(19)
+    slice a 9-qubit CX."""
     for n in (8, 9):
         circuit = _interleaved(n)
-        strings = ["".join(rng.choice(list("IXYZ"), n)) for _ in range(3)] + ["X" * n, "I" * (n - 1) + "Y"]
-        rows = np.stack([run(random_bound_circuit(rng, n, max_gates=3 * n)).amplitudes for _ in range(3)])
-        whole = [_rotated(rows, string) for string in strings]
         with monkeypatch.context() as patch:
             patch.setattr(simulator, "_PIECE_QUBITS", 7)
             patch.setattr(simulator, "_FUSED_QUBITS", 5)
             assert _interleaves([w for w, _ in _blocks(n, circuit.gates)], n - 4)
             for full in (circuit, _real(circuit)):
                 assert np.max(np.abs(run(full).amplitudes - dense_state(full))) <= 1e-12
-            for string, rotated in zip(strings, whole):
-                assert _rotated(rows, string).tobytes() == rotated.tobytes()
 
 
 def test_shot_modes_reject_non_finite_probabilities():
@@ -607,20 +600,17 @@ def test_exact_expectations_of_mixed_strings_match_the_dense_oracle(num_qubits):
 
 
 def _per_term_sampled_expectations(rows, observable, shots, seeds):
-    """Shot-mode expectations with one rotated copy, |amplitude|^2 and CDF per term and row."""
+    """Shot-mode expectations with one exact value and one binomial draw per term and row: a shot
+    reads -1 with probability (1 - <P>) / 2, and row b's term t draws from stream (seeds[b], t)."""
     total = np.zeros(len(rows))
     for term_index, (coeff, string) in enumerate(observable.terms):
         if set(string) == {"I"}:
             total += coeff
             continue
-        probs = np.abs(_rotated(rows, string)) ** 2
+        term = PauliObservable(((1.0, string),))
         for b, seed in enumerate(seeds):
-            outcomes = _draws(_cdf(probs[b]), shots, derive_rng(seed, term_index))
-            signs = np.ones(shots)
-            for qubit, ch in enumerate(string):
-                if ch != "I":
-                    signs *= 1.0 - 2.0 * ((outcomes >> qubit) & 1)
-            total[b] += coeff * float(signs.mean())
+            odd = min(1.0, max(0.0, (1.0 - expectation(simulator.Statevector(len(string), rows[b]), term)) / 2.0))
+            total[b] += coeff * (1.0 - 2.0 * derive_rng(seed, term_index).binomial(shots, odd) / shots)
     return total
 
 
