@@ -119,6 +119,12 @@ def shift_rule_jacobian(
     (len(wrt), output_dim) for a row, (R, len(wrt), output_dim) for a table and
     (0, len(wrt), 0), with no ``evaluate`` call, for a table of no rows.
     """
+    return _shift_rule(circuit, values, evaluate, shift, wrt)[0]
+
+
+def _shift_rule(circuit: Circuit, values, evaluate, shift=math.pi / 2, wrt=None, unshifted: int = 0):
+    """``shift_rule_jacobian``'s Jacobian and the (R, unshifted, output_dim) outputs of ``unshifted``
+    tasks per row, numbered -unshifted, ..., -1 after its shifted ones, that read its unshifted state."""
     _check_shift(shift)
     params = list(circuit.parameters if wrt is None else wrt)
     occurrences = _occurrence_map(circuit, params)
@@ -127,7 +133,7 @@ def shift_rule_jacobian(
             raise CircuitError(f"parameter {p.name!r} does not occur in the circuit")
     values = np.asarray(values, dtype=float)
     if not params or (values.ndim == 2 and not len(values)):  # (R, 0, 0) or (0, P, 0)
-        return np.zeros(values.shape[:-1] + (len(params), 0))
+        return np.zeros(values.shape[:-1] + (len(params), 0)), np.zeros(values.shape[:-1] + (unshifted, 0))
     two_term = ((shift, 2.0 * math.sin(shift)),)
     pairs = [(k, gate, s, divisor) for k, p in enumerate(params) for gate in occurrences[p]
              for s, divisor in (_CRY_RULE if circuit.gates[gate].kind == "CRY" else two_term)]
@@ -141,28 +147,32 @@ def shift_rule_jacobian(
         slopes[:, j] = _slope(circuit.gates[gate].angle, params[k], env)
     steps = np.where(slopes < 0, -shifts, shifts)  # each pair's first angle move
     base = bound_angles(circuit, table)  # each row's unshifted angles, evaluated once
-    tasks, blocks = 2 * len(pairs), []
+    shifted, blocks = 2 * len(pairs), []
+    tasks = shifted + unshifted
     for block in _row_blocks(n, len(circuit.gates), len(table) * tasks):
         rows, task = np.divmod(np.arange(len(table) * tasks)[block], tasks)
-        angles = base[rows]
-        angles[np.arange(len(rows)), gates[task // 2]] += np.where(task % 2, -1.0, 1.0) * steps[rows, task // 2]
+        moved = np.flatnonzero(task < shifted)
+        angles, pair = base[rows], task[moved] // 2
+        angles[moved, gates[pair]] += np.where(task[moved] % 2, -1.0, 1.0) * steps[rows[moved], pair]
         # Unnamed, so that no block's states outlive its callback.
-        blocks.append(np.asarray(read(np.asarray(run_ops(n, circuit.gates, angles), dtype=complex), rows, task),
-                                 dtype=float))
-    outputs = np.concatenate(blocks).reshape(len(table), -1, 2, blocks[0].shape[1])
-    terms = (outputs[:, :, 0] - outputs[:, :, 1]) / divisors[:, None] * np.abs(slopes)[:, :, None]
+        blocks.append(np.asarray(read(np.asarray(run_ops(n, circuit.gates, angles), dtype=complex), rows,
+                                      np.where(task < shifted, task, task - tasks)), dtype=float))
+    outputs = np.concatenate(blocks).reshape(len(table), tasks, blocks[0].shape[1])
+    moves = outputs[:, :shifted].reshape(len(table), -1, 2, outputs.shape[2])  # each pair's two moves
+    terms = (moves[:, :, 0] - moves[:, :, 1]) / divisors[:, None] * np.abs(slopes)[:, :, None]
     jacobian = np.zeros((len(table), len(params), terms.shape[2]))
     np.add.at(jacobian, (slice(None), owners), terms)  # occurrences add up in gate order
-    return jacobian if values.ndim == 2 else jacobian[0]
+    return (jacobian, outputs[:, shifted:]) if values.ndim == 2 else (jacobian[0], outputs[0, shifted:])
 
 
 def _adjoint_jacobian(circuit: Circuit, observables: Sequence[PauliObservable], values,
-                      wrt: Sequence[Parameter]) -> np.ndarray:
+                      wrt: Sequence[Parameter], read=None) -> np.ndarray:
     """(R, len(observables), len(wrt)) exact Jacobian of each observable's expectation over an
     (R, P) table of ``values``, from one adjoint sweep per row block: each term that
     ``_adjoint_terms`` yields for a gate holding a parameter of ``wrt``, times the angle's slope
     in the parameter, is added to that parameter's entries (the chain and product rules). A
-    row's Jacobian does not depend on the other rows of its block.
+    row's Jacobian does not depend on the other rows of its block. ``read``, if given, is called
+    on each block's forward states, in row order.
     """
     params, n, gates = list(wrt), circuit.num_qubits, circuit.gates
     occurrences, owners = _occurrence_map(circuit, params), {}
@@ -173,7 +183,7 @@ def _adjoint_jacobian(circuit: Circuit, observables: Sequence[PauliObservable], 
     jacobian = np.zeros((len(table), len(observables), len(params)))
     for block in _row_blocks(n, len(gates), len(table)):
         env = dict(zip(circuit.parameters, table[block].T))
-        for g, terms in _adjoint_terms(n, gates, bound_angles(circuit, table[block]), observables, owners):
+        for g, terms in _adjoint_terms(n, gates, bound_angles(circuit, table[block]), observables, owners, read):
             for k in owners[g]:
                 jacobian[block, :, k] += np.reshape(_slope(gates[g].angle, params[k], env), (-1, 1)) * terms
     return jacobian

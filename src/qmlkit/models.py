@@ -2,7 +2,8 @@
 
 The variational models train a quantum neural network with a classical
 optimizer through one loop, ``_fit_qnn``: the classifier hands it a parity
-cross-entropy, the regressor a squared error, and nothing else differs. The
+cross-entropy, the regressor a squared error, and nothing else differs. Each
+gd or Adam step is one state table, whose unshifted states also give the loss. The
 SVMs precompute a fidelity kernel and solve the classification problem
 classically, either as the soft-margin dual or with the Pegasos sub-gradient
 scheme. Trained models persist to JSON; loading checks every field and
@@ -121,29 +122,40 @@ def _qnn(feature_map: Circuit, ansatz: Circuit, observable: PauliObservable | No
 def _fit_qnn(qnn, data: Dataset, mean_loss, loss_terms, config, shots, seed) -> OptimizeResult:
     """Minimize a per-row loss of the network outputs over its weights.
 
-    ``mean_loss`` maps the (rows, outputs) matrix to the loss, and
-    ``loss_terms`` maps it and the (rows, outputs, weights) Jacobians to the
-    (rows, weights) gradient terms, averaged in row order. A gradient is one
-    forward pass and one Jacobian pass over all rows: the shift rule, or an
-    exact regressor's adjoint sweep. Objective evaluation k
-    reads row i from (seed, 2, k, i), gradient evaluation k from
+    ``mean_loss`` maps the (rows, outputs) matrix to the loss, and ``loss_terms`` maps it and
+    the (rows, outputs, weights) Jacobians to the (rows, weights) gradient terms, averaged in
+    row order. A gd or Adam step is one state table: ``step`` takes the loss and the gradient
+    at the same weights from one Jacobian pass over all rows (the shift rule, or an exact
+    regressor's adjoint sweep) that also reads their unshifted states, and keeps both in one
+    slot for the gradient call that follows; SPSA's objective is a plain forward pass.
+    Objective evaluation k reads row i from (seed, 2, k, i), gradient evaluation k from
     (seed, 3, k, i); the start is uniform in [-pi, pi) from (seed, 1).
     """
     evaluation, rows = itertools.count(1), np.arange(data.size)
+    config = _seeded_config(config, seed, kind="adam")
+    slot = {}  # the last step: its weights' bytes and gradient evaluation, loss and gradient
+
+    def step(weights: np.ndarray, k: int) -> dict:  # objective evaluation k, gradient evaluation k + 1
+        seeds = [None] if shots is None else [_seeds(seed, 2, k, rows), _seeds(seed, 3, k + 1, rows)]
+        _, jacobians, *outputs = qnn._jacobians(data.features, weights, shots, seeds[-1], seeds)
+        # Rows add up in order; sum(axis=0) would add a lone weight's column pairwise.
+        gradient = np.add.accumulate(loss_terms(outputs[-1], jacobians))[-1] / data.size
+        slot.update(key=(weights.tobytes(), k + 1), loss=float(mean_loss(outputs[0])), gradient=gradient)
+        return slot
 
     def objective(weights: np.ndarray) -> float:
-        seeds = None if shots is None else _seeds(seed, 2, next(evaluation), rows)
-        return float(mean_loss(qnn._outputs(data.features, weights, shots, seeds)))
+        k = next(evaluation)
+        if config.kind == "spsa":
+            seeds = None if shots is None else _seeds(seed, 2, k, rows)
+            return float(mean_loss(qnn._outputs(data.features, weights, shots, seeds)))
+        return step(weights, k)["loss"]
 
     def gradient(weights: np.ndarray) -> np.ndarray:
-        seeds = None if shots is None else _seeds(seed, 3, next(evaluation), rows)
-        outputs = qnn._outputs(data.features, weights, shots, seeds)
-        _, jacobians = qnn._jacobians(data.features, weights, shots, seeds)
-        # Rows add up in order; sum(axis=0) would add a lone weight's column pairwise.
-        return np.add.accumulate(loss_terms(outputs, jacobians))[-1] / data.size
+        k = next(evaluation)
+        return (slot if slot.get("key") == (weights.tobytes(), k) else step(weights, k - 1))["gradient"]
 
     initial = derive_rng(seed, 1).uniform(-math.pi, math.pi, len(qnn.weight_params))
-    return minimize(objective, gradient, initial, _seeded_config(config, seed, kind="adam"))
+    return minimize(objective, gradient, initial, config)
 
 
 def vqc_fit(

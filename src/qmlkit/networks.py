@@ -21,7 +21,7 @@ import numpy as np
 
 from .circuits import Circuit, bound_angles
 from .errors import CircuitError
-from .gradients import _adjoint_jacobian, shift_rule_jacobian
+from .gradients import _adjoint_jacobian, _shift_rule, shift_rule_jacobian
 from .simulator import (
     PauliObservable,
     bitstring_to_index,
@@ -69,7 +69,8 @@ class _QnnBase:
     Both passes take input rows beside one weight vector and read states a block at a
     time: ``_outputs`` every row's state, ``_jacobians`` the derivatives in the weights,
     then the inputs, from ``_jacobian``: every row's shifted states in one shift rule, or a
-    subclass's own route. ``forward`` and ``backward`` are their one-row cases.
+    subclass's own route, which can also read every row's unshifted state once per seed
+    set it is given. ``forward`` and ``backward`` are their one-row cases.
     """
 
     output_dim: int
@@ -107,29 +108,39 @@ class _QnnBase:
             for block in _row_blocks(n, len(gates), len(values))
         ])
 
-    def _jacobians(self, rows, weights, shots: int | None, seeds):
+    def _jacobians(self, rows, weights, shots: int | None, seeds, readouts=()):
         """(R, outputs, inputs), None without ``input_gradients``, and (R, outputs, weights)
-        from one ``_jacobian`` over all rows and the weights, then the inputs."""
+        from one ``_jacobian`` over all rows and the weights, then the inputs; then the rows'
+        (R, outputs) readout under each seed set of ``readouts``, from ``_outputs`` if no state shifts."""
         values = self._values(rows, weights)
         shots = None if shots is None else _check_shots(shots)
         indices = self.weight_params + (self.input_params if self.input_gradients else ())
         if indices and len(values):
-            jacobian = self._jacobian(values, [self.circuit.parameters[i] for i in indices], shots, seeds)
+            wrt = [self.circuit.parameters[i] for i in indices]
+            jacobian, outputs = self._jacobian(values, wrt, shots, seeds, readouts)
         else:
             jacobian = np.zeros((len(values), self.output_dim, len(indices)))
+            outputs = [self._outputs(rows, weights, shots, row_seeds) for row_seeds in readouts]
         w = len(self.weight_params)
-        return (jacobian[:, :, w:] if self.input_gradients else None), jacobian[:, :, :w]
+        return (jacobian[:, :, w:] if self.input_gradients else None), jacobian[:, :, :w], *outputs
 
-    def _jacobian(self, values: np.ndarray, wrt, shots: int | None, seeds) -> np.ndarray:
-        """(R, outputs, len(wrt)) from one shift rule over the (R, P) ``values``: row i's
+    def _jacobian(self, values: np.ndarray, wrt, shots: int | None, seeds, readouts=()):
+        """(R, outputs, len(wrt)) from one shift rule over the (R, P) ``values``, and each row's
+        unshifted readout under each seed set of ``readouts``, read in the same table: row i's
         shifted state k reads out from ``derive_seed(seeds[i], k)`` in shot mode, so no two
-        of a row's shifted states share a stream."""
+        of a row's shifted states share a stream, and its j-th unshifted one from ``readouts[j][i]``."""
 
         def evaluate(states: np.ndarray, rows: np.ndarray, tasks: np.ndarray) -> np.ndarray:
             row_seeds = seeds if shots is None or np.ndim(seeds) == 0 else np.asarray(seeds, np.uint64)[rows]
-            return self._readout(states, shots, None if shots is None else _seeds(row_seeds, tasks))
+            task_seeds = None if shots is None else _seeds(row_seeds, np.maximum(tasks, 0))
+            if task_seeds is not None and readouts:  # task j - len(readouts) reads out from readouts[j]
+                task_seeds[tasks < 0] = np.asarray(readouts, np.uint64)[tasks[tasks < 0], rows[tasks < 0]]
+            return self._readout(states, shots, task_seeds)
 
-        return shift_rule_jacobian(self.circuit, values, evaluate, wrt=wrt).transpose(0, 2, 1)
+        if not readouts:  # backward's shift rule, the public one
+            return shift_rule_jacobian(self.circuit, values, evaluate, wrt=wrt).transpose(0, 2, 1), []
+        jacobian, outputs = _shift_rule(self.circuit, values, evaluate, wrt=wrt, unshifted=len(readouts))
+        return jacobian.transpose(0, 2, 1), list(outputs.transpose(1, 0, 2))
 
     def forward(self, inputs, weights, shots: int | None = None, seed: int | None = None) -> np.ndarray:
         """One output vector: expectation values, or bucket probabilities summing to 1."""
@@ -179,11 +190,15 @@ class EstimatorQnn(_QnnBase):
     def output_dim(self) -> int:
         return len(self.observables)
 
-    def _jacobian(self, values: np.ndarray, wrt, shots: int | None, seeds) -> np.ndarray:
-        """Exact mode's Jacobian is one adjoint sweep per row block; shot mode's the shift rule."""
-        if shots is None:
-            return _adjoint_jacobian(self.circuit, self.observables, values, wrt)
-        return super()._jacobian(values, wrt, shots, seeds)
+    def _jacobian(self, values: np.ndarray, wrt, shots: int | None, seeds, readouts=()):
+        """Exact mode's Jacobian is one adjoint sweep per row block, whose final states give the
+        readouts on ``_outputs``' row blocks; shot mode's the shift rule."""
+        if shots is not None:
+            return super()._jacobian(values, wrt, shots, seeds, readouts)
+        blocks = []
+        read = (lambda states: blocks.append(self._readout(states, None, None))) if readouts else None
+        jacobian = _adjoint_jacobian(self.circuit, self.observables, values, wrt, read)
+        return jacobian, [np.concatenate(blocks)] * len(readouts) if blocks else []
 
     def _readout(self, states: np.ndarray, shots: int | None, seeds) -> np.ndarray:
         if shots is None:

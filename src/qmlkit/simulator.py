@@ -491,15 +491,18 @@ def run_ops(num_qubits: int, gates, angles):
     return states if table else states[0]
 
 
-def _adjoint_terms(num_qubits: int, gates, angles, observables, stops):
+def _adjoint_terms(num_qubits: int, gates, angles, observables, stops, read=None):
     """The adjoint sweep's reverse pass (Jones & Gacon 2020) over a (B, G) ``angles`` table: for
     each gate index in ``stops``, last first, yields it and the (B, O) Im<lambda_o|P|phi> of its
     generator P (a CRY's on its controls' subspace). phi, the states after the gate, and lambda_o,
     ``observables[o]`` applied to the final states and carried back to it, are the columns of one
     (1 + O, 2^n, B) stack, complex when the states are or an observable has a Y term; each gate
-    after the earliest stop is un-applied from every column by one ``_apply`` at the negated angle."""
+    after the earliest stop is un-applied from every column by one ``_apply`` at the negated angle.
+    ``read``, if given, is called on the (B, 2^n) final states first, before the stack is made."""
     n, first = num_qubits, min(stops)
     states = run_ops(n, gates, angles)
+    if read is not None:
+        read(states)
     complex_terms = any("Y" in string for o in observables for _, string in o.terms)
     stack = np.empty((1 + len(observables), 1 << n, len(angles)), dtype=complex if complex_terms else states.dtype)
     stack[0] = states.T
