@@ -4,10 +4,11 @@ Each node becomes one qubit; every conditional probability row becomes one
 controlled RY whose controls pin the parent assignment and whose angle
 2*arcsin(sqrt(p)) puts amplitude sqrt(p) on the node's |1>. The circuit's
 exact outcome distribution is then the network's joint distribution.
-Queries read basis indices (node q is bit q) through one evidence/target
-predicate: exactly from a CPT-product table of all 2^n joint
-probabilities, or by rejection sampling: one multinomial draw of the
-compiled circuit's hit, consistent-miss and inconsistent counts.
+Queries read basis indices (node q is bit q) as sub-cubes that fix the
+evidence (and target) bits, each summed entry by entry: exactly from a
+CPT-product table of all 2^n joint probabilities, grown one node at a
+time, or by rejection sampling: one multinomial draw of the compiled
+circuit's hit, consistent-miss and inconsistent counts.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -129,53 +130,66 @@ _ENUMERATION_LIMIT = 20
 def _joint_table(bn: BayesianNetwork) -> np.ndarray:
     """P(assignment) at every basis index, node q on bit q as in the compiled circuit.
 
-    Ones times each node's (1-p, p) table, broadcast over its own and its
-    parents' axes: one 2^n array, O(n*2^n). Node q is axis n-1-q.
+    Grown one node at a time in one 2^n buffer: the table over nodes 0..q-1 times
+    node q's (1-p, p) at each entry's parent bits, broadcast over the table's axes
+    (node j is axis q-1-j), fills the table over nodes 0..q. O(2^n) in all.
     """
-    n = len(bn.nodes)
-    table = np.ones((2,) * n)
+    table = np.ones(1 << len(bn.nodes))
     for q, node in enumerate(bn.nodes):
         keys = ("".join(bits) for bits in itertools.product("01", repeat=len(node.parents)))
-        p_one = np.array([node.cpt[key] for key in keys])
-        cpt = np.stack([1.0 - p_one, p_one], axis=-1).reshape((2,) * (len(node.parents) + 1))
-        axes = [n - 1 - bn.index_of(parent) for parent in node.parents] + [n - 1 - q]
-        shape = [2 if axis in axes else 1 for axis in range(n)]
-        table *= cpt.transpose(np.argsort(axes)).reshape(shape)
-    return table.reshape(-1)
+        p_one = np.array([node.cpt[key] for key in keys]).reshape((2,) * len(node.parents))
+        axes = [q - 1 - bn.index_of(parent) for parent in node.parents]
+        shape = [2 if axis in axes else 1 for axis in range(q)]
+        p_one = p_one.transpose(np.argsort(axes)).reshape(shape)
+        low, high = table[:1 << q].reshape((2,) * q), table[1 << q:2 << q].reshape((2,) * q)
+        np.multiply(low, p_one, out=high)
+        low *= 1.0 - p_one
+    return table
 
 
-def _matcher(bn: BayesianNetwork, assignment: Mapping[str, int]) -> Callable[[np.ndarray], np.ndarray]:
-    """Predicate: which basis indices (node q on bit q) agree with ``assignment``."""
-    mask = bits = 0
+def _cube(bn: BayesianNetwork, assignment: Mapping[str, int]) -> tuple:
+    """Index of the (2,) * n view of a 2^n basis-index array (node q is axis n-1-q) that
+    keeps the entries agreeing with ``assignment``: a sub-cube, in index order."""
+    index = [slice(None)] * len(bn.nodes)
     for name, bit in assignment.items():
-        q = bn.index_of(name)
-        mask, bits = mask | 1 << q, bits | bit << q
-    return lambda indices: (indices & mask) == bits
+        index[len(bn.nodes) - 1 - bn.index_of(name)] = bit
+    return tuple(index)
+
+
+def _running_sum(values: np.ndarray) -> float:
+    """The entries of ``values`` added one by one in C order; 0.0 for none."""
+    return float(np.cumsum(values)[-1]) if values.size else 0.0
 
 
 def exact_inference(bn: BayesianNetwork, query: Query) -> float:
     """P(target = v | evidence) from the CPT-product table, without the simulator.
 
-    The reference for rejection sampling, selecting basis indices with the
-    same predicate. Entries are added one by one, node 0's bit slowest: a
-    fixed order, so the result is reproducible to the last bit.
+    The reference for rejection sampling, summing the same evidence (and
+    assignment) sub-cubes of the table. Entries are added one by one, node 0's
+    bit slowest: a fixed order, so the result is reproducible to the last bit.
     """
     if len(bn.nodes) > _ENUMERATION_LIMIT:
         raise CircuitError(
             f"{len(bn.nodes)} nodes exceeds the enumeration limit of {_ENUMERATION_LIMIT}"
         )
-    consistent, hit = _matcher(bn, query.evidence), _matcher(bn, query.assignment)
-    table = _joint_table(bn)
-    indices = np.arange(table.size)
-
-    def total(matches: Callable[[np.ndarray], np.ndarray]) -> float:
-        kept = np.where(matches(indices), table, 0.0)
-        return float(np.cumsum(kept.reshape((2,) * len(bn.nodes)).T)[-1])
-
-    denominator = total(consistent)
+    consistent, hit = _cube(bn, query.evidence), _cube(bn, query.assignment)
+    table = _joint_table(bn).reshape((2,) * len(bn.nodes))
+    denominator = _running_sum(table[consistent].T)
     if denominator <= 0.0:
         raise NoSupportError(f"evidence {dict(query.evidence)!r} has zero probability")
-    return total(hit) / denominator
+    return _running_sum(table[hit].T) / denominator
+
+
+def _class_sums(bn: BayesianNetwork, query: Query, probs: np.ndarray) -> np.ndarray:
+    """The hit, consistent-miss and inconsistent sums of 2^n basis-index ``probs``, each
+    added in index order: the hit and miss sub-cubes, and the entries outside the
+    evidence sub-cube."""
+    flipped = {**query.evidence, query.target: 1 - query.target_value}
+    probs = probs.reshape((2,) * len(bn.nodes))
+    inconsistent = np.ones(probs.shape, dtype=bool)
+    inconsistent[_cube(bn, query.evidence)] = False
+    cubes = [probs[_cube(bn, assignment)] for assignment in (query.assignment, flipped)]
+    return np.array([_running_sum(values) for values in cubes + [probs[inconsistent]]])
 
 
 def rejection_inference(
@@ -187,16 +201,13 @@ def rejection_inference(
     """Sample the compiled circuit, discard evidence-inconsistent shots, estimate.
 
     The counts of hits, consistent misses and inconsistent shots are one
-    multinomial draw from ``derive_rng(seed)`` over the class sums of the
-    state's probabilities. Zero accepted shots raise NoSupportError.
+    multinomial draw from ``derive_rng(seed)`` over the ``_class_sums`` of
+    the state's probabilities. Zero accepted shots raise NoSupportError.
     """
     shots = _check_shots(shots)
-    consistent, hit = _matcher(bn, query.evidence), _matcher(bn, query.assignment)
     circuit = compile_network(bn)
     probs = _owned_probabilities(run_ops(circuit.num_qubits, circuit.gates, bound_angles(circuit, ())))
-    indices = np.arange(probs.size)
-    # Class 0 holds the hits (each also consistent), 1 the consistent misses, 2 the inconsistent outcomes.
-    sums = np.bincount(2 - consistent(indices) - hit(indices), weights=probs, minlength=3)
+    sums = _class_sums(bn, query, probs)
     hits, misses, _ = derive_rng(seed).multinomial(shots, sums / sums.sum()).tolist()
     accepted = hits + misses
     if accepted == 0:

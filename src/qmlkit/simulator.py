@@ -24,7 +24,9 @@ BLAS calls of one shape, so batch rows equal their one-state runs byte for
 byte. Runs of blocks within the lowest 15 qubits go over each row's
 2^15-amplitude pieces in turn through two piece buffers, higher blocks a
 piece's worth of columns at a time, and a gate spanning more than K qubits
-runs the loop slice by slice: no other state-sized array is made.
+runs the loop slice by slice: no other state-sized array is made. A qubit is
+|0> until its first gate, so blocks run on the touched prefix: the first 2^m
+amplitudes of each row, m covering every qubit touched so far (at least K).
 
 Pauli terms are read from the amplitudes, exactly or by shots, without a dense
 operator (``_expectations``, ``_sampled_expectations``). Shot readers that keep
@@ -432,25 +434,32 @@ def _run_pieces(state: np.ndarray, run: list, buffers: np.ndarray) -> None:
 def _run_blocks(num_qubits: int, gates, ops: list, rows: int, dtype) -> np.ndarray:
     """``rows`` states of more than ``_BLOCK_QUBITS`` qubits, as (B, 2^n) ``dtype`` rows, from
     each gate's ``(matrix, target, controls)`` op. Blocks within a piece go to ``_run_pieces``
-    in runs whose matrices hold at most half as many numbers as the states."""
+    in runs whose matrices hold at most half as many numbers as the states. Qubits that no
+    gate has touched yet are still |0>, so every block runs on the rows' first 2^m amplitudes,
+    an m-qubit state: m covers the blocks run so far, and is at least ``_BLOCK_QUBITS``."""
     state = np.zeros((rows, 1 << num_qubits), dtype=dtype)
     state[:, 0] = 1.0
-    buffers, run = np.empty((2, 1 << _PIECE_QUBITS), dtype=dtype), []
+    buffers, run, m = np.empty((2, 1 << _PIECE_QUBITS), dtype=dtype), [], _BLOCK_QUBITS
     for window, indices in _blocks(num_qubits, gates) + [(None, [])]:  # the empty last block ends a run
         block_ops = [ops[k] for k in indices]
+        touched = [q for k in indices for q in gates[k].qubits]
+        top = 1 + max(touched, default=0) if window is None else window + _BLOCK_QUBITS
         if window is not None and window + _BLOCK_QUBITS <= _PIECE_QUBITS:
             run.append((window, _block_matrices(window, block_ops, rows, dtype)))
+            m = max(m, top)
             if (len(run) + 1) << (2 * _BLOCK_QUBITS + 1) <= 1 << num_qubits:
                 continue
         if run:
-            _run_pieces(state, run, buffers)
+            _run_pieces(state[:, :1 << m], run, buffers)
             run = []
+        m = max(m, top)
+        prefix = state[:, :1 << m]
         if window is None:
-            _apply_sliced(state, num_qubits, block_ops, buffers[0])
+            _apply_sliced(prefix, m, block_ops, buffers[0])
         elif window + _BLOCK_QUBITS > _PIECE_QUBITS:
             matrices = _block_matrices(window, block_ops, rows, dtype)
             out = buffers[0].reshape(1 << _BLOCK_QUBITS, -1)
-            for b, row in enumerate(state):
+            for b, row in enumerate(prefix):
                 for outer in row.reshape(-1, 1 << _BLOCK_QUBITS, 1 << window):
                     for start in range(0, 1 << window, out.shape[1]):
                         part = outer[:, start:start + out.shape[1]]

@@ -279,3 +279,104 @@ def test_rejection_inference_reads_the_real_state_as_its_complex_copy(monkeypatc
     monkeypatch.setattr(bayesian, "run_ops", lambda *args: native(*args).astype(complex))
     for result, (bn, query, seed) in zip(results, cases):
         assert rejection_inference(bn, query, shots=3000, seed=seed) == result
+
+
+# --- Bit-identity with the broadcast table and the bincount class sums ----------------
+
+
+def _broadcast_table(bn: BayesianNetwork) -> np.ndarray:
+    """The joint table as ones times each node's (1-p, p) table, broadcast over its own and
+    its parents' axes of one (2,) * n array (node q is axis n-1-q): n passes over 2^n."""
+    n = len(bn.nodes)
+    table = np.ones((2,) * n)
+    for q, node in enumerate(bn.nodes):
+        keys = ("".join(bits) for bits in itertools.product("01", repeat=len(node.parents)))
+        p_one = np.array([node.cpt[key] for key in keys])
+        cpt = np.stack([1.0 - p_one, p_one], axis=-1).reshape((2,) * (len(node.parents) + 1))
+        axes = [n - 1 - bn.index_of(parent) for parent in node.parents] + [n - 1 - q]
+        shape = [2 if axis in axes else 1 for axis in range(n)]
+        table *= cpt.transpose(np.argsort(axes)).reshape(shape)
+    return table.reshape(-1)
+
+
+def _matches(bn: BayesianNetwork, assignment, indices: np.ndarray) -> np.ndarray:
+    mask = bits = 0
+    for name, bit in assignment.items():
+        q = bn.index_of(name)
+        mask, bits = mask | 1 << q, bits | bit << q
+    return (indices & mask) == bits
+
+
+def _bincount_sums(bn: BayesianNetwork, query: Query, probs: np.ndarray) -> np.ndarray:
+    """Hit, consistent-miss and inconsistent sums, each added in index order by ``bincount``."""
+    indices = np.arange(probs.size)
+    consistent, hit = _matches(bn, query.evidence, indices), _matches(bn, query.assignment, indices)
+    return np.bincount(2 - consistent - hit, weights=probs, minlength=3)
+
+
+def _where_exact(bn: BayesianNetwork, query: Query) -> float | None:
+    """The hit over the consistent sum of the broadcast table, each a running sum over the whole
+    table with zeros at the other entries, node 0 slowest; None for zero evidence mass."""
+    table, n = _broadcast_table(bn), len(bn.nodes)
+    indices = np.arange(table.size)
+    consistent, hit = (
+        float(np.cumsum(np.where(_matches(bn, a, indices), table, 0.0).reshape((2,) * n).T)[-1])
+        for a in (query.evidence, query.assignment)
+    )
+    return hit / consistent if consistent > 0.0 else None
+
+
+def _random_query(rng: np.random.Generator, bn: BayesianNetwork) -> Query:
+    n = len(bn.nodes)
+    target = int(rng.integers(n))
+    others = [q for q in range(n) if q != target]
+    chosen = rng.permutation(others)[: int(rng.integers(len(others) + 1))]
+    return Query(bn.names[target], int(rng.integers(2)), {bn.names[q]: int(rng.integers(2)) for q in chosen})
+
+
+def test_grown_table_and_sub_cube_sums_equal_the_broadcast_table_and_bincount_bit_for_bit():
+    rng = np.random.default_rng(404)
+    for _ in range(40):
+        bn = _with_deterministic_entries(rng, random_network(rng, max_nodes=14))
+        assert np.array_equal(bayesian._joint_table(bn), _broadcast_table(bn))
+        probs = run(compile_network(bn)).probabilities()
+        for _ in range(4):
+            query = _random_query(rng, bn)
+            sums, expected = bayesian._class_sums(bn, query, probs), _bincount_sums(bn, query, probs)
+            assert [float(s).hex() for s in sums] == [float(s).hex() for s in expected]
+            oracle = _where_exact(bn, query)
+            if oracle is None:
+                with pytest.raises(NoSupportError):
+                    exact_inference(bn, query)
+            else:
+                assert float(exact_inference(bn, query)).hex() == oracle.hex()
+
+
+def _wide_state_network(seed: int) -> BayesianNetwork:
+    """The benchmark's 18-node wide_state network at ``seed``: the draws of its input writer,
+    in order, then two parents for each node from N2 on and CPT entries in [0.1, 0.9]."""
+    rng = np.random.default_rng(seed)
+    rng.choice(20, 2, replace=False)
+    rng.uniform(0.5, 1.0), rng.uniform(0.5, 1.0)
+    rng.choice(17, 2, replace=False)
+    rng.uniform(-np.pi, np.pi, 60), rng.uniform(-np.pi, np.pi, 14), rng.uniform(-np.pi, np.pi, 28)
+    rng.integers(2), rng.integers(2)
+    nodes = []
+    for k in range(18):
+        parents = [] if k < 2 else sorted(rng.choice(k, 2, replace=False).tolist())
+        keys = [format(i, "02b") if parents else "" for i in range(2 ** len(parents))]
+        cpt = {key: float(rng.uniform(0.1, 0.9)) for key in keys}
+        nodes.append(BayesNode(f"N{k}", tuple(f"N{p}" for p in parents), cpt))
+    return BayesianNetwork(tuple(nodes))
+
+
+@pytest.mark.parametrize("seed, expected", [
+    (0, ["0x1.6896ee26f3b02p-2", "0x1.1f17989d40ef8p-1", "0x1.35acfe31b7cd9p-1"]),
+    (1, ["0x1.356b10c6d0248p-1", "0x1.fbe176d08d7f2p-2", "0x1.b377674da7327p-2"]),
+    (2, ["0x1.f3e7fd981b6bep-2", "0x1.803ae5f619dedp-2", "0x1.f3586f8c5244ep-2"]),
+])
+def test_exact_inference_on_the_wide_state_network_keeps_its_bits(seed, expected):
+    # No evidence; evidence on N0; the last node as the target.
+    queries = [Query("N9", 1), Query("N3", 1, {"N0": 0, "N12": 1}), Query("N17", 1, {"N4": 1, "N10": 0})]
+    bn = _wide_state_network(seed)
+    assert [float(exact_inference(bn, query)).hex() for query in queries] == expected

@@ -32,6 +32,7 @@ from qmlkit import (
     SvmModel,
     VqcModel,
     bitstring_to_index,
+    compile_network,
     compute_uncompute,
     estimator,
     expectation,
@@ -467,6 +468,83 @@ def test_small_pieces_match_the_dense_oracle(monkeypatch):
             assert _interleaves([w for w, _ in _blocks(n, circuit.gates)], n - 4)
             for full in (circuit, _real(circuit)):
                 assert np.max(np.abs(run(full).amplitudes - dense_state(full))) <= 1e-12
+
+
+def _record_widths(monkeypatch) -> list:
+    """Record the width of the rows that each ``_run_pieces`` and ``_apply_sliced`` call with work
+    receives: its run or its ops, the second-last argument, is not empty."""
+    widths = []
+
+    def spy(native):
+        def call(rows, *args):
+            if args[-2]:
+                widths.append(rows.shape[1])
+            return native(rows, *args)
+        return call
+
+    for name in ("_run_pieces", "_apply_sliced"):
+        monkeypatch.setattr(simulator, name, spy(getattr(simulator, name)))
+    return widths
+
+
+def test_fused_blocks_run_on_the_prefix_of_the_qubits_touched_so_far(monkeypatch):
+    # Node k >= 2 has parents N0 and N(k - 1): its four controlled RYs span qubits 0 to k. Nodes
+    # 0 to 3 form one block on window 0, and from node 4 on each gate spans more than four qubits.
+    rng = np.random.default_rng(14)
+    nodes = [BayesNode("N0", (), {"": 0.3}), BayesNode("N1", ("N0",), {"0": 0.2, "1": 0.7})]
+    for k in range(2, 14):
+        cpt = {"".join(bits): float(rng.uniform(0.1, 0.9)) for bits in itertools.product("01", repeat=2)}
+        nodes.append(BayesNode(f"N{k}", ("N0", f"N{k - 1}"), cpt))
+    circuit = compile_network(BayesianNetwork(tuple(nodes)))
+    expected = run(circuit).amplitudes
+    widths = _record_widths(monkeypatch)
+    assert run(circuit).amplitudes.tobytes() == expected.tobytes()
+    # Node k's gates see 2^max(k + 1, 4) amplitudes of the 2^14.
+    assert widths == [2**4] + [2 ** (k + 1) for k in range(4, 14) for _ in range(4)]
+
+
+def _scrambled(rng: np.random.Generator, num_qubits: int) -> tuple[Circuit, int]:
+    """A random circuit whose qubits take their first gate in a random order, and the one
+    qubit that no gate touches. Each newly touched qubit meets up to three touched ones."""
+    *order, untouched = (int(q) for q in rng.permutation(num_qubits))
+    gates = []
+    for i, q in enumerate(order):
+        partners = [int(p) for p in rng.permutation(order[:i])[:int(rng.integers(0, 4))]]
+        angle = float(rng.uniform(-np.pi, np.pi))
+        if not partners:
+            gates.append([Gate.h(q), Gate.ry(angle, q), Gate.rx(angle, q)][int(rng.integers(3))])
+            continue
+        controls = [(p, int(rng.integers(2))) for p in partners]
+        gates += [
+            [Gate.h(q), Gate.cry(angle, [(q, 1)], partners[0])],
+            [Gate.cx(partners[0], q)], [Gate.cz(q, partners[0])], [Gate.cry(angle, controls, q)],
+            [Gate.ry(angle, q), Gate.rz(-angle, partners[-1]), Gate.cx(q, partners[-1])],
+        ][int(rng.integers(5))]
+    return Circuit(num_qubits).extend(gates), untouched
+
+
+@pytest.mark.parametrize("num_qubits", [10, 11, 12, 13])
+def test_scrambled_first_touches_match_the_oracle_and_leave_the_untouched_qubit_zero(monkeypatch, num_qubits):
+    rng = np.random.default_rng(1200 + num_qubits)
+    for k in range(4):
+        circuit, untouched = _scrambled(rng, num_qubits)
+        circuit = _real(circuit) if k % 2 else circuit
+        state = run(circuit).amplitudes
+        if num_qubits <= 10:
+            oracle = dense_state(circuit)
+        else:  # the dense oracle's 2^n x 2^n matrices; the gate loop matches it up to 10 qubits
+            with monkeypatch.context() as patch:
+                patch.setattr(simulator, "_FUSED_QUBITS", num_qubits + 1)
+                oracle = run(circuit).amplitudes
+        assert np.max(np.abs(state - oracle)) <= 1e-12
+        parameterized = _parameterized(rng, circuit)
+        values = rng.uniform(-np.pi, np.pi, (3, parameterized.num_parameters))
+        states = run_ops(num_qubits, parameterized.gates, bound_angles(parameterized, values))
+        for rows in (state[None], states):
+            assert not rows.reshape(len(rows), -1, 2, 1 << untouched)[:, :, 1].any()
+        for row, v in zip(states, values):
+            single = run_ops(num_qubits, parameterized.gates, bound_angles(parameterized, v))
+            assert row.dtype == single.dtype and row.tobytes() == single.tobytes()
 
 
 def test_shot_modes_reject_non_finite_probabilities():
