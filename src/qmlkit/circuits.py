@@ -360,6 +360,14 @@ def circuit_to_dict(circuit: Circuit) -> dict:
     }
 
 
+def _json_ints(values, path: str) -> tuple[int, ...]:
+    """``values`` as a tuple, each a JSON integer: a float, a bool or a string raises ModelFormatError."""
+    values = tuple(values)
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in values):
+        raise ModelFormatError(path, f"expected integers, got {list(values)!r}")
+    return values
+
+
 def circuit_from_dict(data: dict, path: str = "circuit") -> Circuit:
     """Rebuild a circuit from ``circuit_to_dict`` output, validating as it goes."""
     if not isinstance(data, dict):
@@ -373,9 +381,10 @@ def circuit_from_dict(data: dict, path: str = "circuit") -> Circuit:
     if len(set(names)) != len(names):
         raise ModelFormatError(f"{path}.parameters", "duplicate parameter names")
     params = {name: Parameter(name) for name in names}
+    num_qubits = _json_ints([data["num_qubits"]], f"{path}.num_qubits")[0]
     try:
-        circuit = Circuit(int(data["num_qubits"]))
-    except (CircuitError, TypeError, ValueError) as exc:
+        circuit = Circuit(num_qubits)
+    except CircuitError as exc:
         raise ModelFormatError(f"{path}.num_qubits", str(exc)) from exc
     if not isinstance(data["gates"], list):
         raise ModelFormatError(f"{path}.gates", "expected a list")
@@ -396,12 +405,8 @@ def circuit_from_dict(data: dict, path: str = "circuit") -> Circuit:
                         )
                     factors.append((float(off), float(scale), params[name]))
                 angle = AngleExpr(float(spec["coeff"]), tuple(factors))
-            gate = Gate(
-                str(entry["kind"]),
-                tuple(int(t) for t in entry["targets"]),
-                tuple((int(q), int(v)) for q, v in entry.get("controls", [])),
-                angle,
-            )
+            controls = tuple((q, v) for q, v in (_json_ints(c, where) for c in entry.get("controls", [])))
+            gate = Gate(str(entry["kind"]), _json_ints(entry["targets"], where), controls, angle)
             circuit.append(gate)  # validates this gate alone, against the width
         except ModelFormatError:
             raise

@@ -4,9 +4,9 @@ gradient checks, and Bayesian queries.
 Every run takes a seed (default 0) and is reproducible: the same flags give
 byte-identical output files. Exact simulation is the default everywhere;
 ``--shots`` opts into sampling. Exit codes: 0 success, 2 usage, input
-validation or a file that cannot be read or written, 3 domain failure
-(non-convergence, impossible evidence, failed gradient check), 1 internal
-error. Every error, argparse's usage errors included, is one line of JSON on
+validation or a file that cannot be read, decoded as UTF-8 or written, 3
+domain failure (non-convergence, impossible evidence, failed gradient check),
+1 internal error. Every error, argparse's usage errors included, is one line of JSON on
 stderr. ``gradcheck`` differentiates every rotation angle, CRY included. Model kinds are
 told apart in one place, ``_predict``, through which ``train`` and ``predict`` score.
 """
@@ -215,6 +215,8 @@ def _no_shots(shots: int | None, what: str) -> None:
 
 def cmd_train(args) -> int:
     started = time.monotonic()
+    if args.best_of < 1:
+        raise CliError(f"--best-of must be at least 1, got {args.best_of}")
     if args.model in ("vqr", "pegasos"):
         _no_shots(args.shots, f"--model {args.model}")
     features, raw_labels = read_dataset(args.data, require_label=True)
@@ -229,7 +231,7 @@ def cmd_train(args) -> int:
     data = Dataset(features, labels)
 
     best = None
-    for attempt in range(max(1, args.best_of)):
+    for attempt in range(args.best_of):
         seed = args.seed if args.best_of <= 1 else derive_seed(args.seed, attempt)
         fit = _fit_once(args, data, label_map, seed)
         if best is None or fit[1] < best[1]:
@@ -424,7 +426,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (CliError, DataError, ModelFormatError, CircuitError, OSError) as exc:
+    except (CliError, DataError, ModelFormatError, CircuitError, OSError, UnicodeError) as exc:
         return _fail(str(exc), EXIT_USAGE)
     except (DomainFailure, NoSupportError) as exc:
         return _fail(str(exc), EXIT_DOMAIN)

@@ -105,7 +105,7 @@ def shift_rule_jacobian(
     """Occurrence-summed shift-rule Jacobian of a vector-valued state functional.
 
     An ``(R, P)`` table of ``values`` is read a block at a time by ``evaluate(states, rows,
-    tasks)``, returning (B, output_dim): complex amplitude row b is table row ``rows[b]``
+    tasks)``, returning (B, output_dim): complex128 amplitude row b is table row ``rows[b]``
     under task ``tasks[b]``. One ``(P,)`` row is read one complex ``Statevector`` at a time
     by ``evaluate(state, task)``, returning a 1-d array. Tasks are numbered per row, so
     callers can derive independent RNG streams, and run over the parameters in ``wrt``
@@ -117,30 +117,37 @@ def shift_rule_jacobian(
     size of the gate's slope d angle / d parameter and the terms are summed (the chain and
     product rules). All rows' shifted states are prepared in row blocks. Returns
     (len(wrt), output_dim) for a row, (R, len(wrt), output_dim) for a table and
-    (0, len(wrt), 0), with no ``evaluate`` call, for a table of no rows.
+    (0, len(wrt), 0), with no ``evaluate`` call, for a table of no rows. This is the one
+    place where the states of a real (float64) circuit are copied to complex128.
     """
-    return _shift_rule(circuit, values, evaluate, shift, wrt)[0]
+    table, n = np.asarray(values, dtype=float), circuit.num_qubits
+    read = evaluate if table.ndim == 2 else lambda states, rows, tasks: [
+        evaluate(Statevector(n, amplitudes), k) for amplitudes, k in zip(states, tasks.tolist())]
+    complex_read = lambda states, rows, tasks: read(np.asarray(states, dtype=complex), rows, tasks)
+    jacobian = _shift_rule(circuit, np.atleast_2d(table), complex_read, shift, wrt)[0]
+    return jacobian if table.ndim == 2 else jacobian[0]
 
 
-def _shift_rule(circuit: Circuit, values, evaluate, shift=math.pi / 2, wrt=None, unshifted: int = 0):
-    """``shift_rule_jacobian``'s Jacobian and the (R, unshifted, output_dim) outputs of ``unshifted``
-    tasks per row, numbered -unshifted, ..., -1 after its shifted ones, that read its unshifted state."""
+def _shift_rule(circuit: Circuit, table, evaluate, shift=math.pi / 2, wrt=None, unshifted: int = 0):
+    """The shift rule's (R, len(wrt), output_dim) Jacobian over an (R, P) ``table``, as
+    ``shift_rule_jacobian`` describes it, and the (R, unshifted, output_dim) outputs of ``unshifted``
+    tasks per row, numbered -unshifted, ..., -1 after its shifted ones, that read its unshifted
+    state. ``evaluate(states, rows, tasks)`` gets each block's rows as ``run_ops`` returns them:
+    float64 for a circuit of only ``_REAL_KINDS`` gates, complex128 otherwise. With no parameters,
+    only the unshifted tasks run; with neither, or no rows, nothing runs and both are empty."""
     _check_shift(shift)
     params = list(circuit.parameters if wrt is None else wrt)
     occurrences = _occurrence_map(circuit, params)
     for p in params:
         if not occurrences[p]:
             raise CircuitError(f"parameter {p.name!r} does not occur in the circuit")
-    values = np.asarray(values, dtype=float)
-    if not params or (values.ndim == 2 and not len(values)):  # (R, 0, 0) or (0, P, 0)
-        return np.zeros(values.shape[:-1] + (len(params), 0)), np.zeros(values.shape[:-1] + (unshifted, 0))
+    table, n = np.asarray(table, dtype=float), circuit.num_qubits
+    if not (params or unshifted) or not len(table):  # (R, 0, 0) or (0, P, 0)
+        return np.zeros((len(table), len(params), 0)), np.zeros((len(table), unshifted, 0))
     two_term = ((shift, 2.0 * math.sin(shift)),)
     pairs = [(k, gate, s, divisor) for k, p in enumerate(params) for gate in occurrences[p]
              for s, divisor in (_CRY_RULE if circuit.gates[gate].kind == "CRY" else two_term)]
-    owners, gates, shifts, divisors = map(np.array, zip(*pairs))
-    table, n = np.atleast_2d(values), circuit.num_qubits
-    read = evaluate if values.ndim == 2 else lambda states, rows, task: [
-        evaluate(Statevector(n, amplitudes), k) for amplitudes, k in zip(states, task.tolist())]
+    owners, gates, shifts, divisors = map(np.array, zip(*pairs)) if pairs else np.zeros((4, 0), int)
     env = dict(zip(circuit.parameters, table.T))  # the rows' parameter values, as bound_angles reads them
     slopes = np.empty((len(table), len(pairs)))  # d angle / d parameter, per row and pair
     for j, (k, gate, _, _) in enumerate(pairs):
@@ -155,14 +162,14 @@ def _shift_rule(circuit: Circuit, values, evaluate, shift=math.pi / 2, wrt=None,
         angles, pair = base[rows], task[moved] // 2
         angles[moved, gates[pair]] += np.where(task[moved] % 2, -1.0, 1.0) * steps[rows[moved], pair]
         # Unnamed, so that no block's states outlive its callback.
-        blocks.append(np.asarray(read(np.asarray(run_ops(n, circuit.gates, angles), dtype=complex), rows,
-                                      np.where(task < shifted, task, task - tasks)), dtype=float))
+        blocks.append(np.asarray(evaluate(run_ops(n, circuit.gates, angles), rows,
+                                          np.where(task < shifted, task, task - tasks)), dtype=float))
     outputs = np.concatenate(blocks).reshape(len(table), tasks, blocks[0].shape[1])
     moves = outputs[:, :shifted].reshape(len(table), -1, 2, outputs.shape[2])  # each pair's two moves
     terms = (moves[:, :, 0] - moves[:, :, 1]) / divisors[:, None] * np.abs(slopes)[:, :, None]
     jacobian = np.zeros((len(table), len(params), terms.shape[2]))
     np.add.at(jacobian, (slice(None), owners), terms)  # occurrences add up in gate order
-    return (jacobian, outputs[:, shifted:]) if values.ndim == 2 else (jacobian[0], outputs[0, shifted:])
+    return jacobian, outputs[:, shifted:]
 
 
 def _adjoint_jacobian(circuit: Circuit, observables: Sequence[PauliObservable], values,
@@ -195,7 +202,8 @@ def param_shift_gradient(request: GradientRequest) -> np.ndarray:
     occurrence, at the fixed shifts pi/2 and 3 pi/2.
 
     Shot mode evaluates each shifted point with its own derived seed, so the
-    estimate is deterministic for a given master seed.
+    estimate is deterministic for a given master seed. The shifted states of a real
+    circuit are read in float64, as the simulator makes them.
     """
     shots = None if request.shots is None else _check_shots(request.shots)
 
@@ -204,7 +212,7 @@ def param_shift_gradient(request: GradientRequest) -> np.ndarray:
             return _expectations(states, request.observable)[:, None]
         return _sampled_expectations(states, request.observable, shots, _seeds(request.seed, tasks))[:, None]
 
-    jacobian = shift_rule_jacobian(request.circuit, [request.values], evaluate, shift=request.shift)[0]
+    jacobian = _shift_rule(request.circuit, [request.values], evaluate, request.shift)[0][0]
     return jacobian[:, 0] if jacobian.size else np.zeros(0)
 
 

@@ -524,4 +524,6 @@ def load_model(path: str | os.PathLike):
             data = json.load(handle)
     except json.JSONDecodeError as exc:
         raise ModelFormatError("$", f"not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError("$", f"not UTF-8 text: {exc}") from exc
     return model_from_dict(data)

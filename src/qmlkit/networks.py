@@ -21,7 +21,7 @@ import numpy as np
 
 from .circuits import Circuit, bound_angles
 from .errors import CircuitError
-from .gradients import _adjoint_jacobian, _shift_rule, shift_rule_jacobian
+from .gradients import _adjoint_jacobian, _shift_rule
 from .simulator import (
     PauliObservable,
     bitstring_to_index,
@@ -64,13 +64,15 @@ class _QnnBase:
     """Input/weight partition plus the one forward and backward pass.
 
     A subclass sets ``output_dim`` and supplies ``_readout(states, shots, seeds)``:
-    the (B, output_dim) outputs of (B, 2^n) amplitude rows, row b seeded by ``seeds[b]``.
+    the (B, output_dim) outputs of (B, 2^n) amplitude rows, row b seeded by ``seeds[b]``,
+    float64 rows for a real circuit and complex128 ones otherwise, as ``run_ops`` makes them.
     ``seeds`` holds one seed per row, or is one seed (an int or None) for a one-row call.
     Both passes take input rows beside one weight vector and read states a block at a
     time: ``_outputs`` every row's state, ``_jacobians`` the derivatives in the weights,
-    then the inputs, from ``_jacobian``: every row's shifted states in one shift rule, or a
-    subclass's own route, which can also read every row's unshifted state once per seed
-    set it is given. ``forward`` and ``backward`` are their one-row cases.
+    then the inputs, from ``_jacobian``: every row's shifted states in one shift rule
+    (``gradients._shift_rule``), or a subclass's own route, which can also read every row's
+    unshifted state once per seed set it is given. ``forward`` and ``backward`` are their
+    one-row cases.
     """
 
     output_dim: int
@@ -111,16 +113,18 @@ class _QnnBase:
     def _jacobians(self, rows, weights, shots: int | None, seeds, readouts=()):
         """(R, outputs, inputs), None without ``input_gradients``, and (R, outputs, weights)
         from one ``_jacobian`` over all rows and the weights, then the inputs; then the rows'
-        (R, outputs) readout under each seed set of ``readouts``, from ``_outputs`` if no state shifts."""
+        (R, outputs) readout under each seed set of ``readouts``, read in the same ``_jacobian``
+        pass. With nothing to differentiate, that pass prepares only the unshifted states, one per
+        row and seed set; with nothing to read either, or no rows, nothing runs."""
         values = self._values(rows, weights)
         shots = None if shots is None else _check_shots(shots)
         indices = self.weight_params + (self.input_params if self.input_gradients else ())
-        if indices and len(values):
+        if (indices or readouts) and len(values):
             wrt = [self.circuit.parameters[i] for i in indices]
             jacobian, outputs = self._jacobian(values, wrt, shots, seeds, readouts)
-        else:
+        else:  # no rows, or nothing to shift or read
             jacobian = np.zeros((len(values), self.output_dim, len(indices)))
-            outputs = [self._outputs(rows, weights, shots, row_seeds) for row_seeds in readouts]
+            outputs = [np.zeros((0, self.output_dim))] * len(readouts)
         w = len(self.weight_params)
         return (jacobian[:, :, w:] if self.input_gradients else None), jacobian[:, :, :w], *outputs
 
@@ -137,8 +141,6 @@ class _QnnBase:
                 task_seeds[tasks < 0] = np.asarray(readouts, np.uint64)[tasks[tasks < 0], rows[tasks < 0]]
             return self._readout(states, shots, task_seeds)
 
-        if not readouts:  # backward's shift rule, the public one
-            return shift_rule_jacobian(self.circuit, values, evaluate, wrt=wrt).transpose(0, 2, 1), []
         jacobian, outputs = _shift_rule(self.circuit, values, evaluate, wrt=wrt, unshifted=len(readouts))
         return jacobian.transpose(0, 2, 1), list(outputs.transpose(1, 0, 2))
 
@@ -192,8 +194,9 @@ class EstimatorQnn(_QnnBase):
 
     def _jacobian(self, values: np.ndarray, wrt, shots: int | None, seeds, readouts=()):
         """Exact mode's Jacobian is one adjoint sweep per row block, whose final states give the
-        readouts on ``_outputs``' row blocks; shot mode's the shift rule."""
-        if shots is not None:
+        readouts on ``_outputs``' row blocks; shot mode's the shift rule, as is a pass over no
+        parameter, which only reads the unshifted states."""
+        if shots is not None or not wrt:
             return super()._jacobian(values, wrt, shots, seeds, readouts)
         blocks = []
         read = (lambda states: blocks.append(self._readout(states, None, None))) if readouts else None

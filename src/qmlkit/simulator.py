@@ -12,10 +12,12 @@ of one circuit: each gate's 2x2 target matrix from ``_MATRICES``, the one
 per-kind gate table (CX's is X, CZ's Z, CRY's RY), acts on a basic-index slice
 of the states viewed as ``(2,) * n + (B,)``, with (B,) rows of rotation
 entries. Circuits of only H, X, CX, CZ, RY and CRY gates run in float64, others
-in complex128; only amplitudes that leave the library (``run``'s
-``Statevector``, ``shift_rule_jacobian``'s callback) are converted. The adjoint
-sweep's reverse pass (``_adjoint_terms``) un-applies gates through the same
-loop and reads each rotation's generator P = i R(pi) from ``_MATRICES``.
+in complex128. The library's own readers, the shift rule's included, take the
+rows in that dtype; only amplitudes that leave the library (``run``'s
+``Statevector``, the public ``shift_rule_jacobian``'s callbacks) are
+converted. The adjoint sweep's reverse pass (``_adjoint_terms``) un-applies
+gates through the same loop and reads each rotation's generator P = i R(pi)
+from ``_MATRICES``.
 
 From 10 qubits, one state buffer is updated once per block of gates on at most
 K = 4 consecutive qubits (``_blocks``). A block's 2^K x 2^K matrix per state is

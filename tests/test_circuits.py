@@ -257,6 +257,21 @@ def test_circuit_from_dict_names_gate_with_qubit_outside_width():
     assert "outside width 2" in str(info.value)
 
 
+@pytest.mark.parametrize("text, field", [
+    ('{"num_qubits": 1e400, "gates": [], "parameters": []}', "circuit.num_qubits"),
+    ('{"num_qubits": 2.9, "gates": [], "parameters": []}', "circuit.num_qubits"),
+    ('{"num_qubits": true, "gates": [], "parameters": []}', "circuit.num_qubits"),
+    ('{"num_qubits": 2, "gates": [{"kind": "H", "targets": [1.7]}], "parameters": []}', "circuit.gates[0]"),
+    ('{"num_qubits": 2, "gates": [{"kind": "H", "targets": ["1"]}], "parameters": []}', "circuit.gates[0]"),
+    ('{"num_qubits": 2, "gates": [{"kind": "H", "targets": [0]}, {"kind": "CX", "targets": [1], '
+     '"controls": [[0, true]]}], "parameters": []}', "circuit.gates[1]"),
+], ids=["overflow", "float-width", "bool-width", "float-target", "string-target", "bool-control"])
+def test_circuit_from_dict_requires_json_integers(text, field):
+    with pytest.raises(ModelFormatError) as info:
+        circuit_from_dict(json.loads(text))
+    assert info.value.field_path == field and "expected integers" in str(info.value)
+
+
 def test_circuit_from_dict_equals_saved_circuit():
     circuit = real_amplitudes_ansatz(8, 160)
     assert len(circuit.gates) == 2408

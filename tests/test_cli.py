@@ -627,6 +627,43 @@ def test_cli_exit_paths_write_one_json_error_line(tmp_path, monkeypatch, capsys,
     assert err.count("\n") == 1 and named in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--data", "bad", "--out", "k.csv"],
+    ["train", "--model", "vqc", "--data", "bad", "--out", "m.json"],
+    ["predict", "--model", "bad", "--data", "d.csv", "--out", "p.csv"],
+    ["bayes", "--network", "bad", "--query", "A=1"],
+    ["gradcheck", "--circuit", "bad"],
+], ids=lambda argv: argv[0])
+def test_a_file_that_is_not_utf8_exits_2(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad").write_bytes(b"\xff\xfe" + "f0,f1\n0.1,0.2\n".encode("utf-16-le"))
+    (tmp_path / "d.csv").write_text("f0,f1\n0.1,0.2\n")
+    status, out, err = run_cli(capsys, *argv)
+    assert status == 2 and out == "" and err.count("\n") == 1
+    assert "can't decode" in json.loads(err)["error"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad", "d.csv"]
+
+
+def test_a_circuit_with_an_overflowing_width_exits_2(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text('{"num_qubits": 1e400, "gates": [], "parameters": []}')
+    status, out, err = run_cli(capsys, "gradcheck", "--circuit", str(path))
+    assert status == 2 and out == ""
+    assert json.loads(err)["error"].startswith("circuit.num_qubits: expected integers")
+
+
+@pytest.mark.parametrize("best_of", ["0", "-3"])
+def test_train_best_of_below_1_exits_2(tmp_path, capsys, best_of):
+    data, out = tmp_path / "blobs.csv", tmp_path / "m.json"
+    run_cli(capsys, "gen-data", "blobs", "--samples", "4", "--seed", "1", "--out", str(data))
+    status, stdout, err = run_cli(
+        capsys, "train", "--model", "pegasos", "--data", str(data), "--out", str(out), "--best-of", best_of
+    )
+    assert status == 2 and stdout == "" and err.count("\n") == 1
+    assert json.loads(err)["error"] == f"--best-of must be at least 1, got {best_of}"
+    assert not out.exists()
+
+
 SEEDED_SUBCOMMANDS = {
     "gen-data": ["gen-data", "xor", "--samples", "4", "--out", "d.csv"],
     "train": ["train", "--model", "vqc", "--data", "d.csv", "--out", "m.json"],

@@ -16,15 +16,19 @@ import numpy as np
 import pytest
 
 from qmlkit import (
+    Circuit,
     Dataset,
     EstimatorQnn,
     FidelityJob,
     Gate,
+    Parameter,
     PauliObservable,
+    SamplerQnn,
     VqcModel,
     compute_uncompute,
     estimator,
     kernel_matrix,
+    parity_interpret,
     real_amplitudes_ansatz,
     run,
     sampler,
@@ -33,7 +37,7 @@ from qmlkit import (
     zz_feature_map,
 )
 from qmlkit.circuits import bound_angles
-from qmlkit.simulator import run_ops
+from qmlkit.simulator import _REAL_KINDS, run_ops
 
 from .helpers import training_functions
 
@@ -100,6 +104,21 @@ def test_exact_backward_of_16_qubits_sweeps_within_its_measured_multiple():
     # scratch of the stack's size (2), beside numpy's 256 KiB of iteration buffers for a gate on
     # a middle qubit. Measured 4.29x the complex state's bytes, plus 0.1.
     assert _peak_bytes(lambda: qnn.backward(inputs, weights)) <= 4.39 * 16 * 2**16
+
+
+@pytest.mark.parametrize("shots", [None, 64])
+def test_real_sampler_backward_reads_its_float64_shifted_states_as_they_are(shots):
+    n = 16
+    inputs_map = Circuit(n).extend([Gate.ry(Parameter(f"x{q}"), q) for q in range(n)])
+    circuit = inputs_map.compose(real_amplitudes_ansatz(n, 1))
+    qnn = SamplerQnn(circuit, range(n), range(n, circuit.num_parameters), parity_interpret, 2, input_gradients=False)
+    rng = np.random.default_rng(0)
+    inputs, weights = rng.uniform(-1, 1, n), rng.uniform(-np.pi, np.pi, circuit.num_parameters - n)
+    assert 2 * len(weights) == 64 and all(g.kind in _REAL_KINDS for g in circuit.gates)
+    qnn.backward(inputs, weights, shots, 1)  # first-call allocations stay out of the count
+    # The shift rule's float64 blocks of shifted states are read as run_ops returns them. Measured
+    # 1.52x the complex budget's 4 MiB in both modes, plus 0.1; a complex copy of each block reads 2.02x.
+    assert _peak_bytes(lambda: qnn.backward(inputs, weights, shots, 1)) <= 1.62 * 16 * BUDGET_AMPLITUDES
 
 
 def test_vqc_predict_on_4096_rows_stays_bounded():

@@ -8,8 +8,10 @@ from qmlkit import (
     AngleExpr,
     Circuit,
     CircuitError,
+    Dataset,
     EstimatorQnn,
     Gate,
+    OptimizerConfig,
     Parameter,
     PauliObservable,
     SamplerQnn,
@@ -23,6 +25,7 @@ from qmlkit import (
     run,
     sampler,
     shift_rule_jacobian,
+    vqc_fit,
     zz_feature_map,
 )
 from qmlkit import networks, simulator
@@ -492,9 +495,68 @@ def test_exact_estimator_jacobians_prepare_no_shifted_states(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("shift rule called")
 
-    monkeypatch.setattr(networks, "shift_rule_jacobian", refuse)
+    monkeypatch.setattr(networks, "_shift_rule", refuse)
     assert all(a.tobytes() == b.tobytes() for a, b in zip(qnn._jacobians(inputs, weights, None, [None] * 2),
                                                           exact_jacobians))
     with pytest.raises(AssertionError, match="shift rule called"):
         qnn._jacobians(inputs, weights, 64, [1, 2])
     assert shot_jacobians[1].shape == (2, 2, 3)
+
+
+def ry_inputs() -> Circuit:
+    """Two RY inputs and a CX: a real feature map."""
+    return Circuit(2).extend([Gate.ry(Parameter("x0"), 0), Gate.ry(Parameter("x1"), 1), Gate.cx(0, 1)])
+
+
+def real_network(kind: str, weights: bool = True, input_gradients: bool = False):
+    """A network on ``ry_inputs`` and, with ``weights``, ``real_amplitudes_ansatz(2, 1)``: a real
+    circuit, simulated in float64."""
+    circuit = ry_inputs().compose(real_amplitudes_ansatz(2, 1)) if weights else ry_inputs()
+    split = ([0, 1], range(2, circuit.num_parameters))
+    if kind == "estimator":
+        return EstimatorQnn(circuit, [PauliObservable(((1.0, "ZI"), (0.5, "XX")))], *split, input_gradients)
+    return SamplerQnn(circuit, *split, parity_interpret, 2, input_gradients)
+
+
+def record_readout_dtypes(monkeypatch, cls) -> list:
+    dtypes, readout = [], cls._readout
+    monkeypatch.setattr(cls, "_readout", lambda self, states, *args: dtypes.append(states.dtype) or readout(
+        self, states, *args))
+    return dtypes
+
+
+@pytest.mark.parametrize("kind, shots", [("sampler", None), ("sampler", 64), ("estimator", 64)])
+def test_shifted_readouts_of_a_real_circuit_read_float64_rows(monkeypatch, kind, shots):
+    qnn = real_network(kind, input_gradients=True)
+    assert all(g.kind in simulator._REAL_KINDS for g in qnn.circuit.gates)
+    dtypes = record_readout_dtypes(monkeypatch, type(qnn))
+    qnn.backward([0.3, -1.2], [0.4, 0.9, -0.5, 1.1], shots, 5)
+    assert dtypes and set(dtypes) == {np.dtype(np.float64)}
+
+
+def test_a_training_step_on_a_real_circuit_reads_float64_rows(monkeypatch):
+    dtypes = record_readout_dtypes(monkeypatch, SamplerQnn)
+    features = np.random.default_rng(31).uniform(-1.0, 1.0, (6, 2))
+    data = Dataset(features, np.where(features[:, 0] * features[:, 1] > 0, 1.0, -1.0))
+    config = OptimizerConfig("adam", max_iterations=1)
+    vqc_fit(data, ry_inputs(), real_amplitudes_ansatz(2, 1), config, shots=64, seed=3)
+    assert dtypes and set(dtypes) == {np.dtype(np.float64)}
+
+
+@pytest.mark.parametrize("shots", [None, 64])
+@pytest.mark.parametrize("kind", ["estimator", "sampler"])
+def test_a_network_without_weights_gives_empty_weight_jacobians(kind, shots):
+    qnn, rows = real_network(kind, weights=False), np.array([[0.3, -1.2], [0.8, 0.1], [-0.4, 2.0]])
+    seeds = None if shots is None else np.arange(3, dtype=np.uint64) + 9
+    input_jac, weight_jac = qnn.backward(rows[0], [], shots, 4)
+    assert input_jac is None and weight_jac.shape == (qnn.output_dim, 0)
+    input_jacs, weight_jacs = qnn._jacobians(rows, [], shots, seeds)
+    assert input_jacs is None and weight_jacs.shape == (3, qnn.output_dim, 0)
+    # Readouts alone: no shifted state, and each seed set's outputs as the forward pass gives them.
+    seed_sets = [None] if shots is None else [seeds, 2 * seeds]
+    _, weight_jacs, *outputs = qnn._jacobians(rows, [], shots, seeds, seed_sets)
+    assert weight_jacs.shape == (3, qnn.output_dim, 0) and len(outputs) == len(seed_sets)
+    for output, row_seeds in zip(outputs, seed_sets):
+        assert output.tobytes() == qnn._outputs(rows, [], shots, row_seeds).tobytes()
+    input_jacs, weight_jacs = real_network(kind, weights=False, input_gradients=True)._jacobians(rows, [], shots, seeds)
+    assert input_jacs.shape == (3, qnn.output_dim, 2) and weight_jacs.shape == (3, qnn.output_dim, 0)

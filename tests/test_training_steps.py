@@ -99,6 +99,17 @@ def test_an_ansatz_without_weights_trains_to_its_one_loss(case):
     assert model.loss_history == [loss]
 
 
+@pytest.mark.parametrize("case", sorted(WEIGHTLESS))
+def test_an_ansatz_without_weights_trains_in_one_state_table(counted, case):
+    # With no weight to shift, the step's one table holds only each row's unshifted state once
+    # per seed set (two sets in shot mode): one run_ops call.
+    fit, loss = WEIGHTLESS[case]
+    calls, results = counted
+    fit(*fit_data(), Circuit(2).extend([Gate.h(0)]))
+    (result,) = results
+    assert len(calls) == 1 and result.history == [loss]
+
+
 def circuit() -> Circuit:
     return zz_feature_map(2, 1).compose(real_amplitudes_ansatz(2, 1))
 
