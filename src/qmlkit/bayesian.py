@@ -21,7 +21,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .circuits import Circuit, Gate, bound_angles
-from .errors import CircuitError, ModelFormatError, NoSupportError
+from .errors import CircuitError, ModelFormatError, NoSupportError, _field, _numbers
 from .simulator import MAX_QUBITS, _check_shots, _owned_probabilities, derive_rng, run_ops
 
 
@@ -230,28 +230,16 @@ def network_to_dict(bn: BayesianNetwork) -> dict:
 
 
 def network_from_dict(data: dict) -> BayesianNetwork:
-    if not isinstance(data, dict) or "nodes" not in data:
-        raise ModelFormatError("nodes", "missing field")
-    if not isinstance(data["nodes"], list):
-        raise ModelFormatError("nodes", "expected a list")
     nodes = []
-    for i, entry in enumerate(data["nodes"]):
+    for i, entry in enumerate(_field(data, "nodes", list, "")):
         where = f"nodes[{i}]"
-        if not isinstance(entry, dict):
-            raise ModelFormatError(where, "expected an object")
-        if not isinstance(entry.get("parents", []), list):
+        name, parents = _field(entry, "name", str, where), entry.get("parents", [])
+        if type(parents) is not list or not all(type(p) is str for p in parents):
             raise ModelFormatError(f"{where}.parents", "expected a list of names")
-        if not isinstance(entry.get("cpt"), dict):
-            raise ModelFormatError(f"{where}.cpt", "expected an object")
+        cpt = {key: _numbers(p, f"{where}.cpt", 0) for key, p in _field(entry, "cpt", dict, where).items()}
         try:
-            nodes.append(
-                BayesNode(
-                    str(entry["name"]),
-                    tuple(str(p) for p in entry.get("parents", [])),
-                    {str(k): float(v) for k, v in entry["cpt"].items()},
-                )
-            )
-        except (KeyError, TypeError, ValueError, CircuitError) as exc:
+            nodes.append(BayesNode(name, tuple(parents), cpt))
+        except CircuitError as exc:
             raise ModelFormatError(where, str(exc)) from exc
     try:
         return BayesianNetwork(tuple(nodes))

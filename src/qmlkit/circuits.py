@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import CircuitError, ModelFormatError
+from .errors import CircuitError, ModelFormatError, _field, _numbers
 
 ROTATION_KINDS = frozenset({"RX", "RY", "RZ", "CRY"})
 GATE_KINDS = frozenset({"H", "X", "CX", "CZ"}) | ROTATION_KINDS
@@ -360,63 +360,44 @@ def circuit_to_dict(circuit: Circuit) -> dict:
     }
 
 
-def _json_ints(values, path: str) -> tuple[int, ...]:
-    """``values`` as a tuple, each a JSON integer: a float, a bool or a string raises ModelFormatError."""
-    values = tuple(values)
-    if not all(isinstance(v, int) and not isinstance(v, bool) for v in values):
-        raise ModelFormatError(path, f"expected integers, got {list(values)!r}")
-    return values
-
-
 def circuit_from_dict(data: dict, path: str = "circuit") -> Circuit:
     """Rebuild a circuit from ``circuit_to_dict`` output, validating as it goes."""
-    if not isinstance(data, dict):
-        raise ModelFormatError(path, "expected an object")
-    for key in ("num_qubits", "gates", "parameters"):
-        if key not in data:
-            raise ModelFormatError(f"{path}.{key}", "missing field")
-    names = data["parameters"]
-    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+    names = _field(data, "parameters", list, path)
+    if not all(type(n) is str for n in names):
         raise ModelFormatError(f"{path}.parameters", "expected a list of names")
     if len(set(names)) != len(names):
         raise ModelFormatError(f"{path}.parameters", "duplicate parameter names")
     params = {name: Parameter(name) for name in names}
-    num_qubits = _json_ints([data["num_qubits"]], f"{path}.num_qubits")[0]
+    num_qubits = _numbers(_field(data, "num_qubits", object, path), f"{path}.num_qubits", 0, integers=True)
     try:
         circuit = Circuit(num_qubits)
     except CircuitError as exc:
         raise ModelFormatError(f"{path}.num_qubits", str(exc)) from exc
-    if not isinstance(data["gates"], list):
-        raise ModelFormatError(f"{path}.gates", "expected a list")
     gates = []
-    for i, entry in enumerate(data["gates"]):
+    for i, entry in enumerate(_field(data, "gates", list, path)):
         where = f"{path}.gates[{i}]"
-        if not isinstance(entry, dict):
-            raise ModelFormatError(where, "expected an object")
+        kind = _field(entry, "kind", str, where)
         try:
             angle = None
-            if "angle" in entry and entry["angle"] is not None:
-                spec = entry["angle"]
+            if entry.get("angle") is not None:
+                at, spec = f"{where}.angle", _field(entry, "angle", dict, where)
                 factors = []
                 for off, scale, name in spec.get("factors", []):
                     if name not in params:
-                        raise ModelFormatError(
-                            f"{where}.angle", f"unknown parameter {name!r}"
-                        )
-                    factors.append((float(off), float(scale), params[name]))
-                angle = AngleExpr(float(spec["coeff"]), tuple(factors))
-            controls = tuple((q, v) for q, v in (_json_ints(c, where) for c in entry.get("controls", [])))
-            gate = Gate(str(entry["kind"]), _json_ints(entry["targets"], where), controls, angle)
-            circuit.append(gate)  # validates this gate alone, against the width
+                        raise ModelFormatError(at, f"unknown parameter {name!r}")
+                    factors.append((*_numbers([off, scale], f"{at}.factors", 1), params[name]))
+                angle = AngleExpr(_numbers(_field(spec, "coeff", object, at), f"{at}.coeff", 0), tuple(factors))
+            controls = tuple((q, v) for q, v in _numbers(entry.get("controls", []), where, 2, integers=True))
+            gate = Gate(kind, tuple(_numbers(_field(entry, "targets", object, where), where, 1, integers=True)),
+                        controls, angle)
+            if max(gate.qubits) >= num_qubits:  # extend() below would not name the gate
+                raise CircuitError(f"gate {kind} uses qubit {max(gate.qubits)} outside width {num_qubits}")
         except ModelFormatError:
             raise
-        except (CircuitError, KeyError, TypeError, ValueError) as exc:
+        except (CircuitError, TypeError, ValueError) as exc:
             raise ModelFormatError(where, str(exc)) from exc
         gates.append(gate)
     circuit = circuit.extend(gates)  # one build, so loading stays linear
     if [p.name for p in circuit.parameters] != names:
-        raise ModelFormatError(
-            f"{path}.parameters",
-            "listed order does not match first appearance in the gate list",
-        )
+        raise ModelFormatError(f"{path}.parameters", "listed order differs from first appearance in the gates")
     return circuit

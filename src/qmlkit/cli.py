@@ -7,8 +7,10 @@ byte-identical output files. Exact simulation is the default everywhere;
 validation or a file that cannot be read, decoded as UTF-8 or written, 3
 domain failure (non-convergence, impossible evidence, failed gradient check),
 1 internal error. Every error, argparse's usage errors included, is one line of JSON on
-stderr. ``gradcheck`` differentiates every rotation angle, CRY included. Model kinds are
-told apart in one place, ``_predict``, through which ``train`` and ``predict`` score.
+stderr; an exit-2 error about an input file starts with the file's path, or with the bad
+field's path in it (``nodes[0].cpt: ...``). ``gradcheck`` differentiates every rotation
+angle, CRY included. Model kinds are told apart in one place, ``_predict``, through which
+``train`` and ``predict`` score.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from .bayesian import Query, exact_inference, network_from_dict, rejection_inference
 from .circuits import circuit_from_dict, real_amplitudes_ansatz, zz_feature_map
-from .errors import CircuitError, DataError, ModelFormatError, NoSupportError
+from .errors import CircuitError, DataError, ModelFormatError, NoSupportError, _read_json
 from .gradients import GradientRequest, finite_difference, param_shift_gradient
 from .kernels import kernel_matrix
 from .models import (
@@ -78,13 +80,14 @@ def _fail(message: str, code: int) -> int:
 
 def read_dataset(path: str, require_label: bool):
     """CSV with header f0..f{d-1}[,label] -> (features, label strings or None)."""
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CliError(f"{path}: empty file") from None
-        rows = list(reader)
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: not UTF-8 text: {exc}") from exc
+    if not rows:
+        raise CliError(f"{path}: empty file")
+    header, rows = rows[0], rows[1:]
     has_label = header and header[-1] == "label"
     feature_names = header[:-1] if has_label else header
     expected = [f"f{i}" for i in range(len(feature_names))]
@@ -290,14 +293,6 @@ def cmd_kernel(args) -> int:
     return EXIT_OK
 
 
-def _read_json(path: str):
-    with open(path, encoding="utf-8") as handle:
-        try:
-            return json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise CliError(f"{path}: not valid JSON: {exc}") from exc
-
-
 def cmd_gradcheck(args) -> int:
     circuit = circuit_from_dict(_read_json(args.circuit))
     if args.values is not None:
@@ -426,7 +421,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (CliError, DataError, ModelFormatError, CircuitError, OSError, UnicodeError) as exc:
+    except (CliError, DataError, ModelFormatError, CircuitError, OSError) as exc:
         return _fail(str(exc), EXIT_USAGE)
     except (DomainFailure, NoSupportError) as exc:
         return _fail(str(exc), EXIT_DOMAIN)

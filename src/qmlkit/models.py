@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuits import Circuit, circuit_from_dict, circuit_to_dict
-from .errors import DataError, ModelFormatError
+from .errors import CircuitError, DataError, ModelFormatError, _field, _numbers, _read_json
 from .kernels import _as_dataset, kernel_matrix
 from .networks import EstimatorQnn, SamplerQnn, parity_interpret
 from .optimizers import OptimizeResult, OptimizerConfig, _seeded_config, minimize
@@ -394,10 +394,12 @@ def _observable_to_dict(observable: PauliObservable) -> list:
     return [[coeff, string] for coeff, string in observable.terms]
 
 
-def _observable_from_dict(data, path: str) -> PauliObservable:
+def _observable_from_dict(terms: list, path: str) -> PauliObservable:
+    if not all(type(term) is list and len(term) == 2 and type(term[1]) is str for term in terms):
+        raise ModelFormatError(path, "expected [coefficient, Pauli string] pairs")
     try:
-        return PauliObservable(tuple((float(c), str(s)) for c, s in data))
-    except (TypeError, ValueError) as exc:
+        return PauliObservable(tuple((_numbers(c, path, 0), s) for c, s in terms))
+    except CircuitError as exc:
         raise ModelFormatError(path, f"invalid observable: {exc}") from exc
 
 
@@ -433,80 +435,52 @@ def model_to_dict(model) -> dict:
     return payload
 
 
-def _require(data: dict, key: str, kind, path: str):
-    if key not in data:
-        raise ModelFormatError(f"{path}.{key}", "missing field")
-    value = data[key]
-    if kind is not None and not isinstance(value, kind):
-        raise ModelFormatError(f"{path}.{key}", f"expected {kind}, got {type(value).__name__}")
-    return value
-
-
-def _numbers(value, path: str, ndim: int = 1) -> np.ndarray:
-    """Float array of rank ``ndim`` read from finite JSON numbers, else ModelFormatError."""
-    try:
-        array = np.asarray(value)
-    except ValueError:  # ragged nesting
-        array = np.asarray(None)
-    if array.dtype.kind not in "iuf" or array.ndim != ndim or not np.all(np.isfinite(array)):
-        what = "a finite number" if ndim == 0 else f"a {ndim}-d list of finite numbers"
-        raise ModelFormatError(path, f"expected {what}")
-    return array.astype(float)
+def _array(data: dict, key: str, ndim: int = 1) -> np.ndarray:
+    """The required top-level field ``key`` as a float array of rank ``ndim``."""
+    return np.array(_numbers(_field(data, key, object, ""), key, ndim), dtype=float)
 
 
 def _label_map(data: dict) -> dict[str, int] | None:
-    label_map = data.get("label_map")
-    if label_map is not None and not (
-        isinstance(label_map, dict)
-        and all(isinstance(k, str) and type(v) is int and v in (-1, 1) for k, v in label_map.items())
-    ):
-        raise ModelFormatError("label_map", "expected an object mapping label strings to -1 or +1")
+    """None, or two labels mapped to -1 and +1, the map ``train`` writes."""
+    if data.get("label_map") is None:
+        return None
+    label_map = _field(data, "label_map", dict, "")
+    if sorted(_numbers(list(label_map.values()), "label_map", 1, integers=True)) != [-1, 1]:
+        raise ModelFormatError("label_map", "expected two labels, one mapped to -1 and one to +1")
     return label_map
 
 
 def model_from_dict(data: dict):
     """Rebuild a model from ``model_to_dict`` output."""
-    if not isinstance(data, dict):
-        raise ModelFormatError("$", "expected a JSON object")
+    kind = _field(data, "type", str, "")
     version = data.get("format_version", FORMAT_VERSION)
     if version != FORMAT_VERSION:
         raise ModelFormatError("format_version", f"unsupported version {version!r}")
-    kind = _require(data, "type", str, "$")
-    feature_map = circuit_from_dict(_require(data, "feature_map", dict, "$"), "feature_map")
+    feature_map = circuit_from_dict(_field(data, "feature_map", object, ""), "feature_map")
     if kind in ("vqc", "vqr"):
-        ansatz = circuit_from_dict(_require(data, "ansatz", dict, "$"), "ansatz")
-        weights = _numbers(_require(data, "weights", list, "$"), "weights")
-        history = [float(v) for v in _numbers(data.get("loss_history", []), "loss_history")]
+        ansatz = circuit_from_dict(_field(data, "ansatz", object, ""), "ansatz")
+        weights = _array(data, "weights")
+        history = list(_numbers(data.get("loss_history", []), "loss_history", 1))
         if kind == "vqc":
             return VqcModel(feature_map, ansatz, weights, history, _label_map(data))
-        observable = _observable_from_dict(_require(data, "observable", list, "$"), "observable")
+        observable = _observable_from_dict(_field(data, "observable", list, ""), "observable")
         return VqrModel(feature_map, ansatz, weights, observable, history)
     if kind in ("qsvc", "pegasos"):
-        alphas = _numbers(_require(data, "alphas", list, "$"), "alphas")
-        labels = _numbers(_require(data, "support_labels", list, "$"), "support_labels")
-        rows = _require(data, "support_data", list, "$")
-        support = _numbers(rows, "support_data", 2) if rows else np.zeros((0, feature_map.num_parameters))
+        alphas, labels = _array(data, "alphas"), _array(data, "support_labels")
+        rows = _field(data, "support_data", list, "")
+        support = _array(data, "support_data", 2) if rows else np.zeros((0, feature_map.num_parameters))
         if not (len(alphas) == len(labels) == len(support)):
             raise ModelFormatError("support_data", "alphas, labels, and rows disagree in length")
         lam = steps = None
         if kind == "pegasos":
-            lam = float(_numbers(data.get("lambda"), "lambda", ndim=0))
-            steps = data.get("steps")
+            lam = _numbers(data.get("lambda"), "lambda", 0)
+            steps = _numbers(data.get("steps"), "steps", 0, integers=True)
             if lam <= 0.0:
                 raise ModelFormatError("lambda", "Pegasos lambda must be positive")
-            if type(steps) is not int or steps < 1:
+            if steps < 1:
                 raise ModelFormatError("steps", "Pegasos steps must be an integer of at least 1")
-        return SvmModel(
-            kind=kind,
-            feature_map=feature_map,
-            support_values=alphas,
-            support_labels=labels,
-            support_data=support,
-            bias=float(_numbers(data.get("bias", 0.0), "bias", ndim=0)),
-            lam=lam,
-            steps=steps,
-            label_map=_label_map(data),
-        )
+        bias = _numbers(data.get("bias", 0.0), "bias", 0)
+        return SvmModel(kind, feature_map, alphas, labels, support, bias, lam, steps, label_map=_label_map(data))
     raise ModelFormatError("type", f"unknown model type {kind!r}")
 
 
@@ -518,12 +492,5 @@ def save_model(model, path: str | os.PathLike) -> None:
 
 
 def load_model(path: str | os.PathLike):
-    """Read one model back; malformed files raise ModelFormatError."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError("$", f"not valid JSON: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ModelFormatError("$", f"not UTF-8 text: {exc}") from exc
-    return model_from_dict(data)
+    """Read one model back; a malformed file raises ModelFormatError naming the file or the field."""
+    return model_from_dict(_read_json(path))

@@ -1,15 +1,19 @@
 import argparse
+import functools
 import json
 import math
+import operator
+import sys
 
 import numpy as np
 import pytest
 
 from qmlkit import (
-    AngleExpr, Circuit, Gate, Parameter, circuit_to_dict, kernel_entry, real_amplitudes_ansatz, zz_feature_map,
+    AngleExpr, Circuit, Gate, ModelFormatError, Parameter, PauliObservable, circuit_from_dict, circuit_to_dict,
+    kernel_entry, network_from_dict, real_amplitudes_ansatz, zz_feature_map,
 )
 from qmlkit.cli import GRADCHECK_TOLERANCE, build_parser, main
-from qmlkit.models import svm_predict
+from qmlkit.models import VqcModel, VqrModel, model_from_dict, model_to_dict, svm_predict
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -640,8 +644,28 @@ def test_a_file_that_is_not_utf8_exits_2(tmp_path, monkeypatch, capsys, argv):
     (tmp_path / "d.csv").write_text("f0,f1\n0.1,0.2\n")
     status, out, err = run_cli(capsys, *argv)
     assert status == 2 and out == "" and err.count("\n") == 1
-    assert "can't decode" in json.loads(err)["error"]
+    error = json.loads(err)["error"]
+    assert error.startswith("bad: ") and "can't decode" in error
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad", "d.csv"]
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 100_000 + "]" * 100_000,
+    pytest.param('{"num_qubits": ' + "1" * 5000 + "}", marks=pytest.mark.skipif(
+        not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000, reason="no integer digit limit")),
+], ids=["deep-nesting", "long-integer"])
+@pytest.mark.parametrize("argv", [
+    ["predict", "--model", "f.json", "--data", "d.csv", "--out", "p.csv"],
+    ["bayes", "--network", "f.json", "--query", "A=1"],
+    ["gradcheck", "--circuit", "f.json"],
+], ids=lambda argv: argv[0])
+def test_json_that_python_cannot_parse_exits_2(tmp_path, monkeypatch, capsys, argv, text):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f.json").write_text(text)
+    (tmp_path / "d.csv").write_text("f0\n0.1\n")
+    status, out, err = run_cli(capsys, *argv)
+    assert status == 2 and out == "" and err.count("\n") == 1
+    assert json.loads(err)["error"].startswith("f.json: not valid JSON: ")
 
 
 def test_a_circuit_with_an_overflowing_width_exits_2(tmp_path, capsys):
@@ -650,6 +674,55 @@ def test_a_circuit_with_an_overflowing_width_exits_2(tmp_path, capsys):
     status, out, err = run_cli(capsys, "gradcheck", "--circuit", str(path))
     assert status == 2 and out == ""
     assert json.loads(err)["error"].startswith("circuit.num_qubits: expected integers")
+
+
+# One rule for every JSON file: numbers are JSON numbers (never strings or bools) and
+# finite, names are strings, and a label map holds one label for -1 and one for +1.
+PREDICT_F = ["predict", "--model", "f.json", "--data", "d.csv", "--out", "p.csv"]
+RULE_FILES = {  # a valid file of each kind, its loader and the command that reads it
+    "circuit": (circuit_to_dict(Circuit(1).extend(
+        [Gate.h(0), Gate.ry(AngleExpr.linear(Parameter("t"), 2.0), 0), Gate.rz(0.5, 0)])),
+        circuit_from_dict, ["gradcheck", "--circuit", "f.json"]),
+    "network": ({"nodes": [{"name": "A", "parents": [], "cpt": {"": 0.5}},
+                           {"name": "B", "parents": ["A"], "cpt": {"0": 0.2, "1": 0.9}}]},
+                network_from_dict, ["bayes", "--network", "f.json", "--query", "A=1"]),
+    "vqc": (model_to_dict(VqcModel(zz_feature_map(1), real_amplitudes_ansatz(1), np.array([0.1, 0.2]),
+                                   [0.5], {"a": -1, "b": 1})), model_from_dict, PREDICT_F),
+    "vqr": (model_to_dict(VqrModel(zz_feature_map(1), real_amplitudes_ansatz(1), np.array([0.1, 0.2]),
+                                   PauliObservable(((1.0, "Z"),)), [0.5])), model_from_dict, PREDICT_F),
+}
+
+
+@pytest.mark.parametrize("kind, keys, value, field", [
+    ("circuit", ("gates", 2, "angle"), 5, "circuit.gates[2].angle"),
+    ("circuit", ("gates", 2, "angle", "coeff"), "1.5", "circuit.gates[2].angle.coeff"),
+    ("circuit", ("gates", 2, "angle", "coeff"), math.inf, "circuit.gates[2].angle.coeff"),
+    ("circuit", ("gates", 1, "angle", "factors", 0), [True, "2", "t"], "circuit.gates[1].angle.factors"),
+    ("network", ("nodes", 0, "cpt", ""), "0.3", "nodes[0].cpt"),
+    ("network", ("nodes", 1, "cpt", "1"), True, "nodes[1].cpt"),
+    ("network", ("nodes", 0, "name"), 5, "nodes[0].name"),
+    ("vqr", ("observable", 0, 0), "1.0", "observable"),
+    ("vqc", ("weights",), [0.1, True], "weights"),
+    ("vqc", ("label_map",), {"a": -1, "b": -1}, "label_map"),
+    ("vqc", ("label_map",), {"a": 1}, "label_map"),
+], ids=["angle-int", "coeff-string", "coeff-1e400", "factor-bool-string", "cpt-string", "cpt-bool",
+        "node-name-int", "observable-string", "weight-bool", "labels-both-minus", "labels-one"])
+def test_every_json_loader_names_a_bad_field_and_the_cli_exits_2(
+        tmp_path, monkeypatch, capsys, kind, keys, value, field):
+    document, load, argv = RULE_FILES[kind]
+    document = json.loads(json.dumps(document))
+    *parents, last = keys
+    functools.reduce(operator.getitem, parents, document)[last] = value
+    with pytest.raises(ModelFormatError) as info:
+        load(document)
+    assert info.value.field_path == field
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f.json").write_text(json.dumps(document).replace("Infinity", "1e400"))  # parses as inf
+    (tmp_path / "d.csv").write_text("f0\n0.1\n")
+    status, out, err = run_cli(capsys, *argv)
+    assert status == 2 and out == "" and err.count("\n") == 1
+    assert json.loads(err)["error"].startswith(f"{field}: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "f.json"]
 
 
 @pytest.mark.parametrize("best_of", ["0", "-3"])
