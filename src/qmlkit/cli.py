@@ -310,6 +310,7 @@ def cmd_gradcheck(args) -> int:
         observable = PauliObservable(((1.0, args.observable),))
     else:
         observable = PauliObservable.z_on(0, circuit.num_qubits)
+    estimator(circuit, observable, values)  # refuses what it cannot simulate, parameters or none
     analytic = param_shift_gradient(GradientRequest(circuit, observable, values))
     numeric = finite_difference(lambda v: estimator(circuit, observable, v), values)
     deviation = float(np.max(np.abs(analytic - numeric), initial=0.0))
@@ -421,7 +422,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (CliError, DataError, ModelFormatError, CircuitError, OSError) as exc:
+    except OSError as exc:  # a file that cannot be opened: its path, then the reason
+        return _fail(str(exc) if exc.filename is None else f"{exc.filename}: {exc.strerror}", EXIT_USAGE)
+    except (CliError, DataError, ModelFormatError, CircuitError) as exc:
         return _fail(str(exc), EXIT_USAGE)
     except (DomainFailure, NoSupportError) as exc:
         return _fail(str(exc), EXIT_DOMAIN)

@@ -1,12 +1,13 @@
 """Compute-uncompute fidelity between two parameterized state preparations.
 
-The first circuit runs forward, the inverse of the second runs after it, and
-the probability of the all-zeros outcome is the squared overlap of the two
-prepared states. Each circuit's angles are evaluated against its own values,
-so parameter names never collide, and both gate lists run as one state; shot
-mode draws the all-zeros count as one binomial. This is the paper's fidelity
-primitive for any two circuits; kernel matrices over one feature map take the
-overlaps of prepared states directly (``kernels``).
+The first circuit runs forward, the second's gates after it in reverse order
+at negated angles (its inverse), and the probability of the all-zeros outcome
+is the squared overlap of the two prepared states. Each circuit's angles are
+evaluated against its own values, so parameter names never collide, and both
+gate lists run as one state; shot mode draws the all-zeros count as one
+binomial. This is the paper's fidelity primitive for any two circuits; kernel
+matrices over one feature map take the overlaps of prepared states directly
+(``kernels``).
 """
 
 from __future__ import annotations
@@ -45,10 +46,9 @@ def compute_uncompute(job: FidelityJob) -> float:
         raise CircuitError(f"fidelity widths differ: {job.circuit_a.num_qubits} vs {job.circuit_b.num_qubits}")
     shots = None if job.shots is None else _check_shots(job.shots)
     values_a, values_b = np.asarray(job.values_a, dtype=float), np.asarray(job.values_b, dtype=float)
-    inverse_b = job.circuit_b.inverse()
-    angles = np.concatenate([bound_angles(job.circuit_a, values_a), bound_angles(inverse_b, values_b)])
+    angles = np.concatenate([bound_angles(job.circuit_a, values_a), -bound_angles(job.circuit_b, values_b)[::-1]])
     if shots is None and job.circuit_a == job.circuit_b and np.array_equal(values_a, values_b):
         return 1.0
-    state = run_ops(job.circuit_a.num_qubits, job.circuit_a.gates + inverse_b.gates, angles)
+    state = run_ops(job.circuit_a.num_qubits, job.circuit_a.gates + job.circuit_b.gates[::-1], angles)
     fidelity = min(1.0, max(0.0, abs(complex(state[0])) ** 2))
     return float(fidelity if shots is None else derive_rng(job.seed).binomial(shots, fidelity) / shots)

@@ -133,8 +133,9 @@ def _shift_rule(circuit: Circuit, table, evaluate, shift=math.pi / 2, wrt=None, 
     ``shift_rule_jacobian`` describes it, and the (R, unshifted, output_dim) outputs of ``unshifted``
     tasks per row, numbered -unshifted, ..., -1 after its shifted ones, that read its unshifted
     state. ``evaluate(states, rows, tasks)`` gets each block's rows as ``run_ops`` returns them:
-    float64 for a circuit of only ``_REAL_KINDS`` gates, complex128 otherwise. With no parameters,
-    only the unshifted tasks run; with neither, or no rows, nothing runs and both are empty."""
+    float64 for a circuit of only ``_REAL_KINDS`` gates, complex128 otherwise, and a block evaluates
+    only its own rows' angles. With no parameters, only the unshifted tasks run (a network's forward
+    pass); with neither, or no rows, nothing runs and both are empty."""
     _check_shift(shift)
     params = list(circuit.parameters if wrt is None else wrt)
     occurrences = _occurrence_map(circuit, params)
@@ -153,13 +154,12 @@ def _shift_rule(circuit: Circuit, table, evaluate, shift=math.pi / 2, wrt=None, 
     for j, (k, gate, _, _) in enumerate(pairs):
         slopes[:, j] = _slope(circuit.gates[gate].angle, params[k], env)
     steps = np.where(slopes < 0, -shifts, shifts)  # each pair's first angle move
-    base = bound_angles(circuit, table)  # each row's unshifted angles, evaluated once
     shifted, blocks = 2 * len(pairs), []
     tasks = shifted + unshifted
     for block in _row_blocks(n, len(circuit.gates), len(table) * tasks):
         rows, task = np.divmod(np.arange(len(table) * tasks)[block], tasks)
         moved = np.flatnonzero(task < shifted)
-        angles, pair = base[rows], task[moved] // 2
+        angles, pair = bound_angles(circuit, table[rows[0]:rows[-1] + 1])[rows - rows[0]], task[moved] // 2
         angles[moved, gates[pair]] += np.where(task[moved] % 2, -1.0, 1.0) * steps[rows[moved], pair]
         # Unnamed, so that no block's states outlive its callback.
         blocks.append(np.asarray(evaluate(run_ops(n, circuit.gates, angles), rows,

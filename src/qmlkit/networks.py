@@ -2,15 +2,16 @@
 
 Both network types split the circuit parameters into input and weight
 partitions by explicit index lists and share one ``forward`` and one
-``backward``: prepare a block of states, then read it out. The estimator reads
-observable expectations, the sampler bucketed outcome probabilities; that
-readout is the only thing that differs, besides the estimator's exact-mode
-Jacobians, which come from one adjoint sweep per row block (Jones & Gacon
-2020): one forward and one reverse pass, whatever the parameter count. Every
-other backward pass goes through the shift rule, exact in exact mode; outcome
-probabilities are expectations of diagonal projectors, which makes the sampler
-network's Jacobian a plain shift-rule computation. Shot readouts draw counts
-from the exact ones: a binomial per estimator term, a multinomial per sampler row.
+``backward``, and neither prepares states of its own: a forward pass is the
+shift rule's unshifted task over no parameter, a backward pass the shift rule
+over the weights, then the inputs. The estimator reads observable
+expectations, the sampler bucketed outcome probabilities; that readout is the
+only thing that differs, besides the estimator's exact-mode Jacobians, which
+come from one adjoint sweep per row block (Jones & Gacon 2020): one forward and
+one reverse pass, whatever the parameter count. Outcome probabilities are
+expectations of diagonal projectors, which makes the sampler network's Jacobian
+a plain shift-rule computation. Shot readouts draw counts from the exact ones:
+a binomial per estimator term, a multinomial per sampler row.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .circuits import Circuit, bound_angles
+from .circuits import Circuit
 from .errors import CircuitError
 from .gradients import _adjoint_jacobian, _shift_rule
 from .simulator import (
@@ -29,8 +30,6 @@ from .simulator import (
     _expectations,
     index_to_bitstring,
     _probabilities,
-    _row_blocks,
-    run_ops,
     _sampled_expectations,
     _seeds,
     _streams,
@@ -67,12 +66,12 @@ class _QnnBase:
     the (B, output_dim) outputs of (B, 2^n) amplitude rows, row b seeded by ``seeds[b]``,
     float64 rows for a real circuit and complex128 ones otherwise, as ``run_ops`` makes them.
     ``seeds`` holds one seed per row, or is one seed (an int or None) for a one-row call.
-    Both passes take input rows beside one weight vector and read states a block at a
-    time: ``_outputs`` every row's state, ``_jacobians`` the derivatives in the weights,
-    then the inputs, from ``_jacobian``: every row's shifted states in one shift rule
-    (``gradients._shift_rule``), or a subclass's own route, which can also read every row's
-    unshifted state once per seed set it is given. ``forward`` and ``backward`` are their
-    one-row cases.
+    Both passes take input rows beside one weight vector and run one shift-rule table
+    (``gradients._shift_rule``), which prepares states a row block at a time: ``_outputs``
+    reads only its unshifted task, ``_jacobians`` the derivatives in the weights, then the
+    inputs, from ``_jacobian``: every row's shifted states, or a subclass's own route, which
+    can also read every row's unshifted state once per seed set it is given. ``forward`` and
+    ``backward`` are their one-row cases.
     """
 
     output_dim: int
@@ -98,17 +97,16 @@ class _QnnBase:
         return values
 
     def _outputs(self, rows, weights, shots: int | None, seeds) -> np.ndarray:
-        """One output row per input row; states are prepared and read in row blocks,
-        row i with ``seeds[i]``."""
-        n, gates = self.circuit.num_qubits, self.circuit.gates
+        """One output row per input row, row i read out with ``seeds[i]``: the unshifted task of
+        a shift rule over no parameter, which prepares the states a row block at a time."""
         shots = None if shots is None else _check_shots(shots)
-        values = self._values(rows, weights)
-        # The empty first block gives zero input rows a (0, output_dim) result.
-        return np.concatenate([np.zeros((0, self.output_dim))] + [
-            self._readout(run_ops(n, gates, bound_angles(self.circuit, values[block])), shots,
-                          seeds if np.ndim(seeds) == 0 else seeds[block])
-            for block in _row_blocks(n, len(gates), len(values))
-        ])
+
+        def evaluate(states: np.ndarray, rows: np.ndarray, tasks: np.ndarray) -> np.ndarray:
+            return self._readout(states, shots, seeds if shots is None or np.ndim(seeds) == 0
+                                 else np.asarray(seeds, np.uint64)[rows])
+
+        outputs = _shift_rule(self.circuit, self._values(rows, weights), evaluate, wrt=(), unshifted=1)[1]
+        return outputs.reshape(-1, self.output_dim)
 
     def _jacobians(self, rows, weights, shots: int | None, seeds, readouts=()):
         """(R, outputs, inputs), None without ``input_gradients``, and (R, outputs, weights)
@@ -119,12 +117,8 @@ class _QnnBase:
         values = self._values(rows, weights)
         shots = None if shots is None else _check_shots(shots)
         indices = self.weight_params + (self.input_params if self.input_gradients else ())
-        if (indices or readouts) and len(values):
-            wrt = [self.circuit.parameters[i] for i in indices]
-            jacobian, outputs = self._jacobian(values, wrt, shots, seeds, readouts)
-        else:  # no rows, or nothing to shift or read
-            jacobian = np.zeros((len(values), self.output_dim, len(indices)))
-            outputs = [np.zeros((0, self.output_dim))] * len(readouts)
+        wrt = [self.circuit.parameters[i] for i in indices]
+        jacobian, outputs = self._jacobian(values, wrt, shots, seeds, readouts)
         w = len(self.weight_params)
         return (jacobian[:, :, w:] if self.input_gradients else None), jacobian[:, :, :w], *outputs
 
@@ -142,7 +136,9 @@ class _QnnBase:
             return self._readout(states, shots, task_seeds)
 
         jacobian, outputs = _shift_rule(self.circuit, values, evaluate, wrt=wrt, unshifted=len(readouts))
-        return jacobian.transpose(0, 2, 1), list(outputs.transpose(1, 0, 2))
+        # With no rows, or no tasks, the shift rule's arrays are empty; the reshapes shape them.
+        return (jacobian.transpose(0, 2, 1).reshape(len(values), self.output_dim, len(wrt)),
+                list(outputs.transpose(1, 0, 2).reshape(len(readouts), len(values), self.output_dim)))
 
     def forward(self, inputs, weights, shots: int | None = None, seed: int | None = None) -> np.ndarray:
         """One output vector: expectation values, or bucket probabilities summing to 1."""
@@ -195,8 +191,8 @@ class EstimatorQnn(_QnnBase):
     def _jacobian(self, values: np.ndarray, wrt, shots: int | None, seeds, readouts=()):
         """Exact mode's Jacobian is one adjoint sweep per row block, whose final states give the
         readouts on ``_outputs``' row blocks; shot mode's the shift rule, as is a pass over no
-        parameter, which only reads the unshifted states."""
-        if shots is not None or not wrt:
+        parameter, which only reads the unshifted states, or over no rows."""
+        if shots is not None or not wrt or not len(values):
             return super()._jacobian(values, wrt, shots, seeds, readouts)
         blocks = []
         read = (lambda states: blocks.append(self._readout(states, None, None))) if readouts else None

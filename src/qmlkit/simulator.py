@@ -34,9 +34,9 @@ Pauli terms are read from the amplitudes, exactly or by shots, without a dense
 operator (``_expectations``, ``_sampled_expectations``). Shot readers that keep
 only class counts draw the counts, one binomial or multinomial over the exact
 class probabilities; ``sampler`` and ``sample_state`` draw each shot from a CDF
-(``_cdf``, ``_draws``). Streaming callers (the
-shift rule, the networks' rows) prepare states in blocks of at most
-``_BATCH_AMPLITUDES`` = 2^18 amplitudes (4 MiB).
+(``_cdf``, ``_draws``). Streaming callers (the shift rule, which runs every
+network's forward pass, and the adjoint sweep) evaluate angles and prepare
+states in row blocks of at most ``_BATCH_AMPLITUDES`` = 2^18 amplitudes (4 MiB).
 
 Shot-mode draws come from the streams of ``derive_rng(seed, *task)``, numpy's
 ``default_rng(SeedSequence((seed, *task)))``. ``_seeds`` and ``_streams`` derive

@@ -222,17 +222,6 @@ def test_predict_without_support_vectors_checks_features_and_shots(tmp_path, cap
     assert not out.exists()
 
 
-def test_predict_missing_model_file_exits_2(tmp_path, capsys):
-    data = tmp_path / "blobs.csv"
-    run_cli(capsys, "gen-data", "blobs", "--samples", "4", "--seed", "1", "--out", str(data))
-    code, _, err = run_cli(
-        capsys, "predict", "--model", str(tmp_path / "absent.json"), "--data", str(data),
-        "--out", str(tmp_path / "p.csv"),
-    )
-    assert code == 2
-    assert "absent.json" in json.loads(err)["error"]
-
-
 @pytest.mark.parametrize("label_map", [True, False])
 def test_predict_refuses_a_label_the_model_does_not_know(tmp_path, capsys, label_map):
     data, model, out = tmp_path / "blobs.csv", tmp_path / "model.json", tmp_path / "p.csv"
@@ -252,17 +241,6 @@ def test_predict_refuses_a_label_the_model_does_not_know(tmp_path, capsys, label
     code, stdout, err = run_cli(capsys, "predict", "--model", str(model), "--data", str(unknown), "--out", str(out))
     assert code == 2 and stdout == "" and not out.exists()
     assert err.count("\n") == 1 and f"labels in {unknown} do not match the model" in json.loads(err)["error"]
-
-
-def test_train_out_in_missing_directory_exits_2(tmp_path, capsys):
-    data = tmp_path / "blobs.csv"
-    run_cli(capsys, "gen-data", "blobs", "--samples", "4", "--seed", "1", "--out", str(data))
-    code, _, err = run_cli(
-        capsys, "train", "--model", "qsvc", "--data", str(data),
-        "--out", str(tmp_path / "no-such-dir" / "model.json"),
-    )
-    assert code == 2
-    assert "no-such-dir" in json.loads(err)["error"]
 
 
 def test_train_missing_label_column(tmp_path, capsys):
@@ -516,6 +494,22 @@ def test_gradcheck_zero_parameters(tmp_path, capsys):
     assert json.loads(stdout.strip()) == {"max_deviation": 0.0, "parameters": 0}
 
 
+@pytest.mark.parametrize("num_qubits, observable, error", [
+    (100, None, "100 qubits exceeds the dense statevector limit of 24"),
+    (2, "ZZZ", "observable width 3 != state width 2"),
+], ids=["100-qubits", "observable-width"])
+@pytest.mark.parametrize("parameters", [0, 1])
+def test_gradcheck_refuses_what_it_cannot_simulate_with_or_without_parameters(
+        tmp_path, capsys, num_qubits, observable, error, parameters):
+    circuit = Circuit(num_qubits).extend([Gate.h(0)] + [Gate.ry(Parameter("t"), 0)] * parameters)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(circuit_to_dict(circuit)))
+    argv = ["gradcheck", "--circuit", str(path)] + (["--observable", observable] if observable else [])
+    status, out, err = run_cli(capsys, *argv)
+    assert status == 2 and out == ""
+    assert json.loads(err)["error"] == error
+
+
 # --- bayes ---------------------------------------------------------------------
 
 
@@ -647,6 +641,27 @@ def test_a_file_that_is_not_utf8_exits_2(tmp_path, monkeypatch, capsys, argv):
     error = json.loads(err)["error"]
     assert error.startswith("bad: ") and "can't decode" in error
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad", "d.csv"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--data", "nope.csv", "--out", "k.csv"],
+    ["train", "--model", "qsvc", "--data", "nope.csv", "--out", "m2.json"],
+    ["predict", "--model", "nope.json", "--data", "b.csv", "--out", "p.csv"],
+    ["predict", "--model", "m.json", "--data", "nope.csv", "--out", "p.csv"],
+    ["bayes", "--network", "nope.json", "--query", "A=1"],
+    ["gradcheck", "--circuit", "nope.json"],
+    ["train", "--model", "qsvc", "--data", "b.csv", "--out", "no-such-dir/m.json"],
+], ids=["kernel-data", "train-data", "predict-model", "predict-data", "bayes-network", "gradcheck-circuit",
+        "train-out"])
+def test_a_file_that_cannot_be_opened_exits_2_with_its_path(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    for command in TRAIN_QSVC:
+        assert run_cli(capsys, *command)[0] == 0
+    status, out, err = run_cli(capsys, *argv)
+    missing = next(arg for arg in argv if "nope" in arg or "no-such-dir" in arg)
+    assert status == 2 and out == "" and err.count("\n") == 1
+    assert json.loads(err)["error"] == f"{missing}: No such file or directory"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["b.csv", "m.json"]
 
 
 @pytest.mark.parametrize("text", [

@@ -148,7 +148,9 @@ def test_vqc_fit_gradient_over_8192_rows_stays_bounded(monkeypatch):
     # (rows * shifts, gates) angle table alone would exceed the bound.
     gates, shifted = len(feature_map.gates) + len(ansatz.gates), 8192 * 2 * len(start)
     assert 8 * shifted * gates > _bound(2)
-    assert _peak_bytes(lambda: gradient(start)) < _bound(2)
+    # Each row block evaluates its own rows' angles. Measured 11.37 MiB; an (8192, gates) angle
+    # table held for the whole pass read 12.75 MiB.
+    assert _peak_bytes(lambda: gradient(start)) < 0.75 * _bound(2)
 
 
 def test_run_ops_holds_two_angle_tables_for_4096_rows():

@@ -22,7 +22,7 @@ from qmlkit import (
     vqr_fit,
     zz_feature_map,
 )
-from qmlkit import gradients, models, networks, simulator
+from qmlkit import gradients, models, simulator
 
 
 def fit_data():
@@ -45,7 +45,7 @@ def counted(monkeypatch):
         results.append(minimize(*args, **kwargs))
         return results[-1]
 
-    for module in (simulator, networks, gradients):
+    for module in (simulator, gradients):
         monkeypatch.setattr(module, "run_ops", counting)
     monkeypatch.setattr(models, "minimize", capturing)
     return calls, results
