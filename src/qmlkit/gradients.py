@@ -157,7 +157,7 @@ def _shift_rule(circuit: Circuit, table, evaluate, shift=math.pi / 2, wrt=None, 
     shifted, blocks = 2 * len(pairs), []
     tasks = shifted + unshifted
     for block in _row_blocks(n, len(circuit.gates), len(table) * tasks):
-        rows, task = np.divmod(np.arange(len(table) * tasks)[block], tasks)
+        rows, task = np.divmod(np.arange(block.start, min(block.stop, len(table) * tasks)), tasks)
         moved = np.flatnonzero(task < shifted)
         angles, pair = bound_angles(circuit, table[rows[0]:rows[-1] + 1])[rows - rows[0]], task[moved] // 2
         angles[moved, gates[pair]] += np.where(task[moved] % 2, -1.0, 1.0) * steps[rows[moved], pair]

@@ -31,12 +31,16 @@ runs the loop slice by slice: no other state-sized array is made. A qubit is
 amplitudes of each row, m covering every qubit touched so far (at least K).
 
 Pauli terms are read from the amplitudes, exactly or by shots, without a dense
-operator (``_expectations``, ``_sampled_expectations``). Shot readers that keep
-only class counts draw the counts, one binomial or multinomial over the exact
-class probabilities; ``sampler`` and ``sample_state`` draw each shot from a CDF
-(``_cdf``, ``_draws``). Streaming callers (the shift rule, which runs every
-network's forward pass, and the adjoint sweep) evaluate angles and prepare
-states in row blocks of at most ``_BATCH_AMPLITUDES`` = 2^18 amplitudes (4 MiB).
+operator (``_expectations``, ``_sampled_expectations``). A row wider than a
+piece is read a 2^15-amplitude piece at a time, with the piece its X/Y bits
+pair it with, into two buffers of a piece: no readout holds a second state.
+Shot readers that keep only class counts draw the counts, one binomial or
+multinomial over the exact class probabilities; ``sampler`` and
+``sample_state`` draw each shot from a CDF built in place (``_cdf``,
+``_draws``), freed before their outcome strings are built. Streaming callers
+(the shift rule, which runs every network's forward pass, and the adjoint
+sweep) evaluate angles and prepare states in row blocks of at most
+``_BATCH_AMPLITUDES`` = 2^18 amplitudes (4 MiB).
 
 Shot-mode draws come from the streams of ``derive_rng(seed, *task)``, numpy's
 ``default_rng(SeedSequence((seed, *task)))``. ``_seeds`` and ``_streams`` derive
@@ -591,45 +595,50 @@ def _check_width(rows: np.ndarray, observable: PauliObservable) -> None:
         raise CircuitError(f"observable width {observable.num_qubits} != state width {width}")
 
 
-def _signed_sums(values: np.ndarray, qubits) -> np.ndarray:
-    """Each row's sum of (B, 2^n) ``values``, entry i times -1 per set bit of i on ``qubits``:
-    one fold per qubit, highest first, takes the differences across that bit."""
-    for q in sorted(qubits, reverse=True):
+def _signed_sums(values: np.ndarray, qubits, spare: np.ndarray) -> np.ndarray:
+    """Each row's sum of (B, 2^m) C-contiguous ``values``, entry i times -1 per set bit of i on
+    ``qubits``: one fold per qubit, highest first, takes the differences across that bit, into
+    ``spare`` (as many numbers) and then ``values`` in turn."""
+    buffers = (spare.reshape(-1), values.reshape(-1))
+    for k, q in enumerate(sorted(qubits, reverse=True)):
         pairs = values.reshape(len(values), -1, 2, 1 << q)
-        values = pairs[:, :, 0] - pairs[:, :, 1]
+        out = buffers[k % 2][:pairs.size // 2].reshape(pairs[:, :, 0].shape)
+        values = np.subtract(pairs[:, :, 0], pairs[:, :, 1], out=out)
     return values.reshape(len(values), -1).sum(axis=1)
 
 
-def _squares(amplitudes: np.ndarray) -> np.ndarray:
-    """real^2 + imag^2 of ``amplitudes`` in one new float array."""
-    squares = np.square(amplitudes.real)
-    if np.iscomplexobj(amplitudes):
-        squares += np.square(amplitudes.imag)
-    return squares
-
-
 def _expectations(rows: np.ndarray, observable: PauliObservable) -> np.ndarray:
-    """Exact <row|O|row> of each of (B, 2^n) real or complex amplitude rows. A Z/I term folds
-    its Z signs into |row|^2, the first (highest) fold straight from the squares of the two
-    halves across that qubit. A term with X or Y sums conj(psi_k) psi_(k with its X, Y bits
-    flipped), a flipped view, with its Z and Y signs folded in, times (-i)^(Y count)."""
+    """Exact <row|O|row> of each of (B, 2^n) real or complex amplitude rows, read in pieces of
+    2^``_PIECE_QUBITS`` amplitudes (a whole shorter row). A Z/I term sums |psi_k|^2, a term with
+    X or Y conj(psi_k) psi_(k with its X, Y bits flipped): piece p with piece p ^ (the high X/Y
+    bits), read through a view flipped on the low ones. Each piece's values are added to or, for
+    an odd count of high Z/Y bits in p, subtracted from one buffer of a piece per row; its low Z/Y
+    signs then fold in, and the sum is times (-i)^(Y count). Z/I terms are read first. Rows wider
+    than a piece are read one at a time."""
     _check_width(rows, observable)
-    n, total = observable.num_qubits, np.zeros(len(rows))
-    for coeff, string in (term for term in observable.terms if not term[1].strip("IZ")):
-        qubits = [q for q, ch in enumerate(string) if ch == "Z"]
-        if qubits:  # the first fold, across the highest Z qubit, from the halves' squares
-            pairs = rows.reshape(len(rows), -1, 2, 1 << qubits.pop())
-            squares = _squares(pairs[:, :, 0])
-            squares -= _squares(pairs[:, :, 1])
-        else:
-            squares = _squares(rows)
-        total += coeff * _signed_sums(squares, qubits)
-        del squares  # freed before the next term's squares and any X/Y term's products
-    view = rows.reshape((len(rows),) + (2,) * n)  # qubit q is axis n - q
-    for coeff, string in (term for term in observable.terms if term[1].strip("IZ")):
-        products = np.conjugate(view)
-        products *= np.flip(view, [n - q for q, ch in enumerate(string) if ch in "XY"])
-        signed = _signed_sums(products.reshape(rows.shape), [q for q, ch in enumerate(string) if ch in "YZ"])
+    rows = np.asarray(rows, dtype=complex if np.iscomplexobj(rows) else float)  # the buffers' dtypes
+    if len(rows) > 1 and observable.num_qubits > _PIECE_QUBITS:
+        return np.concatenate([_expectations(row[None], observable) for row in rows])
+    low, total = min(observable.num_qubits, _PIECE_QUBITS), np.zeros(len(rows))
+    pieces = rows.reshape(len(rows), -1, 1 << low)
+    shape = (len(rows),) + (2,) * low  # qubit q of a piece is axis low - q
+    scratch = np.empty(2 * len(rows) << low, rows.dtype)  # two pieces of each row
+    for coeff, string in sorted(observable.terms, key=lambda term: bool(term[1].strip("IZ"))):
+        x, z = (sum(1 << q for q, ch in enumerate(string) if ch in chars) for chars in ("XY", "YZ"))
+        buffers = scratch.view(rows.dtype if x else float).reshape((-1,) + shape)  # 4 float pieces of complex rows
+        flip = (slice(None),) + tuple(slice(None, None, 1 - 2 * (x >> q & 1)) for q in reversed(range(low)))
+        for p in range(pieces.shape[1]):
+            out, piece = buffers[1 if p else 0], pieces[:, p].reshape(shape)
+            if x:
+                partner = pieces[:, p ^ x >> low].reshape(shape)[flip]
+                np.multiply(np.conjugate(piece, out=out) if rows.dtype == complex else piece, partner, out=out)
+            else:
+                np.square(piece.real, out=out)
+                if rows.dtype == complex:
+                    out += np.square(piece.imag, out=buffers[-1])
+            if p:
+                (np.subtract if bin(p & z >> low).count("1") % 2 else np.add)(buffers[0], out, out=buffers[0])
+        signed = _signed_sums(buffers[0].reshape(len(rows), -1), [q for q in range(low) if z >> q & 1], buffers[1])
         total += coeff * ((-1j) ** string.count("Y") * signed).real
     return total
 
@@ -693,17 +702,17 @@ def expectation(state: Statevector, observable: PauliObservable) -> float:
     return float(_expectations(state.amplitudes[None], observable)[0])
 
 
-def _frequencies(probs: np.ndarray, num_qubits: int, shots: int, seed: int | None) -> QuasiDistribution:
-    """Empirical outcome frequencies of ``shots`` seeded draws against ``probs``, an array
-    the caller owns: its CDF is built in place."""
-    shots = _check_shots(shots)
-    values, counts = np.unique(_draws(_cdf(probs), shots, derive_rng(seed)), return_counts=True)
+def _frequencies(draws: np.ndarray, num_qubits: int, shots: int) -> QuasiDistribution:
+    """Empirical outcome frequencies of ``shots`` drawn basis indices. Callers free the CDF
+    they were drawn from first, so that it is not alive beside the outcome strings."""
+    values, counts = np.unique(draws, return_counts=True)
     return QuasiDistribution(_outcome_dict(values, counts / shots, num_qubits), shots)
 
 
 def sample_state(state: Statevector, shots: int, seed: int | None = None) -> QuasiDistribution:
     """Empirical outcome frequencies from a seeded draw against |amp|^2."""
-    return _frequencies(state.probabilities(), state.num_qubits, shots, seed)
+    shots = _check_shots(shots)
+    return _frequencies(_draws(_cdf(state.probabilities()), shots, derive_rng(seed)), state.num_qubits, shots)
 
 
 def estimator(
@@ -739,4 +748,7 @@ def sampler(
     if shots is None:
         outcomes = np.flatnonzero(probs > 0.0)
         return QuasiDistribution(_outcome_dict(outcomes, probs[outcomes], circuit.num_qubits), None)
-    return _frequencies(probs, circuit.num_qubits, shots, seed)
+    shots = _check_shots(shots)
+    draws = _draws(_cdf(probs), shots, derive_rng(seed))
+    del probs  # the CDF, built in place
+    return _frequencies(draws, circuit.num_qubits, shots)

@@ -212,17 +212,18 @@ def _sixteen_qubit_calls() -> dict:
 # may grow by at most 0.1. At 16 qubits the two piece buffers hold as many numbers as the
 # state. A real circuit holds its float64 state and pieces (0.5 each), then ``run``'s complex
 # result beside the float64 state; a complex one holds its state and pieces. The estimator
-# and sampler read the float64 state itself: exact Z/I terms hold the squares of its two
-# halves, an X term one product array. Shot-mode terms read those same exact values, one
-# term at a time, and draw one binomial each, so they peak as exact mode does; the sampler
-# holds |state|^2 with its CDF in place. Compute-uncompute runs both circuits as one float64
-# state and reads its amplitude 0.
+# and sampler read the float64 state itself. A Pauli term is read a 2^15-amplitude piece at a
+# time into two piece buffers (0.5 together), freed with the run's own, so the estimator peaks
+# within its run. Shot-mode terms read those same exact values, one term at a time, and draw
+# one binomial each, so they peak as exact mode does. The sampler holds |state|^2 with its CDF
+# in place, and frees it before the outcome strings are built. Compute-uncompute runs both
+# circuits as one float64 state and reads its amplitude 0.
 @pytest.mark.parametrize("name, measured", [
     ("run_real", 1.51),
     ("run_complex", 2.04),
     ("estimator_exact", 1.07),
     ("estimator_shots", 1.07),
-    ("sampler_shots", 1.44),
+    ("sampler_shots", 1.04),
     ("compute_uncompute_exact", 1.09),
 ])
 def test_16_qubit_peaks_as_multiples_of_the_state(name, measured):
@@ -237,15 +238,18 @@ def test_20_qubit_estimator_and_sampler_peaks():
     weights = np.random.default_rng(6).uniform(-np.pi, np.pi, circuit.num_parameters)
     observable = PauliObservable(((1.0, "Z" * n), (0.7, "I" * 5 + "X" + "I" * (n - 6)), (0.5, "I" * (n - 2) + "ZI")))
     state_bytes = 16 * 2**n
-    # Measured multiples of the complex state (1.00, 1.00, 0.59 and 2.01) plus 0.1. A shot
-    # estimator reads each term's exact value, as the exact one does: the complex circuit's
-    # holds its state and the X term's complex product array.
+    # Measured multiples of the complex state (0.54, 0.54, 0.53, 1.07 and 1.07) plus 0.1, the
+    # complex ones held at 1.15. Each call peaks within its run: the state and two piece buffers.
+    # A Pauli term is read a piece at a time into two buffers of a piece, and a shot estimator
+    # reads each term's exact value as the exact one does; the sampler's CDF is freed before its
+    # outcome strings are built. A whole product or squares array beside the state reads 2.01.
     complex_circuit = circuit.append(Gate.rz(0.3, 0))
     for call, bound in (
-        (lambda: estimator(circuit, observable, weights, shots=4096, seed=1), 1.10),
-        (lambda: estimator(circuit, observable, weights), 1.10),
-        (lambda: sampler(circuit, weights, shots=4096, seed=1), 0.69),
-        (lambda: estimator(complex_circuit, observable, weights, shots=4096, seed=1), 2.11),
+        (lambda: estimator(circuit, observable, weights, shots=4096, seed=1), 0.64),
+        (lambda: estimator(circuit, observable, weights), 0.64),
+        (lambda: sampler(circuit, weights, shots=4096, seed=1), 0.63),
+        (lambda: estimator(complex_circuit, observable, weights, shots=4096, seed=1), 1.15),
+        (lambda: estimator(complex_circuit, observable, weights), 1.15),
     ):
         call()  # first-call allocations stay out of the count
         assert _peak_bytes(call) <= bound * state_bytes

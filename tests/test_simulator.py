@@ -59,8 +59,8 @@ from qmlkit.simulator import (
 )
 
 from .helpers import (
-    _PAULI_MATRICES, _PROJECTORS, _kron_qubits, dense_expectation, dense_gate_unitary, dense_state,
-    random_bound_circuit, random_observable, random_supported_circuit,
+    _PAULI_MATRICES, _PROJECTORS, _kron_qubits, axis_expectation, dense_expectation, dense_gate_unitary,
+    dense_state, random_bound_circuit, random_observable, random_supported_circuit,
 )
 
 Z = PauliObservable(((1.0, "Z"),))
@@ -677,9 +677,49 @@ def test_exact_expectations_of_mixed_strings_match_the_dense_oracle(num_qubits):
             assert abs(value - dense_expectation(row, obs)) <= 1e-12
 
 
-def _per_term_sampled_expectations(rows, observable, shots, seeds):
+def test_the_axis_oracle_matches_the_dense_oracle():
+    rng = np.random.default_rng(960)
+    for num_qubits in (1, 4, 7):
+        row = run(random_bound_circuit(rng, num_qubits, max_gates=4 * num_qubits)).amplitudes
+        obs = random_observable(rng, num_qubits, "IXYZ", 5)
+        assert abs(axis_expectation(row, obs) - dense_expectation(row, obs)) <= 1e-12
+
+
+@pytest.mark.parametrize("num_qubits", [16, 17])
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("batch", [1, 3])
+def test_expectations_across_the_piece_boundary_match_the_axis_oracle(num_qubits, dtype, batch):
+    # Rows wider than 2^15 amplitudes are read a piece at a time: X, Y and Z on qubits below
+    # 15 act inside a piece, and at or above it pair pieces and sign them.
+    rng = np.random.default_rng(970 + 2 * num_qubits + batch)
+    rows = rng.normal(size=(batch, 1 << num_qubits)).astype(dtype)
+    if dtype is complex:
+        rows.imag = rng.normal(size=rows.shape)
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    strings = []
+    for ch in "XYZ":
+        chars = list(rng.choice(list("IXYZ"), num_qubits))
+        chars[int(rng.integers(15))] = chars[int(rng.integers(15, num_qubits))] = ch
+        strings.append("".join(chars))
+    strings += ["".join(rng.choice(list("IXYZ"), num_qubits)) for _ in range(2)] + ["Z" * num_qubits]
+    assert {ch for s in strings for ch in s[:15]} >= set("XYZ") and {ch for s in strings for ch in s[15:]} >= set("XYZ")
+    observables = [PauliObservable(((float(rng.uniform(-1, 1)), s),)) for s in strings]
+    observables.append(PauliObservable(sum((o.terms for o in observables), ())))
+    shots, seeds = 1 << 30, [5, 6, 7][:batch]
+    for obs in observables:
+        expected = [axis_expectation(row, obs) for row in rows]
+        assert np.abs(_expectations(rows, obs) - expected).max() <= 1e-12
+        # Shot terms draw their binomials from their exact values: at 2^30 shots a value off by
+        # 1e-9 would move the draws, so these read the oracle's values.
+        draws = _per_term_sampled_expectations(rows, obs, shots, seeds, exact=axis_expectation)
+        assert np.abs(_sampled_expectations(rows, obs, shots, seeds) - draws).max() <= 1e-12
+
+
+def _per_term_sampled_expectations(rows, observable, shots, seeds, exact=None):
     """Shot-mode expectations with one exact value and one binomial draw per term and row: a shot
-    reads -1 with probability (1 - <P>) / 2, and row b's term t draws from stream (seeds[b], t)."""
+    reads -1 with probability (1 - <P>) / 2, and row b's term t draws from stream (seeds[b], t).
+    ``exact(amplitudes, term)`` gives <P>, by default the one-state ``expectation``."""
+    exact = exact or (lambda amplitudes, term: expectation(simulator.Statevector(term.num_qubits, amplitudes), term))
     total = np.zeros(len(rows))
     for term_index, (coeff, string) in enumerate(observable.terms):
         if set(string) == {"I"}:
@@ -687,7 +727,7 @@ def _per_term_sampled_expectations(rows, observable, shots, seeds):
             continue
         term = PauliObservable(((1.0, string),))
         for b, seed in enumerate(seeds):
-            odd = min(1.0, max(0.0, (1.0 - expectation(simulator.Statevector(len(string), rows[b]), term)) / 2.0))
+            odd = min(1.0, max(0.0, (1.0 - exact(rows[b], term)) / 2.0))
             total[b] += coeff * (1.0 - 2.0 * derive_rng(seed, term_index).binomial(shots, odd) / shots)
     return total
 
