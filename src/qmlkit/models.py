@@ -453,7 +453,7 @@ def _label_map(data: dict) -> dict[str, int] | None:
 def model_from_dict(data: dict):
     """Rebuild a model from ``model_to_dict`` output."""
     kind = _field(data, "type", str, "")
-    version = data.get("format_version", FORMAT_VERSION)
+    version = _numbers(data.get("format_version", FORMAT_VERSION), "format_version", 0, integers=True)
     if version != FORMAT_VERSION:
         raise ModelFormatError("format_version", f"unsupported version {version!r}")
     feature_map = circuit_from_dict(_field(data, "feature_map", object, ""), "feature_map")

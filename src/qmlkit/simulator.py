@@ -25,10 +25,11 @@ the loop run on identity columns; each state's products with it are separate
 BLAS calls of one shape, so batch rows equal their one-state runs byte for
 byte. Runs of blocks within the lowest 15 qubits go over each row's
 2^15-amplitude pieces in turn through two piece buffers, higher blocks a
-piece's worth of columns at a time, and a gate spanning more than K qubits
-runs the loop slice by slice: no other state-sized array is made. A qubit is
-|0> until its first gate, so blocks run on the touched prefix: the first 2^m
-amplitudes of each row, m covering every qubit touched so far (at least K).
+piece's worth of columns at a time, and the loop splits a gate on more than
+K qubits into slices whose products fit a piece buffer: no other state-sized
+array is made. A qubit is |0> until its first gate, so blocks run on the
+touched prefix: the first 2^m amplitudes of each row, m covering every qubit
+touched so far (at least K).
 
 Pauli terms are read from the amplitudes, exactly or by shots, without a dense
 operator (``_expectations``, ``_sampled_expectations``). A row wider than a
@@ -308,9 +309,11 @@ def _apply(view: np.ndarray, num_qubits: int, ops, scratch: np.ndarray | None = 
     """Apply each ``(matrix, target, controls)`` of ``ops`` in place to a ``(2,) * n + (B,)``
     view of states: the 2x2 matrix acts on ``target`` where every (qubit, bit) control matches.
 
-    Qubit q is axis n - 1 - q (of length 1 where a caller's slice fixed it); integer indices
-    keep every slice a view. Two blocks at the start of the flat ``scratch`` (by default a
-    new one the size of ``view``) hold a gate's intermediate products."""
+    Qubit q is axis n - 1 - q; integer indices keep every slice a view. Two blocks at the start
+    of the flat ``scratch`` (by default a new one the size of ``view``) hold a gate's products; a
+    non-diagonal gate whose blocks do not fit is applied to each half of the view's first free
+    axis (neither target nor control) longer than one, the row axis last, whose (B,) entries
+    split with it. Entries round alike however the view is split."""
     scratch = np.empty(view.size, view.dtype) if scratch is None else scratch
     last = num_qubits - 1
     for (m00, m01, m10, m11), target, controls in ops:
@@ -337,6 +340,14 @@ def _apply(view: np.ndarray, num_qubits: int, ops, scratch: np.ndarray | None = 
                 else:
                     half *= factor
             continue
+        if 2 * lo.size > scratch.size:
+            axis = next(a for a, i in enumerate(index) if type(i) is slice and view.shape[a] > 1)
+            cut = view.shape[axis] // 2
+            for part in (slice(None, cut), slice(cut, None)):
+                entries = tuple(m[part] if type(m) is np.ndarray and axis == view.ndim - 1 else m
+                                for m in (m00, m01, m10, m11))
+                _apply(view[(slice(None),) * axis + (part,)], num_qubits, [(entries, target, controls)], scratch)
+            continue
         parts = scratch[:2 * lo.size].reshape((2,) + lo.shape)
         lo_part = np.multiply(lo, m10, parts[0])
         if type(m00) is not np.ndarray and m00 == 0 and m11 == 0:
@@ -347,26 +358,6 @@ def _apply(view: np.ndarray, num_qubits: int, ops, scratch: np.ndarray | None = 
             lo += np.multiply(hi, m01, parts[1])
             hi *= m11
             hi += lo_part
-
-
-def _apply_sliced(rows: np.ndarray, num_qubits: int, ops, scratch: np.ndarray) -> None:
-    """``_apply`` of ``ops`` in place on C-contiguous (B, 2^n) rows, an op and a slice at a time.
-    A slice spans a group of rows, the op's qubits and as many of its lowest other qubits as
-    keep its two blocks within the flat ``scratch``; its higher other qubits take each of their
-    values in turn. The ops' real or imaginary entries round alike however the rows are sliced."""
-    room, last = scratch.size // 2, num_qubits - 1
-    for matrix, target, controls in ops:
-        free = sorted(set(range(num_qubits)) - {target, *(q for q, _ in controls)})
-        group = max(1, room >> len(free))
-        fixed = free[(room // group).bit_length() - 1:]
-        for start in range(0, len(rows), group):
-            entries = tuple(m[start:start + group] if type(m) is np.ndarray else m for m in matrix)
-            view = rows[start:start + group].T.reshape((2,) * num_qubits + (-1,))
-            for bits in itertools.product((0, 1), repeat=len(fixed)):
-                index = [slice(None)] * view.ndim
-                for q, bit in zip(fixed, bits):
-                    index[last - q] = slice(bit, bit + 1)
-                _apply(view[tuple(index)], num_qubits, [(entries, target, controls)], scratch)
 
 
 def _blocks(num_qubits: int, gates) -> list[tuple[int | None, list[int]]]:
@@ -461,7 +452,7 @@ def _run_blocks(num_qubits: int, gates, ops: list, rows: int, dtype) -> np.ndarr
         m = max(m, top)
         prefix = state[:, :1 << m]
         if window is None:
-            _apply_sliced(prefix, m, block_ops, buffers[0])
+            _apply(prefix.T.reshape((2,) * m + (rows,)), m, block_ops, buffers[0])
         elif window + _BLOCK_QUBITS > _PIECE_QUBITS:
             matrices = _block_matrices(window, block_ops, rows, dtype)
             out = buffers[0].reshape(1 << _BLOCK_QUBITS, -1)
@@ -511,8 +502,10 @@ def _adjoint_terms(num_qubits: int, gates, angles, observables, stops, read=None
     each gate index in ``stops``, last first, yields it and the (B, O) Im<lambda_o|P|phi> of its
     generator P (a CRY's on its controls' subspace). phi, the states after the gate, and lambda_o,
     ``observables[o]`` applied to the final states and carried back to it, are the columns of one
-    (1 + O, 2^n, B) stack, complex when the states are or an observable has a Y term; each gate
-    after the earliest stop is un-applied from every column by one ``_apply`` at the negated angle.
+    (1 + O, 2^n, B) stack, complex when the states are or an observable has a Y term. A term of
+    lambda_o is phi copied through a view reversed on its X and Y axes, times its Z signs and
+    (-i)^(Y count). Each gate after the earliest stop is un-applied from every column by one
+    ``_apply`` at the negated angle, whose scratch of one column (at least a piece) splits the stack.
     ``read``, if given, is called on the (B, 2^n) final states first, before the stack is made."""
     n, first = num_qubits, min(stops)
     states = run_ops(n, gates, angles)
@@ -522,18 +515,17 @@ def _adjoint_terms(num_qubits: int, gates, angles, observables, stops, read=None
     stack = np.empty((1 + len(observables), 1 << n, len(angles)), dtype=complex if complex_terms else states.dtype)
     stack[0] = states.T
     del states
-    scratch = np.empty(stack.size, stack.dtype)
+    scratch = np.empty(max(stack[0].size, 1 << _PIECE_QUBITS), stack.dtype)
     # Qubit q is axis n - q: ``_apply`` takes the column axis for an (n + 1)-th qubit's.
     view = stack.reshape(stack.shape[:1] + (2,) * n + stack.shape[2:])
     parts = stack.view(float).reshape(view.shape + (-1,))  # each amplitude's real (and imaginary) part
     term = scratch[:view[0].size].reshape(view[0].shape)
     for o, observable in enumerate(observables):
         view[1 + o] = 0.0
-        for coeff, string in observable.terms:  # Z, then X, on each Y qubit: Y = i X Z
-            term[...] = view[0]
-            _apply(term, n, [(_Z, q, ()) for q, ch in enumerate(string) if ch in "YZ"]
-                   + [(_X, q, ()) for q, ch in enumerate(string) if ch in "XY"], scratch[term.size:])
-            term *= coeff * (1, 1j, -1, -1j)[string.count("Y") % 4]
+        for coeff, string in observable.terms:  # X, then Z, on each Y qubit: Y = -i Z X
+            np.copyto(term, view[0][tuple(slice(None, None, 1 - 2 * (ch in "XY")) for ch in reversed(string))])
+            _apply(term, n, [(_Z, q, ()) for q, ch in enumerate(string) if ch in "YZ"], scratch[:0])  # no products
+            term *= coeff * (1, -1j, -1, 1j)[string.count("Y") % 4]
             view[1 + o] += term
     half = np.divide(angles.T, -2.0, order="C")  # each gate's row of negated half angles
     cos, sin = np.cos(half), np.sin(half, out=half)

@@ -720,8 +720,11 @@ RULE_FILES = {  # a valid file of each kind, its loader and the command that rea
     ("vqc", ("weights",), [0.1, True], "weights"),
     ("vqc", ("label_map",), {"a": -1, "b": -1}, "label_map"),
     ("vqc", ("label_map",), {"a": 1}, "label_map"),
+    ("vqc", ("format_version",), True, "format_version"),
+    ("vqr", ("format_version",), 1.0, "format_version"),
 ], ids=["angle-int", "coeff-string", "coeff-1e400", "factor-bool-string", "cpt-string", "cpt-bool",
-        "node-name-int", "observable-string", "weight-bool", "labels-both-minus", "labels-one"])
+        "node-name-int", "observable-string", "weight-bool", "labels-both-minus", "labels-one",
+        "version-bool", "version-float"])
 def test_every_json_loader_names_a_bad_field_and_the_cli_exits_2(
         tmp_path, monkeypatch, capsys, kind, keys, value, field):
     document, load, argv = RULE_FILES[kind]

@@ -470,20 +470,58 @@ def test_small_pieces_match_the_dense_oracle(monkeypatch):
                 assert np.max(np.abs(run(full).amplitudes - dense_state(full))) <= 1e-12
 
 
+@pytest.mark.parametrize("observables", [1, 2])
+@pytest.mark.parametrize("rows", [1, 5])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_apply_splits_a_gate_its_scratch_cannot_hold_into_the_same_bytes(observables, rows, dtype):
+    """The adjoint's ``(1 + O,) + (2,) * n + (B,)`` stack, with scratches of 2, 6 and 64 numbers:
+    gates split on the stack axis, on qubits they do not touch and, last, on the row axis, whose
+    per-row entries split with it."""
+    n, rng = 4, np.random.default_rng(31 * rows + observables)
+    gates = [Gate.h(0), Gate.x(3), Gate.cx(1, 2), Gate.cz(0, 3), Gate.ry(0.0, 1), Gate.cry(0.0, [(2, 0)], 0),
+             Gate.cry(0.0, [(0, 1), (3, 0)], 1)]
+    if dtype is np.complex128:
+        gates += [Gate.rx(0.0, 2), Gate.rz(0.0, 3), Gate.cry(0.0, [(3, 1)], 2)]
+    half = rng.uniform(-np.pi, np.pi, (len(gates), rows)) / 2.0
+    if rows == 1:  # one row's scalar angles, as the gate-by-gate path evaluates them
+        half = half[:, 0].tolist()
+    ops = [(simulator._MATRICES[g.kind](np.cos(h), np.sin(h)), g.targets[0], g.controls) for g, h in zip(gates, half)]
+    shape = (1 + observables, 2**n, rows)
+    states = rng.normal(size=shape) + (1j * rng.normal(size=shape) if dtype is np.complex128 else 0.0)
+    view_shape = (1 + observables,) + (2,) * n + (rows,)
+    expected = states.copy()
+    simulator._apply(expected.reshape(view_shape), n + 1, ops)
+    for size in (2, 6, 64):
+        split = states.copy()
+        simulator._apply(split.reshape(view_shape), n + 1, ops, np.empty(size, dtype))
+        assert split.dtype == dtype and split.tobytes() == expected.tobytes()
+
+
 def _record_widths(monkeypatch) -> list:
-    """Record the width of the rows that each ``_run_pieces`` and ``_apply_sliced`` call with work
-    receives: its run or its ops, the second-last argument, is not empty."""
-    widths = []
+    """Record the width of the rows that each ``_run_pieces`` and ``_apply`` call with work (its run
+    or its ops is not empty) receives, of the ``_apply`` calls that ``_run_blocks`` makes on the
+    state: ``_block_matrices``' calls pass no scratch, and the calls ``_apply`` makes on halves of
+    its view are nested in another."""
+    widths, depth = [], 0
+    run_pieces, apply = simulator._run_pieces, simulator._apply
 
-    def spy(native):
-        def call(rows, *args):
-            if args[-2]:
-                widths.append(rows.shape[1])
-            return native(rows, *args)
-        return call
+    def pieces(rows, run, buffers):
+        if run:
+            widths.append(rows.shape[1])
+        return run_pieces(rows, run, buffers)
 
-    for name in ("_run_pieces", "_apply_sliced"):
-        monkeypatch.setattr(simulator, name, spy(getattr(simulator, name)))
+    def gates(view, num_qubits, ops, scratch=None):
+        nonlocal depth
+        if ops and scratch is not None and not depth:
+            widths.append(2**num_qubits)
+        depth += 1
+        try:
+            return apply(view, num_qubits, ops, scratch)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(simulator, "_run_pieces", pieces)
+    monkeypatch.setattr(simulator, "_apply", gates)
     return widths
 
 
