@@ -381,20 +381,23 @@ def circuit_from_dict(data: dict, path: str = "circuit") -> Circuit:
             angle = None
             if entry.get("angle") is not None:
                 at, spec = f"{where}.angle", _field(entry, "angle", dict, where)
-                factors = []
-                for off, scale, name in spec.get("factors", []):
+                triples, factors = spec.get("factors", []), []
+                if type(triples) is not list or not all(
+                        type(f) is list and len(f) == 3 and type(f[2]) is str for f in triples):
+                    raise ModelFormatError(f"{at}.factors", "expected [offset, scale, name] triples")
+                for off, scale, name in triples:
                     if name not in params:
-                        raise ModelFormatError(at, f"unknown parameter {name!r}")
+                        raise ModelFormatError(f"{at}.factors", f"unknown parameter {name!r}")
                     factors.append((*_numbers([off, scale], f"{at}.factors", 1), params[name]))
                 angle = AngleExpr(_numbers(_field(spec, "coeff", object, at), f"{at}.coeff", 0), tuple(factors))
-            controls = tuple((q, v) for q, v in _numbers(entry.get("controls", []), where, 2, integers=True))
+            controls = _numbers(entry.get("controls", []), where, 2, integers=True)
+            if {*map(len, controls)} - {2}:
+                raise ModelFormatError(where, "expected [qubit, bit] control pairs")
             gate = Gate(kind, tuple(_numbers(_field(entry, "targets", object, where), where, 1, integers=True)),
-                        controls, angle)
+                        tuple(map(tuple, controls)), angle)
             if max(gate.qubits) >= num_qubits:  # extend() below would not name the gate
                 raise CircuitError(f"gate {kind} uses qubit {max(gate.qubits)} outside width {num_qubits}")
-        except ModelFormatError:
-            raise
-        except (CircuitError, TypeError, ValueError) as exc:
+        except CircuitError as exc:
             raise ModelFormatError(where, str(exc)) from exc
         gates.append(gate)
     circuit = circuit.extend(gates)  # one build, so loading stays linear

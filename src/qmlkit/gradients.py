@@ -80,10 +80,9 @@ _CRY_RULE = ((math.pi / 2, 4.0 * _ROOT2 / (_ROOT2 + 1.0)), (1.5 * math.pi, -4.0 
 def _occurrence_map(circuit: Circuit, wrt: Sequence[Parameter]) -> dict[Parameter, list[int]]:
     """Gate indices where each requested parameter occurs, each gate once."""
     occurrences: dict[Parameter, list[int]] = {p: [] for p in wrt}  # keyed by identity
-    for index, gate in enumerate(circuit.gates):
-        for p in dict.fromkeys(gate.angle.parameters if gate.angle else ()):
-            if p in occurrences:
-                occurrences[p].append(index)
+    for index, gate in enumerate(circuit.gates if occurrences else ()):
+        for p in occurrences.keys() & (gate.angle.parameters if gate.angle else ()):
+            occurrences[p].append(index)
     return occurrences
 
 
@@ -131,8 +130,8 @@ def shift_rule_jacobian(
 def _shift_rule(circuit: Circuit, table, evaluate, shift=math.pi / 2, wrt=None, unshifted: int = 0):
     """The shift rule's (R, len(wrt), output_dim) Jacobian over an (R, P) ``table``, as
     ``shift_rule_jacobian`` describes it, and the (R, unshifted, output_dim) outputs of ``unshifted``
-    tasks per row, numbered -unshifted, ..., -1 after its shifted ones, that read its unshifted
-    state. ``evaluate(states, rows, tasks)`` gets each block's rows as ``run_ops`` returns them:
+    tasks per row that read its unshifted state. These come first in the row, numbered -unshifted,
+    ..., -1. ``evaluate(states, rows, tasks)`` gets each block's rows as ``run_ops`` returns them:
     float64 for a circuit of only ``_REAL_KINDS`` gates, complex128 otherwise, and a block evaluates
     only its own rows' angles. With no parameters, only the unshifted tasks run (a network's forward
     pass); with neither, or no rows, nothing runs and both are empty."""
@@ -154,22 +153,21 @@ def _shift_rule(circuit: Circuit, table, evaluate, shift=math.pi / 2, wrt=None, 
     for j, (k, gate, _, _) in enumerate(pairs):
         slopes[:, j] = _slope(circuit.gates[gate].angle, params[k], env)
     steps = np.where(slopes < 0, -shifts, shifts)  # each pair's first angle move
-    shifted, blocks = 2 * len(pairs), []
-    tasks = shifted + unshifted
+    tasks, blocks = unshifted + 2 * len(pairs), []
     for block in _row_blocks(n, len(circuit.gates), len(table) * tasks):
         rows, task = np.divmod(np.arange(block.start, min(block.stop, len(table) * tasks)), tasks)
-        moved = np.flatnonzero(task < shifted)
-        angles, pair = bound_angles(circuit, table[rows[0]:rows[-1] + 1])[rows - rows[0]], task[moved] // 2
+        task -= unshifted  # each task's id: a row's unshifted tasks come first, as -unshifted, ..., -1
+        moved = np.flatnonzero(task >= 0)
+        angles, pair = bound_angles(circuit, table[rows[0]:rows[-1] + 1]).take(rows - rows[0], 0), task[moved] // 2
         angles[moved, gates[pair]] += np.where(task[moved] % 2, -1.0, 1.0) * steps[rows[moved], pair]
         # Unnamed, so that no block's states outlive its callback.
-        blocks.append(np.asarray(evaluate(run_ops(n, circuit.gates, angles), rows,
-                                          np.where(task < shifted, task, task - tasks)), dtype=float))
+        blocks.append(np.asarray(evaluate(run_ops(n, circuit.gates, angles), rows, task), dtype=float))
     outputs = np.concatenate(blocks).reshape(len(table), tasks, blocks[0].shape[1])
-    moves = outputs[:, :shifted].reshape(len(table), -1, 2, outputs.shape[2])  # each pair's two moves
+    moves = outputs[:, unshifted:].reshape(len(table), -1, 2, outputs.shape[2])  # each pair's two moves
     terms = (moves[:, :, 0] - moves[:, :, 1]) / divisors[:, None] * np.abs(slopes)[:, :, None]
     jacobian = np.zeros((len(table), len(params), terms.shape[2]))
     np.add.at(jacobian, (slice(None), owners), terms)  # occurrences add up in gate order
-    return jacobian, outputs[:, shifted:]
+    return jacobian, outputs[:, :unshifted]
 
 
 def _adjoint_jacobian(circuit: Circuit, observables: Sequence[PauliObservable], values,

@@ -459,11 +459,20 @@ def model_from_dict(data: dict):
     feature_map = circuit_from_dict(_field(data, "feature_map", object, ""), "feature_map")
     if kind in ("vqc", "vqr"):
         ansatz = circuit_from_dict(_field(data, "ansatz", object, ""), "ansatz")
+        try:
+            feature_map.compose(ansatz)  # equal widths, and no parameter name in both
+        except CircuitError as exc:
+            raise ModelFormatError("ansatz", str(exc)) from exc
         weights = _array(data, "weights")
+        if len(weights) != ansatz.num_parameters:
+            raise ModelFormatError("weights", f"expected {ansatz.num_parameters} weights, got {len(weights)}")
         history = list(_numbers(data.get("loss_history", []), "loss_history", 1))
         if kind == "vqc":
             return VqcModel(feature_map, ansatz, weights, history, _label_map(data))
         observable = _observable_from_dict(_field(data, "observable", list, ""), "observable")
+        if observable.num_qubits != feature_map.num_qubits:
+            raise ModelFormatError("observable", f"expected width {feature_map.num_qubits}, "
+                                   f"got {observable.num_qubits}")
         return VqrModel(feature_map, ansatz, weights, observable, history)
     if kind in ("qsvc", "pegasos"):
         alphas, labels = _array(data, "alphas"), _array(data, "support_labels")
@@ -471,6 +480,9 @@ def model_from_dict(data: dict):
         support = _array(data, "support_data", 2) if rows else np.zeros((0, feature_map.num_parameters))
         if not (len(alphas) == len(labels) == len(support)):
             raise ModelFormatError("support_data", "alphas, labels, and rows disagree in length")
+        if support.shape[1] != feature_map.num_parameters:
+            raise ModelFormatError("support_data", f"expected {feature_map.num_parameters} features per row, "
+                                   f"got {support.shape[1]}")
         lam = steps = None
         if kind == "pegasos":
             lam = _numbers(data.get("lambda"), "lambda", 0)

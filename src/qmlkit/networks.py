@@ -91,7 +91,7 @@ class _QnnBase:
             raise CircuitError(f"expected {len(self.input_params)} inputs per row, got {rows.shape[1:]}")
         if weights.shape != (len(self.weight_params),):
             raise CircuitError(f"expected {len(self.weight_params)} weights, got {weights.shape}")
-        values = np.zeros((len(rows), self.circuit.num_parameters))
+        values = np.empty((len(rows), self.circuit.num_parameters))  # the two partitions fill it
         values[:, list(self.input_params)] = rows
         values[:, list(self.weight_params)] = weights
         return values
@@ -257,4 +257,5 @@ class SamplerQnn(_QnnBase):
         sums = np.bincount(buckets, weights=probs.ravel(), minlength=d * len(probs)).reshape(-1, d)
         if shots is None:
             return sums
-        return np.array([rng.multinomial(shots, row / row.sum()) for rng, row in zip(_streams(seeds), sums)]) / shots
+        np.divide(sums, sums.sum(axis=1, keepdims=True), out=sums)
+        return np.array([rng.multinomial(shots, row) for rng, row in zip(_streams(seeds), sums)]) / shots

@@ -13,7 +13,7 @@ from qmlkit import (
     kernel_entry, network_from_dict, real_amplitudes_ansatz, zz_feature_map,
 )
 from qmlkit.cli import GRADCHECK_TOLERANCE, build_parser, main
-from qmlkit.models import VqcModel, VqrModel, model_from_dict, model_to_dict, svm_predict
+from qmlkit.models import SvmModel, VqcModel, VqrModel, model_from_dict, model_to_dict, svm_predict
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -705,6 +705,8 @@ RULE_FILES = {  # a valid file of each kind, its loader and the command that rea
                                    [0.5], {"a": -1, "b": 1})), model_from_dict, PREDICT_F),
     "vqr": (model_to_dict(VqrModel(zz_feature_map(1), real_amplitudes_ansatz(1), np.array([0.1, 0.2]),
                                    PauliObservable(((1.0, "Z"),)), [0.5])), model_from_dict, PREDICT_F),
+    "qsvc": (model_to_dict(SvmModel("qsvc", zz_feature_map(1), np.array([0.5]), np.array([1.0]), np.array([[0.2]]),
+                                    label_map={"a": -1, "b": 1})), model_from_dict, PREDICT_F),
 }
 
 
@@ -722,9 +724,30 @@ RULE_FILES = {  # a valid file of each kind, its loader and the command that rea
     ("vqc", ("label_map",), {"a": 1}, "label_map"),
     ("vqc", ("format_version",), True, "format_version"),
     ("vqr", ("format_version",), 1.0, "format_version"),
+    ("circuit", ("gates", 1, "angle", "factors", 0), [0.0, 1.0], "circuit.gates[1].angle.factors"),
+    ("circuit", ("gates", 1, "angle", "factors"), "ab", "circuit.gates[1].angle.factors"),
+    ("circuit", ("gates", 1, "angle", "factors"), [5], "circuit.gates[1].angle.factors"),
+    ("circuit", ("gates", 1, "angle", "factors", 0), [0.0, 1.0, [1]], "circuit.gates[1].angle.factors"),
+    ("circuit", ("gates", 1, "angle", "factors", 0, 2), "u", "circuit.gates[1].angle.factors"),
+    ("circuit", ("gates", 0, "controls"), [[1]], "circuit.gates[0]"),
+    ("circuit", ("parameters",), [5], "circuit.parameters"),
+    ("circuit", ("parameters",), ["t", "t"], "circuit.parameters"),
+    ("network", ("nodes",), [], "nodes"),
+    ("network", ("nodes", 1, "name"), "A", "nodes"),
+    ("vqc", ("format_version",), 2, "format_version"),
+    ("vqc", ("type",), "mlp", "type"),
+    ("vqc", ("weights",), [0.1], "weights"),
+    ("vqc", ("ansatz",), circuit_to_dict(real_amplitudes_ansatz(2)), "ansatz"),
+    ("vqr", ("observable",), [[1.0, "ZZ"]], "observable"),
+    ("qsvc", ("alphas",), [0.5, 0.1], "support_data"),
+    ("qsvc", ("support_data",), [[0.2, 0.3]], "support_data"),
+    ("qsvc", ("support_data",), [[0.2], [0.1, 0.3]], "support_data"),
 ], ids=["angle-int", "coeff-string", "coeff-1e400", "factor-bool-string", "cpt-string", "cpt-bool",
         "node-name-int", "observable-string", "weight-bool", "labels-both-minus", "labels-one",
-        "version-bool", "version-float"])
+        "version-bool", "version-float", "factor-pair", "factors-string", "factor-int", "factor-name-list",
+        "factor-name-unknown", "control-single", "parameter-int", "parameters-duplicate", "nodes-empty",
+        "node-name-duplicate", "version-2", "type-unknown", "weights-too-few", "ansatz-width",
+        "observable-width", "alphas-length", "support-data-width", "support-data-ragged"])
 def test_every_json_loader_names_a_bad_field_and_the_cli_exits_2(
         tmp_path, monkeypatch, capsys, kind, keys, value, field):
     document, load, argv = RULE_FILES[kind]
@@ -741,6 +764,21 @@ def test_every_json_loader_names_a_bad_field_and_the_cli_exits_2(
     assert status == 2 and out == "" and err.count("\n") == 1
     assert json.loads(err)["error"].startswith(f"{field}: ")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "f.json"]
+
+
+@pytest.mark.parametrize("kind", sorted(RULE_FILES))
+def test_every_json_loader_names_a_top_level_array_and_the_cli_exits_2(tmp_path, monkeypatch, capsys, kind):
+    _, load, argv = RULE_FILES[kind]
+    field = "circuit" if kind == "circuit" else "$"  # a circuit file is read as the field "circuit"
+    with pytest.raises(ModelFormatError) as info:
+        load([])
+    assert info.value.field_path == field
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f.json").write_text("[]")
+    (tmp_path / "d.csv").write_text("f0\n0.1\n")
+    status, out, err = run_cli(capsys, *argv)
+    assert status == 2 and out == "" and err.count("\n") == 1
+    assert json.loads(err)["error"] == f"{field}: expected an object"
 
 
 @pytest.mark.parametrize("best_of", ["0", "-3"])

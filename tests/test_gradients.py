@@ -26,6 +26,7 @@ from qmlkit import (
     spsa_gradient,
     zz_feature_map,
 )
+from qmlkit import gradients, simulator
 from qmlkit.circuits import bound_angles
 from qmlkit.gradients import shift_rule_jacobian
 
@@ -303,6 +304,35 @@ def test_shift_rule_over_a_table_reads_rows_in_order_and_equals_its_rows():
         row = shift_rule_jacobian(circuit, values, lambda state, task: evaluate_row(state, i, task))
         assert jacobians[i].tobytes() == row.tobytes()
         assert np.all(row[:, 1] == 0.0)
+
+
+@pytest.mark.parametrize("small_blocks", [False, True])
+@pytest.mark.parametrize("unshifted", [0, 1, 2])
+def test_shift_rule_numbers_a_rows_unshifted_tasks_first(monkeypatch, unshifted, small_blocks):
+    t = Parameter("t")
+    circuit = zz_feature_map(2, 1).compose(real_amplitudes_ansatz(2, 1)).extend(
+        [Gate.cry(t, [(0, 1)], 1), Gate.rx(AngleExpr(0.5, ((0.2, 1.5, t),)), 0)])
+    table = np.random.default_rng(unshifted).uniform(-np.pi, np.pi, (3, circuit.num_parameters))
+    if small_blocks:  # blocks of 4 tasks, which straddle rows
+        monkeypatch.setattr(simulator, "_BATCH_AMPLITUDES", 4 * len(circuit.gates))
+    seen = []
+
+    def evaluate(states, rows, tasks):
+        seen.extend(zip(rows.tolist(), tasks.tolist(), states.copy()))
+        return np.stack([rows, tasks, states[:, 1].real], axis=1)
+
+    jacobian, outputs = gradients._shift_rule(circuit, table, evaluate, unshifted=unshifted)
+    shifted = len(seen) // len(table) - unshifted
+    # x0 and x1 feed 2 rotations each, w0-w3 one each, t an RX and a CRY (two pairs): 11 pairs.
+    assert shifted == 2 * 11
+    # Row by row: the unshifted tasks -unshifted, ..., -1 first, then each pair's two moves.
+    assert [(i, k) for i, k, _ in seen] == [(i, k) for i in range(3) for k in range(-unshifted, shifted)]
+    states = simulator.run_ops(2, circuit.gates, bound_angles(circuit, table))
+    assert all(state.tobytes() == states[i].tobytes() for i, k, state in seen if k < 0)  # the row's own state
+    assert outputs.shape == (3, unshifted, 3)
+    expected = [(i, k) for i in range(3) for k in range(-unshifted, 0)]  # each row's tasks -unshifted, ..., -1
+    assert np.array_equal(outputs[:, :, :2].reshape(-1, 2), np.reshape(expected, (-1, 2)))
+    assert jacobian.tobytes() == gradients._shift_rule(circuit, table, evaluate)[0].tobytes()
 
 
 def test_shift_rule_over_a_table_of_no_rows_is_empty():

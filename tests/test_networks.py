@@ -29,6 +29,7 @@ from qmlkit import (
     zz_feature_map,
 )
 from qmlkit import networks, simulator
+from qmlkit.circuits import bound_angles
 
 from .helpers import random_observable, random_supported_circuit
 
@@ -389,6 +390,22 @@ def test_zz_encoding_shot_backward_is_deterministic(kind):
     second = qnn.backward(inputs, weights, shots=128, seed=17)
     assert first[0].shape == (qnn.output_dim, 4)
     assert all(a.tobytes() == b.tobytes() for a, b in zip(first, second))
+
+
+@pytest.mark.parametrize("num_qubits, interpret, output_dim", [(2, parity_interpret, 2), (4, None, None),
+                                                              (12, None, None)], ids=["2", "16", "4096"])
+def test_shot_sampler_readout_draws_each_row_from_its_own_normalised_sums(num_qubits, interpret, output_dim):
+    circuit = zz_feature_map(num_qubits, 1).compose(real_amplitudes_ansatz(num_qubits, 1))
+    qnn = SamplerQnn(circuit, range(num_qubits), range(num_qubits, circuit.num_parameters), interpret, output_dim)
+    rng = np.random.default_rng(num_qubits)
+    values = qnn._values(rng.uniform(-2.0, 2.0, (5, num_qubits)), rng.uniform(-2.0, 2.0, len(qnn.weight_params)))
+    states = simulator.run_ops(num_qubits, circuit.gates, bound_angles(circuit, values))
+    seeds = rng.integers(0, 2**63, 5, dtype=np.uint64)
+    sums = qnn._readout(states, None, None)
+    assert sums.shape == (5, 2 if interpret else 2**num_qubits)
+    # One draw per row, from the row's stream and its bucket sums over their total.
+    expected = np.array([g.multinomial(256, row / row.sum()) for g, row in zip(simulator._streams(seeds), sums)]) / 256
+    assert qnn._readout(states, 256, seeds).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("network", ["estimator", "sampler"])
