@@ -330,7 +330,10 @@ def _parse_assignment(text: str) -> tuple[str, int]:
 def cmd_bayes(args) -> int:
     network = network_from_dict(_read_json(args.network))
     target, target_value = _parse_assignment(args.query)
-    evidence = dict(_parse_assignment(item) for item in args.evidence)
+    evidence: dict[str, int] = {}
+    for name, value in map(_parse_assignment, args.evidence):
+        if evidence.setdefault(name, value) != value:
+            raise CliError(f"--evidence sets {name} to both 0 and 1")
     query = Query(target, target_value, evidence)
     exact = exact_inference(network, query)
     estimate, accepted = rejection_inference(network, query, shots=args.shots, seed=args.seed)

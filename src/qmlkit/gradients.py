@@ -152,19 +152,19 @@ def _shift_rule(circuit: Circuit, table, evaluate, shift=math.pi / 2, wrt=None, 
     slopes = np.empty((len(table), len(pairs)))  # d angle / d parameter, per row and pair
     for j, (k, gate, _, _) in enumerate(pairs):
         slopes[:, j] = _slope(circuit.gates[gate].angle, params[k], env)
-    steps = np.where(slopes < 0, -shifts, shifts)  # each pair's first angle move
+    # Each row's angle move per shifted task: a pair's first task moves with the slope's sign, its second against it.
+    steps = (np.where(slopes < 0, -shifts, shifts)[:, :, None] * [1.0, -1.0]).reshape(len(table), -1)
     tasks, blocks = unshifted + 2 * len(pairs), []
     for block in _row_blocks(n, len(circuit.gates), len(table) * tasks):
-        rows, task = np.divmod(np.arange(block.start, min(block.stop, len(table) * tasks)), tasks)
+        rows, task = np.divmod(np.arange(*block.indices(len(table) * tasks)), tasks)
         task -= unshifted  # each task's id: a row's unshifted tasks come first, as -unshifted, ..., -1
         moved = np.flatnonzero(task >= 0)
-        angles, pair = bound_angles(circuit, table[rows[0]:rows[-1] + 1]).take(rows - rows[0], 0), task[moved] // 2
-        angles[moved, gates[pair]] += np.where(task[moved] % 2, -1.0, 1.0) * steps[rows[moved], pair]
+        angles = bound_angles(circuit, table[rows[0]:rows[-1] + 1]).take(rows - rows[0], 0)
+        angles[moved, gates[task[moved] // 2]] += steps[rows[moved], task[moved]]
         # Unnamed, so that no block's states outlive its callback.
         blocks.append(np.asarray(evaluate(run_ops(n, circuit.gates, angles), rows, task), dtype=float))
     outputs = np.concatenate(blocks).reshape(len(table), tasks, blocks[0].shape[1])
-    moves = outputs[:, unshifted:].reshape(len(table), -1, 2, outputs.shape[2])  # each pair's two moves
-    terms = (moves[:, :, 0] - moves[:, :, 1]) / divisors[:, None] * np.abs(slopes)[:, :, None]
+    terms = (outputs[:, unshifted::2] - outputs[:, unshifted + 1::2]) / divisors[:, None] * np.abs(slopes)[..., None]
     jacobian = np.zeros((len(table), len(params), terms.shape[2]))
     np.add.at(jacobian, (slice(None), owners), terms)  # occurrences add up in gate order
     return jacobian, outputs[:, :unshifted]

@@ -471,20 +471,18 @@ def run_ops(num_qubits: int, gates, angles):
     A ``(G,)`` angle vector gives one state's ``(2^n,)`` amplitudes; a ``(B, G)`` table
     gives B states as C-contiguous ``(B, 2^n)`` rows. They are float64 when every gate is
     of ``_REAL_KINDS`` and complex128 otherwise. Angles of non-rotation gates are ignored.
-    """
+    The row count picks the route: below ``_FUSED_QUBITS``, one row, a vector's or a one-row
+    table's, runs gate by gate on Python-scalar entries, and the same bytes come out."""
     if num_qubits > MAX_QUBITS:
         raise CircuitError(
             f"{num_qubits} qubits exceeds the dense statevector limit of {MAX_QUBITS}"
         )
     angles = np.asarray(angles, dtype=float)
-    table = angles.ndim == 2
-    half = np.divide(angles.T, 2.0, order="C")  # one C-ordered row of B half angles per gate
+    half = np.divide(np.atleast_2d(angles).T, 2.0, order="C")  # one C-ordered row of B half angles per gate
     cos, sin = np.cos(half), np.sin(half, out=half)
-    fused, rows = num_qubits >= _FUSED_QUBITS, angles.shape[0] if table else 1
-    # One state runs as the one-row table when fused; gate by gate, Python
-    # scalars keep its per-gate arithmetic cheap.
-    if not table:
-        cos, sin = (cos[:, None], sin[:, None]) if fused else (cos.tolist(), sin.tolist())
+    fused, rows = num_qubits >= _FUSED_QUBITS, half.shape[1]
+    if rows == 1 and not fused:  # gate by gate, one row's Python scalars keep the per-gate arithmetic cheap
+        cos, sin = cos.ravel().tolist(), sin.ravel().tolist()
     ops = ((_MATRICES[g.kind](c, s), g.targets[0], g.controls) for g, c, s in zip(gates, cos, sin))
     dtype = float if all(g.kind in _REAL_KINDS for g in gates) else complex
     if fused:
@@ -494,7 +492,7 @@ def run_ops(num_qubits: int, gates, angles):
         states[0] = 1.0
         _apply(states.reshape((2,) * num_qubits + (rows,)), num_qubits, ops)
         states = np.ascontiguousarray(states.T)
-    return states if table else states[0]
+    return states if angles.ndim == 2 else states[0]
 
 
 def _adjoint_terms(num_qubits: int, gates, angles, observables, stops, read=None):
@@ -659,9 +657,10 @@ def _cdf(probs: np.ndarray) -> np.ndarray:
 
 
 def _check_shots(shots) -> int:
-    """The shot-count rule, applied once by each sampling entry: an int or numpy integer >= 1, not a bool."""
-    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)) or shots < 1:
-        raise CircuitError("shots must be a positive integer")
+    """The shot-count rule, applied once by each sampling entry: an int or numpy integer from 1 to
+    2^63 - 1, the largest count numpy draws, not a bool."""
+    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)) or not 1 <= shots < 1 << 63:
+        raise CircuitError("shots must be a positive integer below 2^63")
     return int(shots)
 
 

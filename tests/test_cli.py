@@ -528,6 +528,14 @@ def test_bayes_chain_query(tmp_path, capsys):
     assert 0 < report["accepted"] <= 20000
 
 
+def test_bayes_repeated_evidence_answers_as_given_once(tmp_path, capsys):
+    path = tmp_path / "net.json"
+    write_chain_network(path)
+    query = ["bayes", "--network", str(path), "--query", "B=1", "--evidence", "A=1", "--shots", "500"]
+    once = run_cli(capsys, *query)
+    assert once[0] == 0 and run_cli(capsys, *query, "--evidence", "A=1") == once
+
+
 def test_bayes_no_evidence_matches_exact(tmp_path, capsys):
     path = tmp_path / "net.json"
     write_chain_network(path)
@@ -594,6 +602,11 @@ STEEP_CIRCUIT = circuit_to_dict(
 KERNEL = ["kernel", "--data", "d.csv", "--out", "k.csv"]
 TRAIN_QSVC = [["gen-data", "blobs", "--samples", "4", "--seed", "1", "--out", "b.csv"],
               ["train", "--model", "qsvc", "--data", "b.csv", "--out", "m.json"]]
+TRAIN_VQC = [["gen-data", "xor", "--samples", "4", "--seed", "1", "--out", "x.csv"],
+             ["train", "--model", "vqc", "--data", "x.csv", "--max-iter", "1", "--out", "v.json"]]
+CHAIN = json.dumps({"nodes": [{"name": "A", "parents": [], "cpt": {"": 0.5}},
+                              {"name": "B", "parents": ["A"], "cpt": {"0": 0.2, "1": 0.9}}]})
+TOO_MANY_SHOTS = ["--shots", str(10**20)]  # past 2^63 - 1, numpy cannot draw the count
 
 
 @pytest.mark.parametrize("files, setup, argv, code, named", [
@@ -612,8 +625,19 @@ TRAIN_QSVC = [["gen-data", "blobs", "--samples", "4", "--seed", "1", "--out", "b
      3, f"exceeds {GRADCHECK_TOLERANCE}"),
     ({"c.json": "{"}, [], ["gradcheck", "--circuit", "c.json"], 2, "c.json: not valid JSON"),
     ({"n.json": "nodes"}, [], ["bayes", "--network", "n.json", "--query", "A=1"], 2, "n.json: not valid JSON"),
+    ({}, TRAIN_QSVC, ["kernel", "--data", "b.csv", "--out", "k.csv", *TOO_MANY_SHOTS], 2, "below 2^63"),
+    ({}, TRAIN_VQC[:1], ["train", "--model", "vqc", "--data", "x.csv", "--out", "m.json", *TOO_MANY_SHOTS],
+     2, "below 2^63"),
+    ({}, TRAIN_QSVC, ["predict", "--model", "m.json", "--data", "b.csv", "--out", "p.csv", *TOO_MANY_SHOTS],
+     2, "below 2^63"),
+    ({}, TRAIN_VQC, ["predict", "--model", "v.json", "--data", "x.csv", "--out", "p.csv", *TOO_MANY_SHOTS],
+     2, "below 2^63"),
+    ({"n.json": CHAIN}, [], ["bayes", "--network", "n.json", "--query", "B=1", *TOO_MANY_SHOTS], 2, "below 2^63"),
+    ({"n.json": CHAIN}, [], ["bayes", "--network", "n.json", "--query", "B=1", "--evidence", "A=1",
+                             "--evidence", "A=0"], 2, "--evidence sets A to both 0 and 1"),
 ], ids=["empty", "header", "ragged", "no-rows", "vqr-label", "predict-label", "values-count", "deviation",
-        "circuit-json", "network-json"])
+        "circuit-json", "network-json", "kernel-shots", "train-vqc-shots", "predict-qsvc-shots",
+        "predict-vqc-shots", "bayes-shots", "bayes-conflicting-evidence"])
 def test_cli_exit_paths_write_one_json_error_line(tmp_path, monkeypatch, capsys, files, setup, argv, code, named):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():

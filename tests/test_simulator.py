@@ -310,6 +310,41 @@ def test_batch_equals_its_rows_byte_for_byte(num_qubits):
                 assert state.dtype == single.dtype and state.tobytes() == single.tobytes()
 
 
+@pytest.mark.parametrize("num_qubits", range(1, 10))
+def test_a_one_row_table_runs_gate_by_gate_on_python_scalars_as_its_row_does(monkeypatch, num_qubits):
+    rng = np.random.default_rng(1200 + num_qubits)
+    circuit = random_bound_circuit(rng, num_qubits, max_gates=4 * num_qubits)
+    circuits = [circuit, _real(circuit)]  # complex128 and float64 states
+    if num_qubits > 1:  # CRY on a 0-valued and on a 1-valued control
+        circuits.append(Circuit(num_qubits).extend([
+            Gate.h(0), Gate.cry(0.4, [(0, 0)], num_qubits - 1), Gate.ry(-0.8, 0),
+            Gate.cry(1.3, [(num_qubits - 1, 1)], 0),
+        ]))
+    entries, apply = [], simulator._apply
+
+    def recording(view, n, ops, scratch=None):
+        ops = list(ops)
+        entries.extend(entry for matrix, _, _ in ops for entry in matrix)
+        apply(view, n, ops, scratch)
+
+    monkeypatch.setattr(simulator, "_apply", recording)
+    for circuit in circuits:
+        row = bound_angles(circuit, ())
+        single = run_ops(num_qubits, circuit.gates, row)
+        entries.clear()
+        table = run_ops(num_qubits, circuit.gates, row[None])
+        assert table.shape == (1, 2**num_qubits) and table.dtype == single.dtype
+        assert table.tobytes() == single.tobytes()
+        assert entries and all(type(entry) in (float, complex) for entry in entries)
+        assert run_ops(num_qubits, circuit.gates, np.zeros((0, len(circuit.gates)))).shape == (0, 2**num_qubits)
+    for angles in ((), np.zeros((1, 0)), np.zeros((3, 0)), np.zeros((0, 0))):  # no gates: rows of |0...0>
+        expected = np.zeros(np.shape(angles)[:-1] + (2**num_qubits,))
+        expected[..., 0] = 1.0
+        states = run_ops(num_qubits, (), angles)
+        assert states.shape == expected.shape and states.dtype == np.float64
+        assert states.tobytes() == expected.tobytes()
+
+
 def _windowed(num_qubits: int) -> Circuit:
     """Gates on every window of four consecutive qubits (a multi-control CRY in each),
     and gates spanning more than four qubits, among them a CX from qubit 0 to the last."""
@@ -823,6 +858,19 @@ def _sampling_entries(seed=1) -> dict:
 def test_every_sampling_entry_refuses_a_shot_count_that_is_not_a_positive_integer(entry, shots):
     with pytest.raises(CircuitError, match="shots must be a positive integer"):
         _sampling_entries()[entry](shots)
+
+
+@pytest.mark.parametrize("shots", [2**63, 10**20, np.uint64(2**64 - 1)])
+@pytest.mark.parametrize("entry", sorted(_sampling_entries()))
+def test_every_sampling_entry_refuses_a_shot_count_numpy_cannot_draw(entry, shots):
+    # Past 2^63 - 1, numpy's draws raise OverflowError or ValueError instead.
+    with pytest.raises(CircuitError, match=r"shots must be a positive integer below 2\^63"):
+        _sampling_entries()[entry](shots)
+
+
+@pytest.mark.parametrize("entry", ["estimator", "kernel_entry", "SamplerQnn.forward"])
+def test_the_largest_shot_count_numpy_draws_is_accepted(entry):
+    assert np.all(np.isfinite(_sampling_entries()[entry](2**63 - 1)))
 
 
 @pytest.mark.parametrize("entry", sorted(_sampling_entries()))
